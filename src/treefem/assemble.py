@@ -514,6 +514,9 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None,
     if mesh is None:
         mesh = build_mesh(spec, base_dir)
     timings["mesh"] = time.perf_counter() - tick
+    # assembler setup (closest-point queries) and kernel compilation count
+    # as assembly
+    tick = time.perf_counter()
     constraint = mesh.constraint
     assembler = Assembler(mesh, spec, quad_volume=quad_volume,
                           quad_surface=quad_surface, threads=threads)
@@ -521,7 +524,6 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None,
     steps = []
 
     if ir.steady:
-        tick = time.perf_counter()
         A, b = assembler.assemble(ir, t=0.0)
         reduced, rhs = reduce_system(A, b, constraint)
         timings["assemble"] = time.perf_counter() - tick
@@ -547,6 +549,7 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None,
     kernels = {"main": ir}
     if ir.scheme is TimeScheme.BDF2:
         kernels["bootstrap"] = compile_kernel(spec, scheme=TimeScheme.EULER_IMPLICIT)
+    timings["assemble"] = time.perf_counter() - tick
     matrix_cache = {}
     reuse_matrix = not _bilinear_references_time(ir)
     warm = None

@@ -24,7 +24,15 @@ refined box. Construction runs in four stages:
 
 Anchors are integer cell coordinates at the cell's own level; lattice
 coordinates are at the fixed normalization level 30, so all point
-identity tests are exact.
+identity tests are exact. Every lookup (corner dedup, balance neighbors,
+face neighbors, node numbering and midpoint probes) goes through one
+``TreeIndex`` per stage: cells ``(level, anchor...)`` or lattice points
+(shifted down to the mesh's finest level) are packed into int64 keys
+whose bit width comes from the span of each column, the keys are sorted
+once, and each lookup is a binary search. Keys must fit in 63 bits, so
+a tree spanning the domain can reach level ``63 // dim - 1``: level 20
+in 3-D, while 2-D trees hit the depth cap of 30 first. Deeper trees are
+rejected with a ``MeshError`` when the index is built.
 """
 
 from __future__ import annotations
@@ -65,23 +73,66 @@ def corner_bits(dim):
     return np.stack([(k >> d) & 1 for d in range(dim)], axis=1)
 
 
-def _match(table, queries):
-    """Row-wise lookup: index of each query row in table, or -1.
+class TreeIndex:
+    """Distinct integer rows packed into sorted int64 keys.
 
-    Table rows must be unique.
+    Each column is shifted right by ``shift`` bits, offset by its minimum
+    over the table and given as many bits as its span needs; column 0 is
+    the most significant, so key order is the rows' lexicographic order.
+    ``first`` maps each distinct key to its first table row and
+    ``inverse`` maps each table row to its key. ``dim`` and ``level`` only
+    name the tree in the error raised when the keys need more than 63 bits.
     """
-    table = np.ascontiguousarray(table, np.int64)
-    queries = np.ascontiguousarray(queries, np.int64)
-    if len(queries) == 0:
-        return np.empty(0, np.int64)
-    if len(table) == 0:
-        return np.full(len(queries), -1, np.int64)
-    stacked = np.vstack([table, queries])
-    uniq, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    lookup = np.full(len(uniq), -1, np.int64)
-    lookup[inverse[:len(table)]] = np.arange(len(table))
-    return lookup[inverse[len(table):]]
+
+    def __init__(self, rows, dim, level, shift=0):
+        rows = np.asarray(rows, np.int64)
+        self.shift = shift
+        if len(rows):
+            coarse = rows >> shift
+            self.low = coarse.min(axis=0)
+            self.span = coarse.max(axis=0) - self.low
+        else:
+            self.low = self.span = np.zeros(rows.shape[1], np.int64)
+        widths = [int(s).bit_length() for s in self.span]
+        if sum(widths) > 63:
+            raise MeshError(
+                f"a {dim}-D tree refined to level {level} needs "
+                f"{sum(widths)}-bit lookup keys, more than the 63 bits of an "
+                f"int64; a {dim}-D tree spanning the domain can be refined "
+                f"to level {63 // dim - 1} at most")
+        self.bit = np.array([sum(widths[c + 1:]) for c in range(len(widths))],
+                            np.int64)
+        keys, _ = self._pack(rows)
+        self.keys, self.first, self.inverse = np.unique(
+            keys, return_index=True, return_inverse=True)
+
+    def _pack(self, rows):
+        """Keys of ``rows`` and whether each row can be in the table."""
+        rows = np.asarray(rows, np.int64)
+        coarse = (rows >> self.shift) - self.low
+        valid = ((coarse >= 0) & (coarse <= self.span)).all(axis=1)
+        if self.shift:
+            valid &= ((rows & ((1 << self.shift) - 1)) == 0).all(axis=1)
+        return (coarse << self.bit).sum(axis=1), valid
+
+    def find(self, rows):
+        """Position of each query row among the distinct keys, or -1."""
+        keys, valid = self._pack(rows)
+        if len(self.keys) == 0:
+            return np.full(len(keys), -1, np.int64)
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(valid & (self.keys[pos] == keys), pos, -1)
+
+
+def _cell_index(levels, anchors):
+    finest = int(levels.max()) if len(levels) else 0
+    return TreeIndex(_keys(levels, anchors), anchors.shape[1], finest)
+
+
+def _lattice_index(lattice, levels):
+    """Index of lattice points that are corners of cells at ``levels``."""
+    finest = int(levels.max()) if len(levels) else 0
+    return TreeIndex(lattice, lattice.shape[1], finest, shift=_NL - finest)
 
 
 def _keys(levels, anchors):
@@ -127,12 +178,12 @@ def classify_elements(levels, anchors, spec, geometries):
     if not geometries:
         return np.full(n, INTERIOR, np.int8), []
     lattice = _corner_lattice(levels, anchors)
-    uniq, inverse = np.unique(lattice, axis=0, return_inverse=True)
-    points = _lattice_coords(uniq, spec)
+    index = _lattice_index(lattice, levels)
+    points = _lattice_coords(lattice[index.first], spec)
     combined = np.ones((n, 2 ** dim), bool)
     per_geom = []
     for geom in geometries:
-        kept = geom.kept(points)[inverse.ravel()].reshape(n, 2 ** dim)
+        kept = geom.kept(points)[index.inverse].reshape(n, 2 ** dim)
         count = kept.sum(axis=1)
         codes = np.full(n, INTERCEPTED, np.int8)
         codes[count == 2 ** dim] = INTERIOR
@@ -219,21 +270,17 @@ def balance(levels, anchors, dim):
     anchors = np.asarray(anchors, np.int64)
     dirs = _balance_directions(dim)
     while True:
-        keys = _keys(levels, anchors)
+        index = _cell_index(levels, anchors)
         mark = np.zeros(len(levels), bool)
         present = np.unique(levels)
-        for v in dirs:
-            na = anchors + v
-            top = np.int64(1) << levels
-            inside = np.all((na >= 0) & (na < top[:, None]), axis=1)
-            for gap in range(2, int(levels.max()) + 1):
-                coarse_level = levels - gap
-                rows = inside & (coarse_level >= 0) & np.isin(coarse_level, present)
-                if not rows.any():
-                    continue
-                query = _keys(coarse_level[rows], na[rows] >> gap)
-                found = _match(keys, query)
-                mark[found[found >= 0]] = True
+        for gap in range(2, int(levels.max()) + 1):
+            rows = np.isin(levels - gap, present)
+            if not rows.any():
+                continue
+            coarse_level = levels[rows] - gap
+            for v in dirs:
+                found = index.find(_keys(coarse_level, (anchors[rows] + v) >> gap))
+                mark[index.first[found[found >= 0]]] = True
         if not mark.any():
             return levels, anchors
         child_levels, child_anchors = _children(levels[mark], anchors[mark])
@@ -293,7 +340,7 @@ def _face_child_offsets(dim, axis, orient):
 
 def surrogate_faces(levels, anchors, dim, n_geoms):
     """Enumerate boundary faces of the kept element set."""
-    keys = _keys(levels, anchors)
+    index = _cell_index(levels, anchors)
     rows_element = []
     rows_axis = []
     rows_orient = []
@@ -306,23 +353,18 @@ def surrogate_faces(levels, anchors, dim, n_geoms):
             v[axis] = 1 if orient else -1
             na = anchors + v
             oob = (na[:, axis] < 0) | (na[:, axis] >= top)
-            inside = ~oob
-            covered = np.zeros(len(levels), bool)
-            same = np.full(len(levels), -1, np.int64)
-            same[inside] = _match(keys, _keys(levels[inside], na[inside]))
-            covered |= same >= 0
-            can_parent = inside & (levels >= 1) & ~covered
-            if can_parent.any():
-                parent = _match(keys, _keys(levels[can_parent] - 1,
-                                            na[can_parent] >> 1))
-                covered[np.nonzero(can_parent)[0][parent >= 0]] = True
+            # a neighbor outside the domain is never in the index
+            covered = index.find(_keys(levels, na)) >= 0
+            parent = ~oob & ~covered
+            covered[parent] = index.find(
+                _keys(levels[parent] - 1, na[parent] >> 1)) >= 0
             offsets, tang, combos = _face_child_offsets(dim, axis, orient)
-            open_rows = np.nonzero(inside & ~covered)[0]
+            open_rows = np.nonzero(~oob & ~covered)[0]
             child_kept = np.zeros((len(open_rows), len(offsets)), bool)
             for c, offset in enumerate(offsets):
                 child = na[open_rows] * 2 + offset
-                found = _match(keys, _keys(levels[open_rows] + 1, child))
-                child_kept[:, c] = found >= 0
+                child_kept[:, c] = index.find(
+                    _keys(levels[open_rows] + 1, child)) >= 0
             any_child = child_kept.any(axis=1)
             # wall faces and faces with no kept neighbor fragment: full face
             full_rows = np.concatenate([np.nonzero(oob)[0],
@@ -427,8 +469,9 @@ def number_nodes(levels, anchors, dim):
     of the face or edge it sits on.
     """
     lattice = _corner_lattice(levels, anchors)
-    node_lattice, inverse = np.unique(lattice, axis=0, return_inverse=True)
-    elem_nodes = inverse.ravel().reshape(len(levels), 2 ** dim)
+    index = _lattice_index(lattice, levels)
+    node_lattice = lattice[index.first]
+    elem_nodes = index.inverse.reshape(len(levels), 2 ** dim)
 
     hanging = {}
     half = (np.int64(1) << (_NL - levels)) >> 1
@@ -436,7 +479,7 @@ def number_nodes(levels, anchors, dim):
     origins = anchors * (np.int64(1) << (_NL - levels))[:, None]
     for pos, corners in _probe_table(dim):
         probe = origins[can] + half[can, None] * pos[None, :]
-        found = _match(node_lattice, probe)
+        found = index.find(probe)
         weight = 1.0 / len(corners)
         for row, node in zip(np.nonzero(can)[0][found >= 0], found[found >= 0]):
             if node in hanging:

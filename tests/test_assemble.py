@@ -1,5 +1,7 @@
 """Assembly, constrained reduction, solver, and time stepping."""
 
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,9 +11,13 @@ from treefem.assemble import (
 )
 from treefem.errors import AssemblyError, SolverError
 from treefem.forms import compile_kernel
+from treefem.geometry import write_stl
 from treefem.mesh import build_mesh
 from treefem.problem import parse_problem
 from treefem import expr as ex
+
+from shapes import bumpy_sphere
+from test_acceptance import sphere_script
 
 NITSCHE_BLOCK = """
   + dirichletBoundary(
@@ -485,3 +491,17 @@ def test_rhs_only_assembly_skips_matrix():
     A_none, b_only = asm.assemble(ir, matrix=False)
     assert A_none is None
     assert np.abs(b_only - b_full).max() == 0.0
+
+
+def test_timings_cover_the_run_on_stl(tmp_path):
+    # assembler setup runs closest-point queries against every triangle;
+    # that time must show up in the reported phases
+    vertices, faces = bumpy_sphere((0.5, 0.5, 0.5), 0.35)
+    write_stl(tmp_path / "bumpy.stl", vertices, faces)
+    spec = parse_problem(sphere_script(base=3, glevel=3, shape="mesh",
+                                       shape_lines="mesh_file = bumpy.stl"))
+    tick = time.perf_counter()
+    result = run_problem(spec, base_dir=str(tmp_path))
+    wall = time.perf_counter() - tick
+    assert set(result.timings) == {"mesh", "assemble", "solve"}
+    assert sum(result.timings.values()) >= 0.9 * wall, (result.timings, wall)

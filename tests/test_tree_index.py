@@ -1,0 +1,200 @@
+"""The packed-key tree index against the row-wise ``np.unique`` oracle.
+
+``_match`` is the lookup the mesh stages used before ``TreeIndex``: it
+stacks table and queries and deduplicates rows with ``np.unique(axis=0)``.
+It is slow but obviously right, so it serves as the reference here.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from treefem.errors import MeshError
+from treefem.mesh import (
+    TreeIndex, _NL, _cell_index, _corner_lattice, _keys, _lattice_index,
+    _probe_table, balance, build_mesh, build_tree, corner_bits,
+)
+from treefem.problem import parse_problem
+
+from mesh_digests import GOLDEN, case_meshes, mesh_digests
+
+
+def _match(table, queries):
+    """Row-wise lookup: index of each query row in table, or -1.
+
+    Table rows must be unique.
+    """
+    table = np.ascontiguousarray(table, np.int64)
+    queries = np.ascontiguousarray(queries, np.int64)
+    if len(queries) == 0:
+        return np.empty(0, np.int64)
+    if len(table) == 0:
+        return np.full(len(queries), -1, np.int64)
+    stacked = np.vstack([table, queries])
+    uniq, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    lookup = np.full(len(uniq), -1, np.int64)
+    lookup[inverse[:len(table)]] = np.arange(len(table))
+    return lookup[inverse[len(table):]]
+
+
+def table_rows(index, queries):
+    """Table row of each query found by ``index``, or -1, like ``_match``."""
+    found = index.find(queries)
+    return np.where(found >= 0, index.first[np.maximum(found, 0)], -1)
+
+
+def oracle_number_nodes(levels, anchors, dim):
+    """``number_nodes`` as written with ``_match`` and ``np.unique``."""
+    lattice = _corner_lattice(levels, anchors)
+    node_lattice, inverse = np.unique(lattice, axis=0, return_inverse=True)
+    elem_nodes = inverse.ravel().reshape(len(levels), 2 ** dim)
+    hanging = {}
+    half = (np.int64(1) << (_NL - levels)) >> 1
+    can = half >= 1
+    origins = anchors * (np.int64(1) << (_NL - levels))[:, None]
+    for pos, corners in _probe_table(dim):
+        probe = origins[can] + half[can, None] * pos[None, :]
+        found = _match(node_lattice, probe)
+        weight = 1.0 / len(corners)
+        for row, node in zip(np.nonzero(can)[0][found >= 0], found[found >= 0]):
+            if node not in hanging:
+                hanging[int(node)] = tuple(
+                    (int(elem_nodes[row, k]), weight) for k in corners)
+    return node_lattice, elem_nodes, hanging
+
+
+def box_spec(dim, base, lo, hi, depth):
+    """Tree refined to ``depth`` in every cell that overlaps a box."""
+    half = "0.5 * exp(-0.6931 * level)"
+    box = " && ".join(f"{a} > {l} - {half} && {a} < {h} + {half}"
+                      for a, l, h in zip("xyz", lo, hi))
+    return parse_problem(f"""
+[domain]
+dimension = {dim}
+min = {", ".join(["0"] * dim)}
+max = {", ".join(["1"] * dim)}
+base_refine_level = {base}
+refine_where = {box} && level < {depth}
+
+[variables]
+names = u
+
+[weak_form]
+dot(grad(u), grad(v)) - 1.0 * v
+""")
+
+
+def corner_spec(depth):
+    """3-D tree refined only at the origin corner, down to ``depth``."""
+    near = " && ".join(f"{a} < 0.75 * exp(-0.6931 * level)" for a in "xyz")
+    return parse_problem(f"""
+[domain]
+dimension = 3
+min = 0, 0, 0
+max = 1, 1, 1
+base_refine_level = 1
+refine_where = {near} && level < {depth}
+
+[variables]
+names = u
+
+[weak_form]
+dot(grad(u), grad(v)) - 1.0 * v
+""")
+
+
+def cell_queries(rng, levels, anchors, count):
+    """Table cells, their neighbors, parents and children, and cells at
+    absent levels, negative anchors and anchors past ``2**level``."""
+    dim = anchors.shape[1]
+    pick = rng.integers(0, len(levels), count)
+    qlevels = levels[pick] + rng.integers(-3, 4, count)
+    qanchors = anchors[pick] + rng.integers(-2, 3, (count, dim))
+    finer = np.maximum(qlevels - levels[pick], 0)[:, None]
+    coarser = np.maximum(levels[pick] - qlevels, 0)[:, None]
+    qanchors = (qanchors << finer) >> coarser
+    wild_levels = rng.integers(-2, int(levels.max()) + 4, count)
+    top = np.int64(1) << np.clip(wild_levels, 0, None)
+    wild = (rng.integers(-3, 4, (count, dim))
+            + rng.integers(0, 2, (count, 1)) * top[:, None])
+    return (np.concatenate([levels, qlevels, wild_levels]),
+            np.vstack([anchors, qanchors, wild]))
+
+
+def lattice_queries(rng, lattice, levels, count):
+    """Table points, points a fraction of a finest cell off them, negative
+    points and points past the domain."""
+    dim = lattice.shape[1]
+    finest = 1 << (_NL - int(levels.max()))
+    pick = rng.integers(0, len(lattice), count)
+    step = rng.choice(np.array([finest, finest // 2, 1], np.int64), (count, 1))
+    near = lattice[pick] + rng.integers(-2, 3, (count, dim)) * step
+    far = rng.integers(-2, 3, (count, dim)) * (np.int64(1) << _NL) + near
+    return np.vstack([lattice, near, far])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2 ** 32 - 1))
+def test_index_matches_oracle(dim, seed):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 0.7, dim).round(3)
+    hi = (lo + rng.uniform(0.1, 0.5, dim)).round(3)
+    base = int(rng.integers(1, 3))
+    depth = base + int(rng.integers(1, 6 if dim == 2 else 4))
+    spec = box_spec(dim, base, lo, hi, depth)
+    levels, anchors = balance(*build_tree(spec, []), dim)
+
+    index = _cell_index(levels, anchors)
+    qlevels, qanchors = cell_queries(rng, levels, anchors, 400)
+    queries = _keys(qlevels, qanchors)
+    assert np.array_equal(table_rows(index, queries),
+                          _match(_keys(levels, anchors), queries))
+
+    lattice = _corner_lattice(levels, anchors)
+    nodes, inverse = np.unique(lattice, axis=0, return_inverse=True)
+    index = _lattice_index(lattice, levels)
+    assert np.array_equal(lattice[index.first], nodes)
+    assert np.array_equal(index.inverse, inverse.ravel())
+    queries = lattice_queries(rng, lattice, levels, 400)
+    assert np.array_equal(index.find(queries), _match(nodes, queries))
+
+
+def test_index_edge_cases():
+    empty = TreeIndex(np.empty((0, 3), np.int64), 2, 0)
+    assert np.array_equal(empty.find([[0, 0, 0], [1, 2, 3]]), [-1, -1])
+    single = TreeIndex([[4, 3, 9]], 2, 4)
+    assert np.array_equal(single.find([[4, 3, 9], [4, 3, 8], [-4, 3, 9]]),
+                          [0, -1, -1])
+    assert len(single.find(np.empty((0, 3), np.int64))) == 0
+
+
+def test_mesh_arrays_match_golden_digests():
+    golden = json.loads((GOLDEN / "mesh_digests.json").read_text())
+    assert {name: mesh_digests(mesh) for name, mesh in case_meshes()} == golden
+
+
+def test_corner_refinement_at_key_width_limit_matches_oracle():
+    mesh = build_mesh(corner_spec(20))
+    assert mesh.levels.max() == 20 == 63 // 3 - 1
+    node_lattice, elem_nodes, hanging = oracle_number_nodes(
+        mesh.levels, mesh.anchors, 3)
+    assert np.array_equal(mesh.node_lattice, node_lattice)
+    assert np.array_equal(mesh.elem_nodes, elem_nodes)
+    assert mesh.hanging == hanging
+    assert len(hanging) > 0
+    # every same-level neighbor lookup agrees with the oracle as well
+    index = _cell_index(mesh.levels, mesh.anchors)
+    table = _keys(mesh.levels, mesh.anchors)
+    for offset in corner_bits(3)[1:]:
+        queries = _keys(mesh.levels, mesh.anchors + offset)
+        assert np.array_equal(table_rows(index, queries),
+                              _match(table, queries))
+
+
+def test_corner_refinement_past_key_width_limit_raises():
+    with pytest.raises(MeshError, match=r"3-D tree refined to level 21 "
+                                        r"needs 66-bit lookup keys"):
+        build_mesh(corner_spec(21))
