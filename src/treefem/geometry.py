@@ -17,12 +17,24 @@ Analytic shapes resolve both exactly, ties on the surface counting as
 kept. Faceted shapes (polylines from Gmsh meshes, triangle surfaces from
 STL) classify by ray parity; points lying exactly on a facet may land on
 either side.
+
+Triangle surfaces test each query only against nearby triangles, found
+with kd-trees built on first use (``scipy.spatial`` is imported then, not
+with this module). For ``closest``, the nearest vertex bounds the
+distance, so only triangles whose centroid lies within that bound plus
+the largest centroid-to-corner distance are candidates. For ``kept``,
+each ray column meets the triangles whose projected centroid lies within
+that distance in (x, y), padded beyond the largest nudge of a retried
+ray. Both give the same results, bit for bit and with the lowest
+triangle index winning ties, as testing every triangle.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -292,73 +304,77 @@ class TriSurface(Geometry):
             self.vertex_normals = -self.vertex_normals
             self.edge_slot_normals = -self.edge_slot_normals
 
+    @property
+    def _scale(self):
+        return max(1.0, float(np.abs(self.vertices).max()))
+
+    @cached_property
+    def _face_search(self):
+        """kd-trees over the vertices and the face centroids, and the
+        largest distance from a centroid to a corner of its face."""
+        from scipy.spatial import cKDTree
+
+        return (cKDTree(self.vertices),) + _centroid_search(
+            self.vertices[self.faces])
+
+    @cached_property
+    def _column_search(self):
+        """The same over the faces projected to (x, y)."""
+        return _centroid_search(self.vertices[self.faces][:, :, :2])
+
     # -- side classification ------------------------------------------------
 
     def _inside(self, points):
         """Ray parity along +z, one shared ray per (x, y) column."""
-        columns, inverse = np.unique(points[:, :2], axis=0, return_inverse=True)
-        inside = np.zeros(len(points), bool)
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.searchsorted(inverse[order], np.arange(len(columns) + 1))
-        for ci in range(len(columns)):
-            rows = order[bounds[ci]:bounds[ci + 1]]
-            crossings = self._column_crossings(columns[ci])
-            if len(crossings) == 0:
-                continue
-            above = len(crossings) - np.searchsorted(crossings, points[rows, 2],
-                                                     side="left")
-            inside[rows] = above % 2 == 1
-        return inside
-
-    def _column_crossings(self, column):
-        cx, cy = column
-        scale = max(1.0, float(np.abs(self.vertices).max()))
-        for attempt in range(8):
-            zs, ambiguous = self._crossings_once(cx, cy)
-            if not ambiguous:
-                return np.sort(zs)
-            # A crossing grazes an edge or vertex; nudge the ray sideways.
-            delta = scale * 1e-9 * (3.0 ** attempt)
-            cx, cy = column[0] + delta, column[1] + 0.7 * delta
-        raise GeometryError("side classification failed: ray through the "
-                            "triangle surface keeps hitting edges")
-
-    def _crossings_once(self, cx, cy):
-        a, b, c = (self.vertices[self.faces[:, k]] for k in range(3))
-        e1 = b[:, :2] - a[:, :2]
-        e2 = c[:, :2] - a[:, :2]
-        denom = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        rel = np.array([cx, cy]) - a[:, :2]
-        scale = max(1.0, float(np.abs(self.vertices).max()))
-        flat = np.abs(denom) <= 1e-14 * scale * scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = (rel[:, 0] * e2[:, 1] - rel[:, 1] * e2[:, 0]) / denom
-            t = (e1[:, 0] * rel[:, 1] - e1[:, 1] * rel[:, 0]) / denom
-        s = np.where(flat, -1.0, s)
-        t = np.where(flat, -1.0, t)
-        # Crossings counted strictly inside; anything in the eps band around
-        # a projected edge forces a retry with a nudged ray.
-        eps = 1e-10
-        loose = (s >= -eps) & (t >= -eps) & (s + t <= 1 + eps)
-        strict = (s > eps) & (t > eps) & (s + t < 1 - eps)
-        ambiguous = bool((loose & ~strict).any())
-        if not ambiguous and flat.any():
-            # Edge-on triangles project to slivers; only grazing them matters.
-            margin = 1e-9 * scale
-            point = np.array([cx, cy])
-            corners = (a[flat, :2], b[flat, :2], c[flat, :2])
-            for u, v in ((0, 1), (1, 2), (2, 0)):
-                seg = corners[v] - corners[u]
-                length2 = np.einsum("ij,ij->i", seg, seg)
-                length2[length2 == 0] = 1.0
-                frac = np.einsum("ij,ij->i", point - corners[u], seg) / length2
-                foot = corners[u] + np.clip(frac, 0.0, 1.0)[:, None] * seg
-                gap = np.linalg.norm(point - foot, axis=1)
-                if bool((gap <= margin).any()):
-                    ambiguous = True
+        order = np.lexsort((points[:, 1], points[:, 0]))
+        xy = points[order, :2]
+        fresh = np.ones(len(xy), bool)
+        fresh[1:] = np.any(xy[1:] != xy[:-1], axis=1)
+        columns = xy[fresh]
+        inverse = np.empty(len(points), np.intp)
+        inverse[order] = np.cumsum(fresh) - 1
+        tree, radius = self._column_search
+        scale = self._scale
+        # Faces whose projection comes this close to a column are tested
+        # against it: the pad is well beyond the largest nudge below
+        # (1.22 * scale * 1e-9 * 3**6), the eps band and the graze margin.
+        pad = 1e-5 * scale
+        corners = [self.vertices[self.faces[:, k]] for k in range(3)]
+        hit_col, hit_z = [np.empty(0, np.intp)], [np.empty(0)]
+        reach = np.full(len(columns), radius + pad)
+        for col, face in _ball_pairs(tree, columns, reach):
+            for attempt in range(8):
+                # A ray that grazes an edge, a vertex or an edge-on face is
+                # shot again, nudged sideways.
+                delta = scale * 1e-9 * 3.0 ** (attempt - 1) if attempt else 0.0
+                ambiguous, strict, z = _ray_crossings(
+                    columns[col] + [delta, 0.7 * delta],
+                    *(corner[face] for corner in corners), scale)
+                retry = np.zeros(len(columns), bool)
+                retry[col[ambiguous]] = True
+                again = retry[col]
+                hit_col.append(col[strict & ~again])
+                hit_z.append(z[strict & ~again])
+                col, face = col[again], face[again]
+                if len(col) == 0:
                     break
-        zs = (a[:, 2] + s * (b[:, 2] - a[:, 2]) + t * (c[:, 2] - a[:, 2]))[strict]
-        return zs, ambiguous
+            else:
+                raise GeometryError("side classification failed: ray through "
+                                    "the triangle surface keeps hitting edges")
+        hit_col = np.concatenate(hit_col)
+        hit_z = np.concatenate(hit_z)
+        # Sort crossings and points together by column, then from the top
+        # down, a crossing level with a point ahead of it; the crossings
+        # passed so far in the column are those at or above the point.
+        kind = np.r_[np.zeros(len(hit_col), bool), np.ones(len(points), bool)]
+        order = np.lexsort((kind, -np.r_[hit_z, points[:, 2]],
+                            np.r_[hit_col, inverse]))
+        passed = np.cumsum(~kind[order])[kind[order]]
+        at = order[kind[order]] - len(hit_col)
+        per_column = np.bincount(hit_col, minlength=len(columns))
+        above = np.empty(len(points), np.intp)
+        above[at] = passed - (np.cumsum(per_column) - per_column)[inverse[at]]
+        return above % 2 == 1
 
     def kept(self, points):
         points = np.asarray(points, float)
@@ -373,17 +389,25 @@ class TriSurface(Geometry):
         projections = np.empty((n, 3))
         normals = np.empty((n, 3))
         distances = np.empty(n)
-        chunk = max(1, int(2e6 / len(self.faces)))
-        for start in range(0, n, chunk):
-            p = points[start:start + chunk]
-            cand, feature = _closest_on_triangles(p, self.vertices, self.faces)
-            d2 = ((cand - p[:, None, :]) ** 2).sum(axis=2)
-            best = np.argmin(d2, axis=1)
-            rows = np.arange(len(p))
-            projections[start:start + chunk] = cand[rows, best]
-            distances[start:start + chunk] = np.sqrt(d2[rows, best])
-            normals[start:start + chunk] = self._feature_normal(
-                best, feature[rows, best])
+        vertex_tree, centroid_tree, radius = self._face_search
+        # The nearest vertex bounds the distance to the surface, so only a
+        # face whose centroid lies within that bound plus the face radius
+        # can hold the closest point; the pad absorbs rounding.
+        bound = vertex_tree.query(points)[0]
+        reach = bound + radius + 1e-9 * (self._scale + bound)
+        for row, face in _ball_pairs(centroid_tree, points, reach):
+            p = points[row]
+            cand, feature = _closest_on_triangles(
+                p, *(self.vertices[self.faces[face, k]] for k in range(3)))
+            d2 = ((cand - p) ** 2).sum(axis=1)
+            # Least distance per point, ties to the lowest face index.
+            order = np.lexsort((face, d2, row))
+            first = np.ones(len(order), bool)
+            first[1:] = row[order[1:]] != row[order[:-1]]
+            best = order[first]
+            projections[row[best]] = cand[best]
+            distances[row[best]] = np.sqrt(d2[best])
+            normals[row[best]] = self._feature_normal(face[best], feature[best])
         return ClosestPoint(projections, normals, distances)
 
     def _feature_normal(self, face_index, feature):
@@ -403,34 +427,103 @@ class TriSurface(Geometry):
         return out / norms[:, None]
 
 
-def _closest_on_triangles(p, vertices, faces):
-    """Closest point from each of p onto every triangle, plus the feature.
+def _centroid_search(corners):
+    from scipy.spatial import cKDTree
+
+    centroids = corners.mean(axis=1)
+    offsets = corners - centroids[:, None]
+    return cKDTree(centroids), float(np.sqrt((offsets ** 2).sum(axis=2).max()))
+
+
+# Most (query, face) pairs tested at once; bounds the candidate arrays.
+_PAIR_BUDGET = 1 << 17
+
+
+def _ball_pairs(tree, queries, reach):
+    """(query, item) index pairs with ``tree`` item within ``reach`` of the
+    query, in chunks of consecutive queries holding at most
+    ``_PAIR_BUDGET`` pairs (or one query)."""
+    counts = np.asarray(tree.query_ball_point(queries, reach,
+                                              return_length=True), np.intp)
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(queries):
+        hi = max(lo + 1, int(np.searchsorted(
+            ends, ends[lo] - counts[lo] + _PAIR_BUDGET, side="right")))
+        lists = tree.query_ball_point(queries[lo:hi], reach[lo:hi],
+                                      return_sorted=False)
+        sizes = np.fromiter(map(len, lists), np.intp, len(lists))
+        items = np.fromiter(itertools.chain.from_iterable(lists), np.intp,
+                            int(sizes.sum()))
+        yield np.repeat(np.arange(lo, hi), sizes), items
+        lo = hi
+
+
+def _ray_crossings(xy, a, b, c, scale):
+    """Upward rays from ``xy[i]`` against triangles ``(a[i], b[i], c[i])``.
+
+    Returns which pairs are ambiguous (the ray passes through the eps band
+    around a projected edge, or grazes an edge-on triangle), which cross
+    strictly inside, and the height of each crossing.
+    """
+    e1 = b[:, :2] - a[:, :2]
+    e2 = c[:, :2] - a[:, :2]
+    denom = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    rel = xy - a[:, :2]
+    flat = np.abs(denom) <= 1e-14 * scale * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (rel[:, 0] * e2[:, 1] - rel[:, 1] * e2[:, 0]) / denom
+        t = (e1[:, 0] * rel[:, 1] - e1[:, 1] * rel[:, 0]) / denom
+    s = np.where(flat, -1.0, s)
+    t = np.where(flat, -1.0, t)
+    # Crossings counted strictly inside; anything in the eps band around
+    # a projected edge forces a retry with a nudged ray.
+    eps = 1e-10
+    loose = (s >= -eps) & (t >= -eps) & (s + t <= 1 + eps)
+    strict = (s > eps) & (t > eps) & (s + t < 1 - eps)
+    ambiguous = loose & ~strict
+    if flat.any():
+        # Edge-on triangles project to slivers; only grazing them matters.
+        margin = 1e-9 * scale
+        point = xy[flat]
+        corners = (a[flat, :2], b[flat, :2], c[flat, :2])
+        graze = np.zeros(len(point), bool)
+        for u, v in ((0, 1), (1, 2), (2, 0)):
+            seg = corners[v] - corners[u]
+            length2 = np.einsum("ij,ij->i", seg, seg)
+            length2[length2 == 0] = 1.0
+            frac = np.einsum("ij,ij->i", point - corners[u], seg) / length2
+            foot = corners[u] + np.clip(frac, 0.0, 1.0)[:, None] * seg
+            graze |= np.linalg.norm(point - foot, axis=1) <= margin
+        ambiguous[flat] |= graze
+    z = a[:, 2] + s * (b[:, 2] - a[:, 2]) + t * (c[:, 2] - a[:, 2])
+    return ambiguous, strict, z
+
+
+def _closest_on_triangles(p, a, b, c):
+    """Closest point from each ``p[i]`` onto triangle ``(a[i], b[i], c[i])``,
+    plus the feature it lies on.
 
     Feature codes: 0, 1, 2 the triangle's corners; 3, 4, 5 the edges
     (01), (02), (12); 6 the interior.
     """
-    a = vertices[faces[:, 0]][None, :, :]
-    b = vertices[faces[:, 1]][None, :, :]
-    c = vertices[faces[:, 2]][None, :, :]
-    p = p[:, None, :]
     ab = b - a
     ac = c - a
     ap = p - a
-    d1 = np.einsum("pti,pti->pt", ab, ap)
-    d2 = np.einsum("pti,pti->pt", ac, ap)
+    d1 = np.einsum("ij,ij->i", ab, ap)
+    d2 = np.einsum("ij,ij->i", ac, ap)
     bp = p - b
-    d3 = np.einsum("pti,pti->pt", ab, bp)
-    d4 = np.einsum("pti,pti->pt", ac, bp)
+    d3 = np.einsum("ij,ij->i", ab, bp)
+    d4 = np.einsum("ij,ij->i", ac, bp)
     cp = p - c
-    d5 = np.einsum("pti,pti->pt", ab, cp)
-    d6 = np.einsum("pti,pti->pt", ac, cp)
+    d5 = np.einsum("ij,ij->i", ab, cp)
+    d6 = np.einsum("ij,ij->i", ac, cp)
     vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
 
-    shape = d1.shape
-    feature = np.full(shape, 6, dtype=np.int8)
-    done = np.zeros(shape, bool)
+    feature = np.full(len(p), 6, dtype=np.int8)
+    done = np.zeros(len(p), bool)
 
     def claim(mask, code):
         take = mask & ~done
@@ -453,14 +546,14 @@ def _closest_on_triangles(p, vertices, faces):
         v = np.where(total != 0, vb / total, 0.0)
         w = np.where(total != 0, vc / total, 0.0)
 
-    cand = a + v[..., None] * ab + w[..., None] * ac      # interior default
+    cand = a + v[:, None] * ab + w[:, None] * ac      # interior default
     for code, point in (
         (0, a), (1, b), (2, c),
-        (3, a + t_ab[..., None] * ab),
-        (4, a + t_ac[..., None] * ac),
-        (5, b + t_bc[..., None] * (c - b)),
+        (3, a + t_ab[:, None] * ab),
+        (4, a + t_ac[:, None] * ac),
+        (5, b + t_bc[:, None] * (c - b)),
     ):
-        cand = np.where((feature == code)[..., None], point, cand)
+        cand = np.where((feature == code)[:, None], point, cand)
     return cand, feature
 
 
@@ -508,25 +601,27 @@ def _edge_slot_normals(faces, face_normals):
 
     Slots follow the feature codes: 0 edge (01), 1 edge (02), 2 edge (12).
     """
-    edge_faces = {}
-    slots = ((0, 1), (0, 2), (1, 2))
-    for f, face in enumerate(faces):
-        for s, (i, j) in enumerate(slots):
-            key = tuple(sorted((int(face[i]), int(face[j]))))
-            edge_faces.setdefault(key, []).append(f)
-    out = np.empty((len(faces), 3, 3))
-    for f, face in enumerate(faces):
-        for s, (i, j) in enumerate(slots):
-            key = tuple(sorted((int(face[i]), int(face[j]))))
-            adjacent = edge_faces[key]
-            if len(adjacent) != 2:
-                raise GeometryError(
-                    "triangle surface is not watertight: an edge borders "
-                    f"{len(adjacent)} faces")
-            normal = face_normals[adjacent].sum(axis=0)
-            length = np.linalg.norm(normal)
-            out[f, s] = normal / length if length > 0 else face_normals[f]
-    return out
+    ends = np.sort(faces[:, [[0, 1], [0, 2], [1, 2]]], axis=2).reshape(-1, 2)
+    keys = ends[:, 0].astype(np.int64) * (int(faces.max()) + 1) + ends[:, 1]
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    first = np.searchsorted(ranked, keys, side="left")
+    count = np.searchsorted(ranked, keys, side="right") - first
+    if np.any(count != 2):
+        raise GeometryError(
+            "triangle surface is not watertight: an edge borders "
+            f"{count[np.argmax(count != 2)]} faces")
+    slot = np.arange(len(keys))
+    partner = np.where(order[first] == slot, order[first + 1], order[first])
+    own = slot // 3
+    normal = face_normals[own] + face_normals[partner // 3]
+    # a BLAS dot per row, rounding as np.linalg.norm does for one vector
+    length = np.sqrt(normal[:, None, :] @ normal[:, :, None]).ravel()
+    flat = length == 0
+    length[flat] = 1.0
+    out = normal / length[:, None]
+    out[flat] = face_normals[own[flat]]
+    return out.reshape(-1, 3, 3)
 
 
 def read_stl(path):

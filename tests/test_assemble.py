@@ -494,7 +494,7 @@ def test_rhs_only_assembly_skips_matrix():
 
 
 def test_timings_cover_the_run_on_stl(tmp_path):
-    # assembler setup runs closest-point queries against every triangle;
+    # assembler setup runs closest-point queries against the triangles;
     # that time must show up in the reported phases
     vertices, faces = bumpy_sphere((0.5, 0.5, 0.5), 0.35)
     write_stl(tmp_path / "bumpy.stl", vertices, faces)

@@ -1,20 +1,26 @@
 """Geometry tests against independent winding-number and scan oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from treefem import geometry
+from treefem.assemble import Assembler
 from treefem.errors import GeometryError
 from treefem.geometry import (
     Ball, Polyline, TriSurface, load_geometry, read_gmsh_lines, read_stl,
     write_stl,
 )
-from treefem.problem import GeometrySpec
+from treefem.mesh import KIND_GEOMETRY, build_mesh
+from treefem.problem import GeometrySpec, parse_problem
 
 from shapes import (
     bumpy_sphere, cube_tris, gmsh_polygon_text, icosphere, regular_polygon,
 )
+from test_acceptance import sphere_script
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +84,147 @@ def brute_closest_triangles(vertices, faces, p):
             if best is None or d < best[0]:
                 best = (d, q)
     return best
+
+
+def scan_closest(surf, points):
+    """TriSurface.closest by testing every point against every triangle."""
+    n = len(points)
+    projections = np.empty((n, 3))
+    normals = np.empty((n, 3))
+    distances = np.empty(n)
+    chunk = max(1, int(2e6 / len(surf.faces)))
+    for start in range(0, n, chunk):
+        p = points[start:start + chunk]
+        cand, feature = scan_closest_on_triangles(p, surf.vertices, surf.faces)
+        d2 = ((cand - p[:, None, :]) ** 2).sum(axis=2)
+        best = np.argmin(d2, axis=1)
+        rows = np.arange(len(p))
+        projections[start:start + chunk] = cand[rows, best]
+        distances[start:start + chunk] = np.sqrt(d2[rows, best])
+        normals[start:start + chunk] = surf._feature_normal(
+            best, feature[rows, best])
+    return projections, normals, distances
+
+
+def scan_closest_on_triangles(p, vertices, faces):
+    a = vertices[faces[:, 0]][None, :, :]
+    b = vertices[faces[:, 1]][None, :, :]
+    c = vertices[faces[:, 2]][None, :, :]
+    p = p[:, None, :]
+    ab = b - a
+    ac = c - a
+    ap = p - a
+    d1 = np.einsum("pti,pti->pt", ab, ap)
+    d2 = np.einsum("pti,pti->pt", ac, ap)
+    bp = p - b
+    d3 = np.einsum("pti,pti->pt", ab, bp)
+    d4 = np.einsum("pti,pti->pt", ac, bp)
+    cp = p - c
+    d5 = np.einsum("pti,pti->pt", ab, cp)
+    d6 = np.einsum("pti,pti->pt", ac, cp)
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+    feature = np.full(d1.shape, 6, dtype=np.int8)
+    done = np.zeros(d1.shape, bool)
+    for mask, code in (((d1 <= 0) & (d2 <= 0), 0),
+                       ((d3 >= 0) & (d4 <= d3), 1),
+                       ((vc <= 0) & (d1 >= 0) & (d3 <= 0), 3),
+                       ((d6 >= 0) & (d5 <= d6), 2),
+                       ((vb <= 0) & (d2 >= 0) & (d6 <= 0), 4),
+                       ((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0), 5)):
+        take = mask & ~done
+        feature[take] = code
+        done[take] = True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ab = np.where(d1 - d3 != 0, d1 / (d1 - d3), 0.0)
+        t_ac = np.where(d2 - d6 != 0, d2 / (d2 - d6), 0.0)
+        seam = (d4 - d3) + (d5 - d6)
+        t_bc = np.where(seam != 0, (d4 - d3) / seam, 0.0)
+        total = va + vb + vc
+        v = np.where(total != 0, vb / total, 0.0)
+        w = np.where(total != 0, vc / total, 0.0)
+    cand = a + v[..., None] * ab + w[..., None] * ac
+    for code, point in ((0, a), (1, b), (2, c),
+                        (3, a + t_ab[..., None] * ab),
+                        (4, a + t_ac[..., None] * ac),
+                        (5, b + t_bc[..., None] * (c - b))):
+        cand = np.where((feature == code)[..., None], point, cand)
+    return cand, feature
+
+
+def scan_kept(surf, points):
+    """TriSurface.kept by ray parity per column, each against every triangle."""
+    columns, inverse = np.unique(points[:, :2], axis=0, return_inverse=True)
+    inside = np.zeros(len(points), bool)
+    for ci, column in enumerate(columns):
+        rows = np.flatnonzero(inverse == ci)
+        crossings = scan_column_crossings(surf, column)
+        above = len(crossings) - np.searchsorted(crossings, points[rows, 2],
+                                                 side="left")
+        inside[rows] = above % 2 == 1
+    return inside if surf.outer_boundary else ~inside
+
+
+def scan_column_crossings(surf, column):
+    scale = max(1.0, float(np.abs(surf.vertices).max()))
+    cx, cy = column
+    for attempt in range(8):
+        zs, ambiguous = scan_crossings_once(surf, cx, cy, scale)
+        if not ambiguous:
+            return np.sort(zs)
+        delta = scale * 1e-9 * (3.0 ** attempt)
+        cx, cy = column[0] + delta, column[1] + 0.7 * delta
+    raise GeometryError("ray keeps hitting edges")
+
+
+def scan_crossings_once(surf, cx, cy, scale):
+    a, b, c = (surf.vertices[surf.faces[:, k]] for k in range(3))
+    e1 = b[:, :2] - a[:, :2]
+    e2 = c[:, :2] - a[:, :2]
+    denom = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    rel = np.array([cx, cy]) - a[:, :2]
+    flat = np.abs(denom) <= 1e-14 * scale * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (rel[:, 0] * e2[:, 1] - rel[:, 1] * e2[:, 0]) / denom
+        t = (e1[:, 0] * rel[:, 1] - e1[:, 1] * rel[:, 0]) / denom
+    s = np.where(flat, -1.0, s)
+    t = np.where(flat, -1.0, t)
+    eps = 1e-10
+    loose = (s >= -eps) & (t >= -eps) & (s + t <= 1 + eps)
+    strict = (s > eps) & (t > eps) & (s + t < 1 - eps)
+    ambiguous = bool((loose & ~strict).any())
+    if not ambiguous and flat.any():
+        point = np.array([cx, cy])
+        corners = (a[flat, :2], b[flat, :2], c[flat, :2])
+        for u, v in ((0, 1), (1, 2), (2, 0)):
+            seg = corners[v] - corners[u]
+            length2 = np.einsum("ij,ij->i", seg, seg)
+            length2[length2 == 0] = 1.0
+            frac = np.einsum("ij,ij->i", point - corners[u], seg) / length2
+            foot = corners[u] + np.clip(frac, 0.0, 1.0)[:, None] * seg
+            if bool((np.linalg.norm(point - foot, axis=1) <= 1e-9 * scale).any()):
+                ambiguous = True
+                break
+    zs = (a[:, 2] + s * (b[:, 2] - a[:, 2]) + t * (c[:, 2] - a[:, 2]))[strict]
+    return zs, ambiguous
+
+
+def scan_edge_slot_normals(faces, face_normals):
+    edge_faces = {}
+    slots = ((0, 1), (0, 2), (1, 2))
+    for f, face in enumerate(faces):
+        for i, j in slots:
+            key = tuple(sorted((int(face[i]), int(face[j]))))
+            edge_faces.setdefault(key, []).append(f)
+    out = np.empty((len(faces), 3, 3))
+    for f, face in enumerate(faces):
+        for s, (i, j) in enumerate(slots):
+            adjacent = edge_faces[tuple(sorted((int(face[i]), int(face[j]))))]
+            normal = face_normals[adjacent].sum(axis=0)
+            length = np.linalg.norm(normal)
+            out[f, s] = normal / length if length > 0 else face_normals[f]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +498,102 @@ def test_bumpy_sphere_is_watertight_and_consistent():
         assert got[k] == winding_inside_3d(surf.vertices, surf.faces, pts[k])
 
 
+SURFACES = {
+    "cube": cube_tris((0.25, 0.25, 0.25), (0.75, 0.75, 0.75)),
+    "icosphere": icosphere((0.5, 0.5, 0.5), 0.35, subdivisions=2),
+    "bumpy": bumpy_sphere((0.5, 0.5, 0.5), 0.3, subdivisions=2),
+}
+QUERY_KINDS = ("random", "vertices", "midpoints", "columns", "sides")
+
+
+def query_points(surf, rng, kinds, n=40):
+    """Random points plus points placed to tie or to graze."""
+    v, f = surf.vertices, surf.faces
+    parts = [np.empty((0, 3))]
+    if "random" in kinds:
+        parts.append(rng.uniform(-0.1, 1.1, (n, 3)))
+    if "vertices" in kinds:         # closest points tie between faces
+        parts.append(v[rng.integers(len(v), size=n)])
+    if "midpoints" in kinds:
+        face = f[rng.integers(len(f), size=n)]
+        k = rng.integers(3, size=n)
+        rows = np.arange(n)
+        parts.append((v[face[rows, k]] + v[face[rows, (k + 1) % 3]]) / 2)
+    if "columns" in kinds:          # rays through vertices get nudged
+        xy = v[rng.integers(len(v), size=n), :2]
+        parts.append(np.column_stack([xy, rng.uniform(0, 1, n)]))
+    if "sides" in kinds:            # rays in the plane of edge-on faces
+        p = rng.uniform(0, 1, (n, 3))
+        p[:, 0] = v[rng.integers(len(v), size=n), 0]
+        parts.append(p)
+    return np.concatenate(parts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from(sorted(SURFACES)), outer=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.sets(st.sampled_from(QUERY_KINDS), min_size=1),
+       budget=st.sampled_from([geometry._PAIR_BUDGET, 7]))
+@example(shape="cube", outer=True, seed=0, kinds=set(QUERY_KINDS), budget=7)
+@example(shape="bumpy", outer=False, seed=1, kinds=set(QUERY_KINDS),
+         budget=geometry._PAIR_BUDGET)
+def test_candidate_search_matches_full_scan(shape, outer, seed, kinds, budget):
+    surf = TriSurface(*SURFACES[shape], outer_boundary=outer)
+    pts = query_points(surf, np.random.default_rng(seed), kinds)
+    with mock.patch.object(geometry, "_PAIR_BUDGET", budget):
+        hit = surf.closest(pts)
+        kept = surf.kept(pts)
+    projections, normals, distances = scan_closest(surf, pts)
+    assert np.array_equal(hit.points, projections)
+    assert np.array_equal(hit.normals, normals)
+    assert np.array_equal(hit.distances, distances)
+    assert np.array_equal(kept, scan_kept(surf, pts))
+    assert np.array_equal(surf.edge_slot_normals,
+                          scan_edge_slot_normals(surf.faces, surf.face_normals))
+
+
+def test_cube_side_column_takes_the_graze_path():
+    # 5e-10 from the cube's edge-on face at x = 0.25: outside the eps band
+    # of the top and bottom faces' edges, inside the graze margin
+    surf = TriSurface(*SURFACES["cube"])
+    x = 0.25 + 5e-10
+    pts = np.array([(x, 0.5, z) for z in np.linspace(0.0, 1.0, 11)])
+    calls = []
+    crossings = geometry._ray_crossings
+
+    def spy(xy, a, b, c, scale):
+        calls.append(xy.copy())
+        return crossings(xy, a, b, c, scale)
+
+    with mock.patch.object(geometry, "_ray_crossings", spy):
+        got = surf.kept(pts)
+    assert len(calls) == 2
+    assert np.all(calls[1][:, 0] == x + 1e-9)
+    assert got.tolist() == [False] * 3 + [True] * 5 + [False] * 3
+    assert np.array_equal(got, scan_kept(surf, pts))
+
+
+def test_20k_triangle_surface_meshes_and_sets_up(tmp_path):
+    vertices, faces = bumpy_sphere((0.5, 0.5, 0.5), 0.35, subdivisions=5)
+    assert len(faces) == 20480
+    write_stl(tmp_path / "bumpy.stl", vertices, faces)
+    spec = parse_problem(sphere_script(base=3, glevel=4, shape="mesh",
+                                       shape_lines="mesh_file = bumpy.stl"))
+    mesh = build_mesh(spec, base_dir=str(tmp_path))
+    asm = Assembler(mesh, spec)
+    surf = mesh.geometries[0]
+    assert np.array_equal(surf.edge_slot_normals,
+                          scan_edge_slot_normals(surf.faces, surf.face_normals))
+    batches = [b for b in asm.face_batches if b.kind == KIND_GEOMETRY]
+    x_surr = np.concatenate([b.x_surr.reshape(-1, 3) for b in batches])
+    x_true = np.concatenate([b.x_true.reshape(-1, 3) for b in batches])
+    n_true = np.concatenate([b.n_true.reshape(-1, 3) for b in batches])
+    sample = np.random.default_rng(12).choice(len(x_surr), 200, replace=False)
+    projections, normals, _ = scan_closest(surf, x_surr[sample])
+    assert np.array_equal(x_true[sample], projections)
+    assert np.array_equal(n_true[sample], normals)
+
+
 def test_void_surface_flips():
     vertices, faces = cube_tris((0.25, 0.25, 0.25), (0.75, 0.75, 0.75))
     surf = TriSurface(vertices, faces, outer_boundary=False)
@@ -379,6 +622,19 @@ def test_empty_stl_rejected(tmp_path):
     with pytest.raises(GeometryError, match="no triangles"):
         read_stl(path)
 
+
+@pytest.mark.parametrize("shape", ["ball", "polyline", "trisurface"])
+def test_queries_on_no_points(tmp_path, shape):
+    geom = {"ball": lambda: Ball((0.5, 0.5), 0.25),
+            "polyline": lambda: make_polyline(tmp_path, SQUARE),
+            "trisurface": lambda: TriSurface(*SURFACES["cube"])}[shape]()
+    dim = geom.dimension
+    kept = geom.kept(np.empty((0, dim)))
+    assert kept.shape == (0,) and kept.dtype == bool
+    hit = geom.closest(np.empty((0, dim)))
+    assert hit.points.shape == (0, dim)
+    assert hit.normals.shape == (0, dim)
+    assert hit.distances.shape == (0,)
 
 # ---------------------------------------------------------------------------
 # Loader dispatch
