@@ -2,9 +2,11 @@
 
 Elements are processed in per-level batches: every element at one level
 shares the same cell size, hence the same quadrature weights and basis
-tables, so element integrals reduce to one einsum per contribution.
-Bilinear contributions whose scalar program evaluates to a constant are
-integrated once per batch and broadcast.
+tables. A batch adds every bilinear contribution into one element block
+``ke`` of shape ``(n_e, nc, nc)`` and every linear contribution into one
+``be`` of shape ``(n_e, nc)``, the way the generated C++ kernels add all
+terms into one ``Ae``/``be``. A contribution whose scalar program
+evaluates to a constant is integrated once per batch and broadcast.
 
 Boundary faces are batched by (level, axis, orientation, slice, kind,
 geometry). For geometry faces the closest point on the true surface, the
@@ -13,7 +15,12 @@ reused; wall faces use a zero displacement and the face normal itself.
 Each quadrature point is routed through the ordered boundary-region
 predicates (evaluated at the true boundary point), and the matching
 condition decides which surface blocks apply there and supplies the
-prescribed boundary value.
+prescribed boundary value. A face batch adds its Dirichlet and Neumann
+blocks into the same ``ke``/``be``.
+
+All batches then go through one scatter: their element blocks become one
+COO triplet list, summed into CSR by one ``tocsr()``, and their ``be``
+blocks one ``np.bincount`` in batch order.
 
 The constrained system is reduced with the mesh's hanging-node expansion
 ``C`` (solve ``CᵀAC y = Cᵀb``, then expand ``u = Cy``) and solved with a
@@ -71,34 +78,12 @@ class RunResult:
         return self.mesh.n_free
 
 
-def _axis_env_names(dim):
-    return ("x", "y", "z")[:dim]
-
-
 def nodal_values(mesh, value, t=0.0, coefficients=None):
     """Evaluate a number or expression at every mesh node."""
-    coords = mesh.node_coords()
-    if not hasattr(value, "__class__") or isinstance(value, (int, float)):
+    if isinstance(value, (int, float)):
         return np.full(mesh.n_nodes, float(value))
-    env = {name: coords[:, d]
-           for d, name in enumerate(_axis_env_names(mesh.dimension))}
-    env["t"] = t
-    _bind_coefficients(env, coefficients or {})
-    out = ex.eval_scalar(value, env)
+    out = ex.eval_scalar(value, ex.point_env(mesh.node_coords(), t, coefficients))
     return np.broadcast_to(np.asarray(out, float), (mesh.n_nodes,)).copy()
-
-
-def _bind_coefficients(env, coefficients):
-    # declaration order, so later entries may reference earlier ones
-    for name, value in coefficients.items():
-        if isinstance(value, tuple):
-            for i, comp in enumerate(value):
-                env[f"{name}:{i}"] = (float(comp) if isinstance(comp, (int, float))
-                                      else ex.eval_scalar(comp, env))
-        elif isinstance(value, (int, float)):
-            env[name] = float(value)
-        else:
-            env[name] = ex.eval_scalar(value, env)
 
 
 @dataclass
@@ -141,7 +126,6 @@ class Assembler:
             self.vol_batches.append((int(level), rows))
         self.face_rule = tensor_rule(quad_surface, dim - 1)
         self.face_batches = self._build_face_batches()
-        self.bc_by_region = {}
 
     # -- face precomputation ------------------------------------------------
 
@@ -191,31 +175,37 @@ class Assembler:
                 n_true=n_true, n_tilde=n_tilde))
         return batches
 
-    # -- environments ---------------------------------------------------------
+    @staticmethod
+    def _integrate(contributions, env, weight, values, grads, h, total=None):
+        """``total`` plus the element blocks of ``contributions``.
 
-    def _base_env(self, coords, t, dt):
-        env = {name: coords[..., d]
-               for d, name in enumerate(_axis_env_names(self.dim))}
-        env["t"] = t
-        if dt is not None:
-            env["dt"] = dt
-        _bind_coefficients(env, self.spec.coefficients)
-        return env
+        ``weight`` holds the quadrature weights, ``(nqp,)`` or
+        ``(n_e, nqp)``; a scalar program that evaluates to a constant
+        against ``(nqp,)`` weights gives one cell block for the batch.
+        Bilinear blocks are ``(..., nc, nc)``, linear ones ``(..., nc)``;
+        ``None`` stands for no block.
+        """
+        def table(sel):
+            if sel.kind == "N":
+                return values
+            return grads[:, :, sel.axis] / h[sel.axis]
 
-    def _table(self, sel, values, grads, h):
-        if sel.kind == "N":
-            return values
-        return grads[:, :, sel.axis] / h[sel.axis]
+        for c in contributions:
+            w = ex.eval_scalar(c.scalar, env) * weight
+            if c.trial is None:
+                block = np.einsum("...q,qi->...i", w, table(c.test))
+            else:
+                block = np.einsum("...q,qi,qj->...ij", w, table(c.test),
+                                  table(c.trial))
+            total = block if total is None else total + block
+        return total
 
     # -- boundary routing -----------------------------------------------------
 
     def _route_regions(self, batch, t, unknown):
         """Region id per quadrature point, from the ordered predicates."""
         shape = batch.x_true.shape[:2]
-        env = {name: batch.x_true[..., d]
-               for d, name in enumerate(_axis_env_names(self.dim))}
-        env["t"] = t
-        _bind_coefficients(env, self.spec.coefficients)
+        env = ex.point_env(batch.x_true, t, self.spec.coefficients)
         region = np.full(shape, -10 ** 9, np.int64)
         open_rows = np.ones(shape, bool)
         for rid, predicate in self.spec.boundary_regions:
@@ -230,7 +220,6 @@ class Assembler:
                 "a boundary point matched no boundary region predicate "
                 f"(near {tuple(round(float(c), 6) for c in where)})")
         masks = {}
-        data = {}
         for rid, _ in self.spec.boundary_regions:
             bc = self.spec.boundary_conditions.get((unknown, rid))
             if bc is None:
@@ -251,11 +240,13 @@ class Assembler:
     # -- assembly -------------------------------------------------------------
 
     def _volume_batch(self, ir, names, level, rows, t, dt, history, matrix):
-        """Contributions of one same-level element batch.
+        """Element blocks of one same-level element batch.
 
-        Pure with respect to the assembler: returns triplet blocks and
-        (conn, be) pairs instead of touching shared accumulators, so
-        batches may run on worker threads.
+        Returns ``(conn, ke, be)``: ``ke`` of shape ``(n_e, nc, nc)`` sums
+        every bilinear contribution (``None`` without ``matrix`` or without
+        bilinear terms), ``be`` of shape ``(n_e, nc)`` every linear one
+        (``None`` without linear terms). Pure with respect to the
+        assembler, so batches may run on worker threads.
         """
         mesh = self.mesh
         conn = mesh.elem_nodes[rows]
@@ -264,7 +255,7 @@ class Assembler:
         origin = mesh.element_origin(rows)
         coords = (origin[:, None, :]
                   + self.vol_points[None, :, :] * h[None, None, :])
-        env = self._base_env(coords, t, dt)
+        env = ex.point_env(coords, t, self.spec.coefficients, dt)
         for var, back in ir.prelude:
             name = f"prev:{var}:{back}"
             if name not in names:
@@ -274,37 +265,24 @@ class Assembler:
                     f"kernel needs history field '{name}' but none was given")
             env[name] = np.einsum("qc,ec->eq", self.vol_values,
                                   history[back][conn])
-        triplets, rhs = [], []
-        if matrix:
-            for c in ir.volume_bilinear:
-                T = self._table(c.test, self.vol_values, self.vol_grads, h)
-                U = self._table(c.trial, self.vol_values, self.vol_grads, h)
-                value = ex.eval_scalar(c.scalar, env)
-                if np.ndim(value) == 0:
-                    cell = float(value) * np.einsum(
-                        "q,qi,qj->ij", wdetj, T, U)
-                    vals = np.broadcast_to(
-                        cell, (len(rows),) + cell.shape)
-                else:
-                    vals = np.einsum("eq,qi,qj->eij", value * wdetj, T, U)
-                triplets.append((
-                    np.broadcast_to(conn[:, :, None], vals.shape).ravel(),
-                    np.broadcast_to(conn[:, None, :], vals.shape).ravel(),
-                    np.asarray(vals).ravel()))
-        for c in ir.volume_linear:
-            T = self._table(c.test, self.vol_values, self.vol_grads, h)
-            value = ex.eval_scalar(c.scalar, env)
-            if np.ndim(value) == 0:
-                be = np.broadcast_to(
-                    float(value) * np.einsum("q,qi->i", wdetj, T),
-                    (len(rows), conn.shape[1]))
-            else:
-                be = np.einsum("eq,qi->ei", value * wdetj, T)
-            rhs.append((conn, be))
-        return triplets, rhs
+        tables = (self.vol_values, self.vol_grads, h)
+        ke = self._integrate(ir.volume_bilinear if matrix else (), env,
+                             wdetj, *tables)
+        be = self._integrate(ir.volume_linear, env, wdetj, *tables)
+        # a batch of constant scalar programs holds one cell block
+        nc = conn.shape[1]
+        if ke is not None:
+            ke = np.broadcast_to(ke, (len(rows), nc, nc))
+        if be is not None:
+            be = np.broadcast_to(be, (len(rows), nc))
+        return conn, ke, be
 
     def _face_batch(self, ir, batch, t, dt, matrix):
-        """Contributions of one surrogate-face batch; pure like above."""
+        """Element blocks ``(conn, ke, be)`` of one surrogate-face batch.
+
+        Dirichlet and Neumann contributions add into the same blocks;
+        pure like ``_volume_batch``.
+        """
         surface_groups = (
             (BCKind.DIRICHLET, "special:gd",
              ir.dirichlet_bilinear, ir.dirichlet_linear),
@@ -312,52 +290,32 @@ class Assembler:
              ir.neumann_bilinear, ir.neumann_linear),
         )
         masks = self._route_regions(batch, t, ir.unknown)
-        env = self._base_env(batch.x_surr, t, dt)
+        env = ex.point_env(batch.x_surr, t, self.spec.coefficients, dt)
         env["special:h"] = float(batch.h_cell.max())
         for d in range(self.dim):
             env[f"special:nt:{d}"] = float(batch.n_tilde[d])
             env[f"special:ntrue:{d}"] = batch.n_true[..., d]
             env[f"special:d:{d}"] = batch.dvec[..., d]
-        h = batch.h_cell
-        triplets, rhs = [], []
+        tables = (batch.basis_values, batch.basis_grads, batch.h_cell)
+        ke = be = None
         for kind, data_name, bilinear, linear in surface_groups:
-            if kind not in masks or not (bilinear or linear):
+            if kind not in masks:
                 continue
-            sel, value = masks[kind]
+            sel, env[data_name] = masks[kind]
             weight = sel * batch.warea[None, :]
-            env[data_name] = value
-            if matrix:
-                for c in bilinear:
-                    T = self._table(c.test, batch.basis_values,
-                                    batch.basis_grads, h)
-                    U = self._table(c.trial, batch.basis_values,
-                                    batch.basis_grads, h)
-                    sval = ex.eval_scalar(c.scalar, env)
-                    sval = np.broadcast_to(sval, sel.shape) * weight
-                    vals = np.einsum("eq,qi,qj->eij", sval, T, U)
-                    triplets.append((
-                        np.broadcast_to(batch.conn[:, :, None],
-                                        vals.shape).ravel(),
-                        np.broadcast_to(batch.conn[:, None, :],
-                                        vals.shape).ravel(),
-                        vals.ravel()))
-            for c in linear:
-                T = self._table(c.test, batch.basis_values,
-                                batch.basis_grads, h)
-                sval = ex.eval_scalar(c.scalar, env)
-                sval = np.broadcast_to(sval, sel.shape) * weight
-                rhs.append((batch.conn, np.einsum("eq,qi->ei", sval, T)))
-            env.pop(data_name, None)
-        return triplets, rhs
+            ke = self._integrate(bilinear if matrix else (), env, weight,
+                                 *tables, total=ke)
+            be = self._integrate(linear, env, weight, *tables, total=be)
+        return batch.conn, ke, be
 
     def assemble(self, ir, t=0.0, history=None, matrix=True):
         """Assemble the full-space system for one kernel.
 
         Returns (A, b): A is a CSR matrix over all nodes or None when
         ``matrix`` is false, b the full-space right-hand side. With
-        ``threads > 1`` batches evaluate concurrently; the reduction
-        below runs on this thread in batch order, so results are
-        identical to a serial run.
+        ``threads > 1`` batches evaluate concurrently; the scatter below
+        runs on this thread in batch order, so results are identical to
+        a serial run.
         """
         n = self.mesh.n_nodes
         names = required_names(ir)
@@ -377,26 +335,23 @@ class Assembler:
         else:
             results = [task() for task in tasks]
 
-        rows_acc, cols_acc, vals_acc = [], [], []
-        b = np.zeros(n)
-        for triplets, rhs in results:
-            for block in triplets:
-                rows_acc.append(block[0])
-                cols_acc.append(block[1])
-                vals_acc.append(block[2])
-            for conn, be in rhs:
-                np.add.at(b, conn, be)
-
+        rhs = [(conn, be) for conn, _, be in results if be is not None]
+        b = np.bincount(np.concatenate([conn for conn, _ in rhs]).ravel(),
+                        np.concatenate([be for _, be in rhs]).ravel(),
+                        minlength=n) if rhs else np.zeros(n)
         if not matrix:
             return None, b
-        if rows_acc:
-            A = sp.coo_matrix(
-                (np.concatenate(vals_acc),
-                 (np.concatenate(rows_acc), np.concatenate(cols_acc))),
-                shape=(n, n)).tocsr()
-        else:
-            A = sp.csr_matrix((n, n))
-        return A, b
+        blocks = [(conn, ke) for conn, ke, _ in results if ke is not None]
+        if not blocks:
+            return sp.csr_matrix((n, n)), b
+        # scipy stores int32 indices whenever they fit; building them so
+        # spares it a checked conversion of every triplet
+        conn = np.concatenate([conn for conn, _ in blocks]).astype(
+            np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+        ke = np.concatenate([ke for _, ke in blocks])
+        rows = np.broadcast_to(conn[:, :, None], ke.shape).ravel()
+        cols = np.broadcast_to(conn[:, None, :], ke.shape).ravel()
+        return sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr(), b
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +563,7 @@ def l2_error(mesh, values, exact, t=0.0, coefficients=None, quad=3):
         if callable(exact):
             reference = exact(coords.reshape(-1, dim)).reshape(numeric.shape)
         else:
-            env = {name: coords[..., d]
-                   for d, name in enumerate(_axis_env_names(dim))}
-            env["t"] = t
-            _bind_coefficients(env, coefficients or {})
+            env = ex.point_env(coords, t, coefficients)
             reference = np.broadcast_to(
                 np.asarray(ex.eval_scalar(exact, env), float), numeric.shape)
         total += float(((numeric - reference) ** 2 * wdetj[None, :]).sum())

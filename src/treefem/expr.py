@@ -32,7 +32,7 @@ from .errors import EvalError, ParseError
 
 __all__ = [
     "Num", "Bool", "Name", "Neg", "Bin", "Call",
-    "parse", "to_text", "eval_scalar", "names_in", "calls_in",
+    "parse", "to_text", "eval_scalar", "point_env", "names_in", "calls_in",
     "to_sexpr", "from_sexpr", "BUILTIN_CALLS", "WEAK_FORM_CALLS",
 ]
 
@@ -481,6 +481,31 @@ def eval_scalar(expr, env):
         return {"<": left < right, "<=": left <= right, ">": left > right,
                 ">=": left >= right, "==": left == right}[op]
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def point_env(coords, t=0.0, coefficients=None, dt=None):
+    """Evaluation environment at the points ``coords``, shape ``(..., dim)``.
+
+    Binds ``x``, ``y`` (and ``z``) from the last axis, ``t``, ``dt`` when
+    given, and the coefficients in declaration order, so a coefficient may
+    reference the coordinates and every coefficient declared before it.
+    A vector coefficient ``name`` binds ``name:0``, ``name:1``, ...
+    """
+    env = {name: coords[..., d]
+           for d, name in enumerate(("x", "y", "z")[:coords.shape[-1]])}
+    env["t"] = t
+    if dt is not None:
+        env["dt"] = dt
+    for name, value in (coefficients or {}).items():
+        if isinstance(value, tuple):
+            for i, comp in enumerate(value):
+                env[f"{name}:{i}"] = (float(comp) if isinstance(comp, (int, float))
+                                      else eval_scalar(comp, env))
+        elif isinstance(value, (int, float)):
+            env[name] = float(value)
+        else:
+            env[name] = eval_scalar(value, env)
+    return env
 
 
 def names_in(expr):

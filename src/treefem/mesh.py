@@ -224,10 +224,9 @@ def build_tree(spec, geometries):
             centers = _lattice_coords(
                 _corner_lattice(levels, anchors).reshape(len(levels), 2 ** dim, dim)
                 .mean(axis=1), spec)
-            env = {"x": centers[:, 0], "y": centers[:, 1],
-                   "level": levels.astype(float)}
-            if dim == 3:
-                env["z"] = centers[:, 2]
+            # the mesh is built once, at t = 0
+            env = ex.point_env(centers)
+            env["level"] = levels.astype(float)
             hold = ex.eval_scalar(spec.refine_where, env)
             refine |= np.broadcast_to(np.asarray(hold, bool), refine.shape)
         if bool((refine & (levels >= MAX_LEVEL)).any()):

@@ -1,6 +1,7 @@
 """Assembly, constrained reduction, solver, and time stepping."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from treefem.errors import AssemblyError, SolverError
 from treefem.forms import compile_kernel
 from treefem.geometry import write_stl
 from treefem.mesh import build_mesh
-from treefem.problem import parse_problem
+from treefem.problem import BCKind, parse_problem
 from treefem import expr as ex
 
 from shapes import bumpy_sphere
 from test_acceptance import sphere_script
+
+GOLDEN = Path(__file__).parent / "golden"
 
 NITSCHE_BLOCK = """
   + dirichletBoundary(
@@ -327,6 +330,156 @@ def test_threaded_assembly_is_bitwise_identical():
     assert np.array_equal(A0.indptr, A1.indptr)
     assert np.array_equal(A0.indices, A1.indices)
     assert np.array_equal(A0.data, A1.data)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-term triplet assembly that one-block-per-batch replaced
+
+def _reference_table(sel, values, grads, h):
+    if sel.kind == "N":
+        return values
+    return grads[:, :, sel.axis] / h[sel.axis]
+
+
+def reference_assemble(asm, ir, t=0.0, history=None, matrix=True):
+    """One COO triplet block per bilinear term, ``np.add.at`` per linear one.
+
+    Uses the assembler's cached batches, basis tables and boundary
+    routing; the element integrals and their scatter are the old code's.
+    """
+    n = asm.mesh.n_nodes
+    dt = None if ir.steady else asm.spec.time.dt
+    rows_acc, cols_acc, vals_acc = [], [], []
+    b = np.zeros(n)
+
+    def add_triplets(conn, vals):
+        rows_acc.append(np.broadcast_to(conn[:, :, None], vals.shape).ravel())
+        cols_acc.append(np.broadcast_to(conn[:, None, :], vals.shape).ravel())
+        vals_acc.append(np.asarray(vals).ravel())
+
+    for level, rows in asm.vol_batches:
+        conn = asm.mesh.elem_nodes[rows]
+        h = asm.mesh.extent / float(1 << level)
+        wdetj = asm.vol_weights * np.prod(h)
+        coords = (asm.mesh.element_origin(rows)[:, None, :]
+                  + asm.vol_points[None, :, :] * h[None, None, :])
+        env = ex.point_env(coords, t, asm.spec.coefficients, dt)
+        for var, back in ir.prelude:
+            if history is not None and back in history:
+                env[f"prev:{var}:{back}"] = np.einsum(
+                    "qc,ec->eq", asm.vol_values, history[back][conn])
+        if matrix:
+            for c in ir.volume_bilinear:
+                T = _reference_table(c.test, asm.vol_values, asm.vol_grads, h)
+                U = _reference_table(c.trial, asm.vol_values, asm.vol_grads, h)
+                value = ex.eval_scalar(c.scalar, env)
+                if np.ndim(value) == 0:
+                    cell = float(value) * np.einsum("q,qi,qj->ij", wdetj, T, U)
+                    vals = np.broadcast_to(cell, (len(rows),) + cell.shape)
+                else:
+                    vals = np.einsum("eq,qi,qj->eij", value * wdetj, T, U)
+                add_triplets(conn, vals)
+        for c in ir.volume_linear:
+            T = _reference_table(c.test, asm.vol_values, asm.vol_grads, h)
+            value = ex.eval_scalar(c.scalar, env)
+            if np.ndim(value) == 0:
+                be = np.broadcast_to(
+                    float(value) * np.einsum("q,qi->i", wdetj, T),
+                    (len(rows), conn.shape[1]))
+            else:
+                be = np.einsum("eq,qi->ei", value * wdetj, T)
+            np.add.at(b, conn, be)
+
+    surface = any((ir.dirichlet_bilinear, ir.dirichlet_linear,
+                   ir.neumann_bilinear, ir.neumann_linear))
+    for batch in asm.face_batches if surface else ():
+        masks = asm._route_regions(batch, t, ir.unknown)
+        env = ex.point_env(batch.x_surr, t, asm.spec.coefficients, dt)
+        env["special:h"] = float(batch.h_cell.max())
+        for d in range(asm.dim):
+            env[f"special:nt:{d}"] = float(batch.n_tilde[d])
+            env[f"special:ntrue:{d}"] = batch.n_true[..., d]
+            env[f"special:d:{d}"] = batch.dvec[..., d]
+        tables = (batch.basis_values, batch.basis_grads, batch.h_cell)
+        for kind, data_name, bilinear, linear in (
+                (BCKind.DIRICHLET, "special:gd",
+                 ir.dirichlet_bilinear, ir.dirichlet_linear),
+                (BCKind.NEUMANN, "special:gn",
+                 ir.neumann_bilinear, ir.neumann_linear)):
+            if kind not in masks:
+                continue
+            sel, env[data_name] = masks[kind]
+            weight = sel * batch.warea[None, :]
+            for c in bilinear if matrix else ():
+                sval = np.broadcast_to(ex.eval_scalar(c.scalar, env),
+                                       sel.shape) * weight
+                add_triplets(batch.conn, np.einsum(
+                    "eq,qi,qj->eij", sval, _reference_table(c.test, *tables),
+                    _reference_table(c.trial, *tables)))
+            for c in linear:
+                sval = np.broadcast_to(ex.eval_scalar(c.scalar, env),
+                                       sel.shape) * weight
+                np.add.at(b, batch.conn, np.einsum(
+                    "eq,qi->ei", sval, _reference_table(c.test, *tables)))
+
+    if not matrix:
+        return None, b
+    A = sp.coo_matrix(
+        (np.concatenate(vals_acc),
+         (np.concatenate(rows_acc), np.concatenate(cols_acc))),
+        shape=(n, n)).tocsr()
+    return A, b
+
+
+def _heat_script(base, glevel):
+    return (GOLDEN / "heat_bdf2_script.prob").read_text().replace(
+        "base_refine_level = 4", f"base_refine_level = {base}").replace(
+        "refine_level = 5", f"refine_level = {glevel}")
+
+
+ORACLE_CASES = {
+    # name: (script, pass history, assemble the matrix)
+    "mixed_patch": (MIXED_PATCH, False, True),
+    "sphere_hanging": (sphere_script(base=2, glevel=4), False, True),
+    "constant_scalars": (DISK_POISSON.format(base=4, glevel=5), False, True),
+    "bdf2_rhs_only": (_heat_script(base=2, glevel=3), True, False),
+    "one_linear_term": (DECAY.format(scheme="euler_implicit", steps=1),
+                        True, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_single_block_assembly_matches_per_term_oracle(case):
+    script, with_history, matrix = ORACLE_CASES[case]
+    spec = parse_problem(script)
+    mesh = build_mesh(spec)
+    ir = compile_kernel(spec)
+    asm = Assembler(mesh, spec)
+    history = None
+    if with_history:
+        coords = mesh.node_coords()
+        history = {1: np.sin(3 * coords[:, 0]) + coords[:, -1],
+                   2: np.cos(2 * coords[:, 1])}
+    A, b = asm.assemble(ir, t=0.25, history=history, matrix=matrix)
+    A_ref, b_ref = reference_assemble(asm, ir, t=0.25, history=history,
+                                      matrix=matrix)
+    if case == "sphere_hanging":
+        assert mesh.hanging
+    if case == "one_linear_term":
+        # one linear term per batch: the single bincount makes the same
+        # additions in the same order as the per-term np.add.at loop
+        assert len(ir.volume_linear) == 1
+        assert not (ir.dirichlet_linear or ir.neumann_linear)
+        assert np.array_equal(b, b_ref)
+    else:
+        # several linear terms per batch are summed per element first
+        assert np.abs(b - b_ref).max() <= 1e-14 * np.abs(b_ref).max()
+    if not matrix:
+        assert A is None and A_ref is None
+        return
+    assert np.array_equal(A.indptr, A_ref.indptr)
+    assert np.array_equal(A.indices, A_ref.indices)
+    assert np.abs(A.data - A_ref.data).max() <= 1e-13 * np.abs(A_ref.data).max()
 
 
 def test_patch_3d():

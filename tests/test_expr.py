@@ -211,6 +211,19 @@ class TestEval:
         with pytest.raises(EvalError, match="sqrt"):
             ex.eval_scalar(ex.parse("sqrt(x)"), {"x": -1.0})
 
+    def test_point_env_binds_axes_time_and_coefficients_in_order(self):
+        coords = np.array([[[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]])
+        coefficients = {"k": 2, "q": ex.parse("k*x + t"),
+                        "w": (1, ex.parse("q*z"))}
+        env = ex.point_env(coords, t=0.5, coefficients=coefficients, dt=0.1)
+        assert env["z"].shape == (1, 2)
+        assert env["z"].tolist() == [[2.0, 5.0]]
+        assert (env["t"], env["dt"], env["k"], env["w:0"]) == (0.5, 0.1, 2.0, 1.0)
+        assert env["q"].tolist() == [[0.5, 6.5]]
+        assert env["w:1"].tolist() == [[1.0, 32.5]]
+        planar = ex.point_env(np.zeros((4, 2)))
+        assert set(planar) == {"x", "y", "t"} and planar["t"] == 0.0
+
 
 class TestSexpr:
     @pytest.mark.parametrize("text", [

@@ -207,6 +207,15 @@ def test_half_domain_refinement_counts():
     check_linear_reproduction(mesh)
 
 
+def test_refine_where_sees_t_at_zero():
+    # the mesh is built once, at t = 0
+    timed = mesh_2d(base=2, extra="refine_where = x < 0.5 + t && level < 3")
+    fixed = mesh_2d(base=2, extra="refine_where = x < 0.5 && level < 3")
+    assert timed.level_counts() == {2: 8, 3: 32}
+    assert np.array_equal(timed.levels, fixed.levels)
+    assert np.array_equal(timed.anchors, fixed.anchors)
+
+
 def test_hanging_nodes_on_interface_line():
     mesh = mesh_2d(base=3, extra="refine_where = x < 0.5 && level < 4")
     coords = mesh.node_coords()[sorted(mesh.hanging)]
