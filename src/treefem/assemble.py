@@ -30,9 +30,7 @@ Jacobi-preconditioned BiCGStab.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +45,9 @@ from .problem import BCKind, TimeScheme
 __all__ = ["Assembler", "SolveInfo", "StepRecord", "RunResult",
            "bicgstab", "reduce_system", "run_problem", "nodal_values",
            "l2_error"]
+
+# Gauss points per axis: assembly (cells and faces), and l2_error
+_ASSEMBLY_QUAD, _ERROR_QUAD = 2, 3
 
 
 @dataclass
@@ -88,13 +89,7 @@ def nodal_values(mesh, value, t=0.0, coefficients=None):
 
 @dataclass
 class _FaceBatch:
-    rows: np.ndarray            # face indices
-    level: int
-    axis: int
-    orient: int
-    codes: tuple
     kind: int
-    geom: int
     conn: np.ndarray            # (n_f, nc) owner connectivity
     basis_values: np.ndarray    # (nqp, nc)
     basis_grads: np.ndarray     # (nqp, nc, dim)
@@ -108,15 +103,19 @@ class _FaceBatch:
 
 
 class Assembler:
-    """Caches mesh batches; assembles any kernel IR for this problem."""
+    """Caches mesh batches; assembles any kernel IR for this problem.
 
-    def __init__(self, mesh, spec, quad_volume=2, quad_surface=2, threads=1):
+    Cells and faces use a 2-point Gauss rule per axis. Batches are
+    assembled one after another in a fixed order, so repeated assemblies
+    give bit-identical ``A`` and ``b``.
+    """
+
+    def __init__(self, mesh, spec):
         self.mesh = mesh
         self.spec = spec
-        self.threads = max(1, int(threads))
         dim = mesh.dimension
         self.dim = dim
-        rule = tensor_rule(quad_volume, dim)
+        rule = tensor_rule(_ASSEMBLY_QUAD, dim)
         self.vol_points = rule.points
         self.vol_weights = rule.weights
         self.vol_values, self.vol_grads = basis_table(rule.points, dim)
@@ -124,7 +123,7 @@ class Assembler:
         for level in np.unique(mesh.levels):
             rows = np.nonzero(mesh.levels == level)[0]
             self.vol_batches.append((int(level), rows))
-        self.face_rule = tensor_rule(quad_surface, dim - 1)
+        self.face_rule = tensor_rule(_ASSEMBLY_QUAD, dim - 1)
         self.face_batches = self._build_face_batches()
 
     # -- face precomputation ------------------------------------------------
@@ -168,8 +167,7 @@ class Assembler:
                 n_true = np.broadcast_to(n_tilde, x_surr.shape).copy()
                 dvec = np.zeros_like(x_surr)
             batches.append(_FaceBatch(
-                rows=rows, level=level, axis=axis, orient=orient, codes=codes,
-                kind=kind, geom=geom, conn=mesh.elem_nodes[owners],
+                kind=kind, conn=mesh.elem_nodes[owners],
                 basis_values=values, basis_grads=grads, warea=warea,
                 h_cell=h, x_surr=x_surr, x_true=x_true, dvec=dvec,
                 n_true=n_true, n_tilde=n_tilde))
@@ -245,8 +243,7 @@ class Assembler:
         Returns ``(conn, ke, be)``: ``ke`` of shape ``(n_e, nc, nc)`` sums
         every bilinear contribution (``None`` without ``matrix`` or without
         bilinear terms), ``be`` of shape ``(n_e, nc)`` every linear one
-        (``None`` without linear terms). Pure with respect to the
-        assembler, so batches may run on worker threads.
+        (``None`` without linear terms).
         """
         mesh = self.mesh
         conn = mesh.elem_nodes[rows]
@@ -280,8 +277,7 @@ class Assembler:
     def _face_batch(self, ir, batch, t, dt, matrix):
         """Element blocks ``(conn, ke, be)`` of one surrogate-face batch.
 
-        Dirichlet and Neumann contributions add into the same blocks;
-        pure like ``_volume_batch``.
+        Dirichlet and Neumann contributions add into the same blocks.
         """
         surface_groups = (
             (BCKind.DIRICHLET, "special:gd",
@@ -312,28 +308,19 @@ class Assembler:
         """Assemble the full-space system for one kernel.
 
         Returns (A, b): A is a CSR matrix over all nodes or None when
-        ``matrix`` is false, b the full-space right-hand side. With
-        ``threads > 1`` batches evaluate concurrently; the scatter below
-        runs on this thread in batch order, so results are identical to
-        a serial run.
+        ``matrix`` is false, b the full-space right-hand side.
         """
         n = self.mesh.n_nodes
         names = required_names(ir)
         dt = None if ir.steady else self.spec.time.dt
 
-        tasks = [partial(self._volume_batch, ir, names, level, rows,
-                         t, dt, history, matrix)
-                 for level, rows in self.vol_batches]
+        results = [self._volume_batch(ir, names, level, rows, t, dt, history,
+                                      matrix)
+                   for level, rows in self.vol_batches]
         if any((ir.dirichlet_bilinear, ir.dirichlet_linear,
                 ir.neumann_bilinear, ir.neumann_linear)):
-            tasks.extend(partial(self._face_batch, ir, batch, t, dt, matrix)
-                         for batch in self.face_batches)
-
-        if self.threads > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                results = list(pool.map(lambda task: task(), tasks))
-        else:
-            results = [task() for task in tasks]
+            results.extend(self._face_batch(ir, batch, t, dt, matrix)
+                           for batch in self.face_batches)
 
         rhs = [(conn, be) for conn, _, be in results if be is not None]
         b = np.bincount(np.concatenate([conn for conn, _ in rhs]).ravel(),
@@ -453,14 +440,13 @@ def _bilinear_references_time(ir):
 # ---------------------------------------------------------------------------
 # driver
 
-def run_problem(spec, base_dir=".", mesh=None, initial=None,
-                quad_volume=2, quad_surface=2, threads=1, on_step=None):
+def run_problem(spec, base_dir=".", mesh=None, initial=None, on_step=None):
     """Build, assemble, and solve a problem; steady or time stepping.
 
+    ``mesh`` optionally supplies an already built mesh of ``spec``.
     ``initial`` optionally overrides the scripted initial condition with a
-    nodal array. ``threads`` spreads batch evaluation during assembly over
-    a thread pool without changing the result. ``on_step(step, time,
-    values)`` is called after every accepted transient step. Returns a
+    nodal array. ``on_step(step, time, values)`` is called after every
+    accepted transient step; a steady run never calls it. Returns a
     RunResult whose ``values`` are nodal and consistent with the
     hanging-node constraints.
     """
@@ -473,8 +459,7 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None,
     # as assembly
     tick = time.perf_counter()
     constraint = mesh.constraint
-    assembler = Assembler(mesh, spec, quad_volume=quad_volume,
-                          quad_surface=quad_surface, threads=threads)
+    assembler = Assembler(mesh, spec)
     ir = compile_kernel(spec)
     steps = []
 
@@ -542,14 +527,14 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None,
 # ---------------------------------------------------------------------------
 # error measurement
 
-def l2_error(mesh, values, exact, t=0.0, coefficients=None, quad=3):
+def l2_error(mesh, values, exact, t=0.0, coefficients=None):
     """L2 norm of (field - exact) over the kept elements.
 
     ``exact`` may be an expression over x, y, z, t or a callable taking a
     (m, dim) point array.
     """
     dim = mesh.dimension
-    rule = tensor_rule(quad, dim)
+    rule = tensor_rule(_ERROR_QUAD, dim)
     basis_values, _ = basis_table(rule.points, dim)
     total = 0.0
     for level in np.unique(mesh.levels):

@@ -2,7 +2,7 @@
 
 One executable with four subcommands:
 
-    treefem run <script> [--out DIR] [--levels L] [--exact EXPR] [--threads N]
+    treefem run <script> [--out DIR] [--levels L] [--exact EXPR]
     treefem converge <script> --levels 5-8 --exact EXPR [--out CSV]
     treefem codegen <script> [--template FILE] [--out DIR]
     treefem mesh <script> [--out FILE.vtk] [--levels L]
@@ -90,8 +90,12 @@ def _print_timings(timings):
     print(f"wall time: {parts}")
 
 
-def cmd_run(script_path, output_dir=".", level=None, exact=None, threads=1):
-    """Solve the script's problem; write VTK fields and a diagnostics CSV."""
+def cmd_run(script_path, output_dir=".", level=None, exact=None):
+    """Solve the script's problem; write VTK fields and a diagnostics CSV.
+
+    A steady run writes ``solution.vtk``, a transient one
+    ``solution_NNNNNN.vtk`` after every step.
+    """
     spec, base_dir = _load_spec(script_path)
     if level is not None:
         spec = with_levels(spec, level)
@@ -99,25 +103,21 @@ def cmd_run(script_path, output_dir=".", level=None, exact=None, threads=1):
     out.mkdir(parents=True, exist_ok=True)
     unknown = spec.variables[0]
     written = []
+    tick = time.perf_counter()
+    mesh = build_mesh(spec, base_dir)
+    mesh_seconds = time.perf_counter() - tick
 
-    if spec.time is None:
-        result = run_problem(spec, base_dir=base_dir, threads=threads)
-        path = out / "solution.vtk"
-        write_fields_vtk(path, result.mesh, {unknown: result.values})
+    def write(path, values):
+        write_fields_vtk(path, mesh, {unknown: values})
         written.append(path)
-    else:
-        tick = time.perf_counter()
-        mesh = build_mesh(spec, base_dir)
-        mesh_seconds = time.perf_counter() - tick
 
-        def on_step(step, _t, values):
-            path = out / f"solution_{step:06d}.vtk"
-            write_fields_vtk(path, mesh, {unknown: values})
-            written.append(path)
+    def on_step(step, _t, values):
+        write(out / f"solution_{step:06d}.vtk", values)
 
-        result = run_problem(spec, base_dir=base_dir, mesh=mesh,
-                             threads=threads, on_step=on_step)
-        result.timings["mesh"] += mesh_seconds
+    result = run_problem(spec, base_dir=base_dir, mesh=mesh, on_step=on_step)
+    result.timings["mesh"] += mesh_seconds
+    if spec.time is None:
+        write(out / "solution.vtk", result.values)
     csv_path = out / "diagnostics.csv"
     write_diagnostics_csv(csv_path, result.steps)
 
@@ -133,8 +133,7 @@ def cmd_run(script_path, output_dir=".", level=None, exact=None, threads=1):
     return 0
 
 
-def cmd_converge(script_path, levels, exact, output_csv="convergence.csv",
-                 threads=1):
+def cmd_converge(script_path, levels, exact, output_csv="convergence.csv"):
     """Re-run the problem at uniform levels; fit the L2 convergence slope.
 
     The CSV is flushed after every level, so a failing level leaves the
@@ -149,8 +148,7 @@ def cmd_converge(script_path, levels, exact, output_csv="convergence.csv",
         handle.flush()
         for level in levels:
             tick = time.perf_counter()
-            result = run_problem(with_levels(spec, level), base_dir=base_dir,
-                                 threads=threads)
+            result = run_problem(with_levels(spec, level), base_dir=base_dir)
             seconds = time.perf_counter() - tick
             err = l2_error(result.mesh, result.values, exact, t=t_final,
                            coefficients=spec.coefficients)
@@ -254,7 +252,6 @@ def _build_parser():
                      help="override the refinement level")
     run.add_argument("--exact", default=None,
                      help="exact solution expression; prints the L2 error")
-    run.add_argument("--threads", type=int, default=1)
 
     conv = sub.add_parser("converge", help="mesh convergence study")
     conv.add_argument("script")
@@ -264,7 +261,6 @@ def _build_parser():
                       help="exact solution expression")
     conv.add_argument("--out", default="convergence.csv",
                       help="output CSV path")
-    conv.add_argument("--threads", type=int, default=1)
 
     code = sub.add_parser("codegen", help="emit kernel source text")
     code.add_argument("script")
@@ -296,10 +292,9 @@ def main(argv=None):
         if args.command == "run":
             return cmd_run(args.script, args.out,
                            level=_single_level(parser, args),
-                           exact=args.exact, threads=args.threads)
+                           exact=args.exact)
         if args.command == "converge":
-            cmd_converge(args.script, args.levels, args.exact, args.out,
-                         threads=args.threads)
+            cmd_converge(args.script, args.levels, args.exact, args.out)
             return 0
         if args.command == "codegen":
             return cmd_codegen(args.script, template=args.template,

@@ -32,7 +32,7 @@ from .errors import EvalError, ParseError
 
 __all__ = [
     "Num", "Bool", "Name", "Neg", "Bin", "Call",
-    "parse", "to_text", "eval_scalar", "point_env", "names_in", "calls_in",
+    "parse", "to_text", "eval_scalar", "point_env", "names_in",
     "to_sexpr", "from_sexpr", "BUILTIN_CALLS", "WEAK_FORM_CALLS",
 ]
 
@@ -527,23 +527,6 @@ def _walk_names(expr, out):
     elif isinstance(expr, Call):
         for arg in expr.args:
             _walk_names(arg, out)
-
-
-def calls_in(expr):
-    """Set of call names appearing anywhere in ``expr``."""
-    out = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Call):
-            out.add(node.fn)
-            stack.extend(node.args)
-        elif isinstance(node, Neg):
-            stack.append(node.arg)
-        elif isinstance(node, Bin):
-            stack.append(node.left)
-            stack.append(node.right)
-    return out
 
 
 def has_comparison(expr):

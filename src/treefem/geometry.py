@@ -688,16 +688,15 @@ def load_geometry(spec, dimension, base_dir="."):
     """Build the runtime geometry for one script ``[geometry]`` block."""
     import os
 
-    if spec.kind == "circle":
-        return Ball(spec.center, spec.radius, spec.outer_boundary)
-    if spec.kind == "sphere":
-        return Ball(spec.center, spec.radius, spec.outer_boundary)
+    offset = np.asarray(spec.position if spec.position is not None
+                        else (0.0,) * dimension, float)
+    if spec.kind in ("circle", "sphere"):
+        return Ball(np.asarray(spec.center, float) + offset, spec.radius,
+                    spec.outer_boundary)
     assert spec.kind == "mesh"
     path = spec.mesh_file
     if not os.path.isabs(path):
         path = os.path.join(base_dir, path)
-    offset = np.asarray(spec.position if spec.position is not None
-                        else (0.0,) * dimension, float)
     if dimension == 2:
         points, segments = read_gmsh_lines(path)
         return Polyline(points + offset, segments, spec.outer_boundary)

@@ -318,20 +318,6 @@ def test_mixed_dirichlet_neumann_patch_on_carved_disk():
     assert np.abs(result.values - coords[:, 0]).max() < 1e-8
 
 
-def test_threaded_assembly_is_bitwise_identical():
-    spec = parse_problem(MIXED_PATCH)
-    mesh = build_mesh(spec)
-    ir = compile_kernel(spec)
-    serial = Assembler(mesh, spec)
-    pooled = Assembler(mesh, spec, threads=4)
-    A0, b0 = serial.assemble(ir)
-    A1, b1 = pooled.assemble(ir)
-    assert np.array_equal(b0, b1)
-    assert np.array_equal(A0.indptr, A1.indptr)
-    assert np.array_equal(A0.indices, A1.indices)
-    assert np.array_equal(A0.data, A1.data)
-
-
 # ---------------------------------------------------------------------------
 # oracle: the per-term triplet assembly that one-block-per-batch replaced
 

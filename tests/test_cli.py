@@ -287,12 +287,21 @@ def test_run_rejects_multiple_levels(disk_script):
     assert info.value.code == 2
 
 
-def test_threads_flag_matches_serial(disk_script, tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", str(disk_script), "--out", str(a)]) == 0
-    assert main(["run", str(disk_script), "--out", str(b),
-                 "--threads", "4"]) == 0
-    assert (a / "solution.vtk").read_bytes() == \
-        (b / "solution.vtk").read_bytes()
-    assert (a / "diagnostics.csv").read_bytes() == \
-        (b / "diagnostics.csv").read_bytes()
+def test_threads_flag_is_gone(disk_script):
+    with pytest.raises(SystemExit) as info:
+        main(["run", str(disk_script), "--threads", "2"])
+    assert info.value.code == 2
+
+
+def test_run_is_deterministic(tmp_path):
+    for kind, text in (("steady", DISK.format(radius=0.5)),
+                       ("transient", DECAY)):
+        script = write_script(tmp_path, text, name=f"{kind}.prob")
+        a, b = tmp_path / kind / "a", tmp_path / kind / "b"
+        assert main(["run", str(script), "--out", str(a)]) == 0
+        assert main(["run", str(script), "--out", str(b)]) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        assert "diagnostics.csv" in names and len(names) > 1
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name

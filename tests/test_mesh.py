@@ -216,6 +216,24 @@ def test_refine_where_sees_t_at_zero():
     assert np.array_equal(timed.anchors, fixed.anchors)
 
 
+@pytest.mark.parametrize("script, center, position, shifted", [
+    (CIRCLE_2D.format(base=3, glevel=5, radius=0.3, extra="", gextra=""),
+     "0.5, 0.5", "0.125, -0.0625", "0.625, 0.4375"),
+    (SPHERE_3D.format(base=2, glevel=3, radius=0.3),
+     "0.5, 0.5, 0.5", "0.125, 0, -0.125", "0.625, 0.5, 0.375"),
+], ids=["circle", "sphere"])
+def test_analytic_geometry_position_translates_center(script, center,
+                                                      position, shifted):
+    moved = build_mesh(parse_problem(script.replace(
+        f"center = {center}", f"center = {center}\nposition = {position}")))
+    placed = build_mesh(parse_problem(script.replace(
+        f"center = {center}", f"center = {shifted}")))
+    still = build_mesh(parse_problem(script))
+    assert np.array_equal(moved.levels, placed.levels)
+    assert np.array_equal(moved.anchors, placed.anchors)
+    assert not np.array_equal(moved.anchors, still.anchors)
+
+
 def test_hanging_nodes_on_interface_line():
     mesh = mesh_2d(base=3, extra="refine_where = x < 0.5 && level < 4")
     coords = mesh.node_coords()[sorted(mesh.hanging)]
