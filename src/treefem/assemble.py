@@ -37,7 +37,7 @@ import scipy.sparse as sp
 
 from . import expr as ex
 from .errors import AssemblyError, SolverError
-from .forms import compile_kernel, required_names
+from .forms import Region, compile_kernel, required_names
 from .kernel import basis_table, face_reference_points, tensor_rule
 from .mesh import KIND_GEOMETRY, build_mesh
 from .problem import BCKind, TimeScheme
@@ -48,6 +48,10 @@ __all__ = ["Assembler", "SolveInfo", "StepRecord", "RunResult",
 
 # Gauss points per axis: assembly (cells and faces), and l2_error
 _ASSEMBLY_QUAD, _ERROR_QUAD = 2, 3
+
+# surface region and boundary-value name of each boundary-condition kind
+_SURFACE = {BCKind.DIRICHLET: (Region.DIRICHLET_SURFACE, "special:gd"),
+            BCKind.NEUMANN: (Region.NEUMANN_SURFACE, "special:gn")}
 
 
 @dataclass
@@ -174,29 +178,35 @@ class Assembler:
         return batches
 
     @staticmethod
-    def _integrate(contributions, env, weight, values, grads, h, total=None):
-        """``total`` plus the element blocks of ``contributions``.
+    def _integrate(groups, env, weights, values, grads, h):
+        """Element blocks ``(ke, be)`` of the ``groups`` whose region has
+        quadrature weights in ``weights``.
 
-        ``weight`` holds the quadrature weights, ``(nqp,)`` or
-        ``(n_e, nqp)``; a scalar program that evaluates to a constant
-        against ``(nqp,)`` weights gives one cell block for the batch.
-        Bilinear blocks are ``(..., nc, nc)``, linear ones ``(..., nc)``;
-        ``None`` stands for no block.
+        A weight array is ``(nqp,)`` or ``(n_e, nqp)``; a scalar program
+        that evaluates to a constant against ``(nqp,)`` weights gives one
+        cell block for the batch. ``ke`` sums the bilinear blocks,
+        ``(..., nc, nc)``, ``be`` the linear ones, ``(..., nc)``; ``None``
+        stands for no block.
         """
         def table(sel):
             if sel.kind == "N":
                 return values
             return grads[:, :, sel.axis] / h[sel.axis]
 
-        for c in contributions:
-            w = ex.eval_scalar(c.scalar, env) * weight
-            if c.trial is None:
-                block = np.einsum("...q,qi->...i", w, table(c.test))
-            else:
-                block = np.einsum("...q,qi,qj->...ij", w, table(c.test),
-                                  table(c.trial))
-            total = block if total is None else total + block
-        return total
+        blocks = {True: None, False: None}
+        for region, bilinear, contributions in groups:
+            if region not in weights:
+                continue
+            for c in contributions:
+                w = ex.eval_scalar(c.scalar, env) * weights[region]
+                if bilinear:
+                    block = np.einsum("...q,qi,qj->...ij", w, table(c.test),
+                                      table(c.trial))
+                else:
+                    block = np.einsum("...q,qi->...i", w, table(c.test))
+                total = blocks[bilinear]
+                blocks[bilinear] = block if total is None else total + block
+        return blocks[True], blocks[False]
 
     # -- boundary routing -----------------------------------------------------
 
@@ -227,23 +237,19 @@ class Assembler:
                 continue
             value = ex.eval_scalar(bc.value, env)
             value = np.broadcast_to(np.asarray(value, float), shape)
-            prior_mask, prior_val = masks.get(bc.kind, (None, None))
-            if prior_mask is None:
-                masks[bc.kind] = (sel, np.where(sel, value, 0.0))
-            else:
-                masks[bc.kind] = (prior_mask | sel,
-                                  np.where(sel, value, prior_val))
+            prior_mask, prior_val = masks.get(bc.kind, (False, 0.0))
+            masks[bc.kind] = (prior_mask | sel, np.where(sel, value, prior_val))
         return masks
 
     # -- assembly -------------------------------------------------------------
 
-    def _volume_batch(self, ir, names, level, rows, t, dt, history, matrix):
+    def _volume_batch(self, ir, names, groups, level, rows, t, dt, history):
         """Element blocks of one same-level element batch.
 
         Returns ``(conn, ke, be)``: ``ke`` of shape ``(n_e, nc, nc)`` sums
-        every bilinear contribution (``None`` without ``matrix`` or without
-        bilinear terms), ``be`` of shape ``(n_e, nc)`` every linear one
-        (``None`` without linear terms).
+        the bilinear volume contributions of ``groups``, ``be`` of shape
+        ``(n_e, nc)`` the linear ones; either is ``None`` without
+        contributions.
         """
         mesh = self.mesh
         conn = mesh.elem_nodes[rows]
@@ -262,10 +268,8 @@ class Assembler:
                     f"kernel needs history field '{name}' but none was given")
             env[name] = np.einsum("qc,ec->eq", self.vol_values,
                                   history[back][conn])
-        tables = (self.vol_values, self.vol_grads, h)
-        ke = self._integrate(ir.volume_bilinear if matrix else (), env,
-                             wdetj, *tables)
-        be = self._integrate(ir.volume_linear, env, wdetj, *tables)
+        ke, be = self._integrate(groups, env, {Region.VOLUME: wdetj},
+                                 self.vol_values, self.vol_grads, h)
         # a batch of constant scalar programs holds one cell block
         nc = conn.shape[1]
         if ke is not None:
@@ -274,17 +278,12 @@ class Assembler:
             be = np.broadcast_to(be, (len(rows), nc))
         return conn, ke, be
 
-    def _face_batch(self, ir, batch, t, dt, matrix):
+    def _face_batch(self, ir, groups, batch, t, dt):
         """Element blocks ``(conn, ke, be)`` of one surrogate-face batch.
 
-        Dirichlet and Neumann contributions add into the same blocks.
+        The Dirichlet and Neumann contributions of ``groups`` add into the
+        same blocks.
         """
-        surface_groups = (
-            (BCKind.DIRICHLET, "special:gd",
-             ir.dirichlet_bilinear, ir.dirichlet_linear),
-            (BCKind.NEUMANN, "special:gn",
-             ir.neumann_bilinear, ir.neumann_linear),
-        )
         masks = self._route_regions(batch, t, ir.unknown)
         env = ex.point_env(batch.x_surr, t, self.spec.coefficients, dt)
         env["special:h"] = float(batch.h_cell.max())
@@ -292,17 +291,14 @@ class Assembler:
             env[f"special:nt:{d}"] = float(batch.n_tilde[d])
             env[f"special:ntrue:{d}"] = batch.n_true[..., d]
             env[f"special:d:{d}"] = batch.dvec[..., d]
-        tables = (batch.basis_values, batch.basis_grads, batch.h_cell)
-        ke = be = None
-        for kind, data_name, bilinear, linear in surface_groups:
-            if kind not in masks:
-                continue
-            sel, env[data_name] = masks[kind]
-            weight = sel * batch.warea[None, :]
-            ke = self._integrate(bilinear if matrix else (), env, weight,
-                                 *tables, total=ke)
-            be = self._integrate(linear, env, weight, *tables, total=be)
-        return batch.conn, ke, be
+        weights = {}
+        for kind, (region, data_name) in _SURFACE.items():
+            if kind in masks:
+                sel, env[data_name] = masks[kind]
+                weights[region] = sel * batch.warea[None, :]
+        return (batch.conn,) + self._integrate(
+            groups, env, weights, batch.basis_values, batch.basis_grads,
+            batch.h_cell)
 
     def assemble(self, ir, t=0.0, history=None, matrix=True):
         """Assemble the full-space system for one kernel.
@@ -313,13 +309,15 @@ class Assembler:
         n = self.mesh.n_nodes
         names = required_names(ir)
         dt = None if ir.steady else self.spec.time.dt
+        groups = [(region, bilinear, contributions)
+                  for region, bilinear, contributions in ir.groups()
+                  if contributions and (matrix or not bilinear)]
 
-        results = [self._volume_batch(ir, names, level, rows, t, dt, history,
-                                      matrix)
+        results = [self._volume_batch(ir, names, groups, level, rows, t, dt,
+                                      history)
                    for level, rows in self.vol_batches]
-        if any((ir.dirichlet_bilinear, ir.dirichlet_linear,
-                ir.neumann_bilinear, ir.neumann_linear)):
-            results.extend(self._face_batch(ir, batch, t, dt, matrix)
+        if any(region is not Region.VOLUME for region, _, _ in groups):
+            results.extend(self._face_batch(ir, groups, batch, t, dt)
                            for batch in self.face_batches)
 
         rhs = [(conn, be) for conn, _, be in results if be is not None]
@@ -419,22 +417,30 @@ def bicgstab(A, b, x0=None, abs_tol=1e-8, rel_tol=1e-8, max_iterations=1000,
         f"(residual {history[-1]:.3e}, target {target:.3e})", history)
 
 
-def _solve_reduced(A, b, spec, x0=None):
-    options = spec.solver
-    return bicgstab(A, b, x0=x0, abs_tol=options.abs_tol,
-                    rel_tol=options.rel_tol,
-                    max_iterations=options.max_iterations,
-                    pc_type=options.pc_type)
+def _matrix_reads_time(ir, spec):
+    """Whether ``ir``'s reduced matrix can change between time steps.
 
-
-def _bilinear_references_time(ir):
-    for region, is_bilinear, contributions in ir.groups():
-        if not is_bilinear:
-            continue
-        for c in contributions:
-            if "t" in ex.names_in(c.scalar):
-                return True
-    return False
+    Only ``t`` can change it (``dt`` is fixed; history is linear), read
+    through bilinear scalars, the coefficients they name and, for bilinear
+    surface terms, the region predicates and the boundary values read.
+    """
+    names = set()
+    for region, bilinear, contributions in ir.groups():
+        if bilinear and contributions:
+            names.update(*(ex.names_in(c.scalar) for c in contributions))
+            if region is not Region.VOLUME:
+                names.update(*(ex.names_in(predicate)
+                               for _, predicate in spec.boundary_regions))
+    for bc in spec.boundary_conditions.values():
+        if _SURFACE[bc.kind][1] in names:
+            names |= ex.names_in(bc.value)
+    # a coefficient reads only coefficients declared before it
+    names = {name.split(":")[0] for name in names}
+    for name, value in reversed(spec.coefficients.items()):
+        if name in names:
+            for part in value if isinstance(value, tuple) else (value,):
+                names |= ex.names_in(part)
+    return "t" in names
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +449,14 @@ def _bilinear_references_time(ir):
 def run_problem(spec, base_dir=".", mesh=None, initial=None, on_step=None):
     """Build, assemble, and solve a problem; steady or time stepping.
 
+    A steady problem is one step at ``t = 0`` without history. A transient
+    one takes steps 1..N; under BDF2 step 1 uses the backward-Euler kernel.
     ``mesh`` optionally supplies an already built mesh of ``spec``.
     ``initial`` optionally overrides the scripted initial condition with a
-    nodal array. ``on_step(step, time, values)`` is called after every
-    accepted transient step; a steady run never calls it. Returns a
-    RunResult whose ``values`` are nodal and consistent with the
-    hanging-node constraints.
+    nodal array of shape ``(mesh.n_nodes,)``. ``on_step(step, time,
+    values)`` is called after every accepted transient step; a steady run
+    never calls it. Returns a RunResult whose ``values`` are nodal and
+    consistent with the hanging-node constraints.
     """
     timings = {"mesh": 0.0, "assemble": 0.0, "solve": 0.0}
     tick = time.perf_counter()
@@ -461,64 +469,57 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None, on_step=None):
     constraint = mesh.constraint
     assembler = Assembler(mesh, spec)
     ir = compile_kernel(spec)
-    steps = []
-
+    state = None
     if ir.steady:
-        A, b = assembler.assemble(ir, t=0.0)
-        reduced, rhs = reduce_system(A, b, constraint)
-        timings["assemble"] = time.perf_counter() - tick
-        tick = time.perf_counter()
-        solution, info = _solve_reduced(reduced, rhs, spec)
-        timings["solve"] = time.perf_counter() - tick
-        values = constraint @ solution
-        steps.append(StepRecord(0, 0.0, info.iterations, info.residual))
-        return RunResult(spec=spec, mesh=mesh, ir=ir, values=values,
-                         steps=steps, timings=timings)
-
-    dt = spec.time.dt
-    num_steps = spec.time.num_steps
-    unknown = ir.unknown
-    if initial is not None:
-        state = np.asarray(initial, float).copy()
+        schedule = [(0, 0.0, ir)]
     else:
-        state = nodal_values(mesh, spec.initial_conditions.get(unknown, 0.0),
-                             t=0.0, coefficients=spec.coefficients)
-    # make the start state consistent with the constraints
-    state = constraint @ state[mesh.free_nodes]
-    previous = state.copy()
-    kernels = {"main": ir}
-    if ir.scheme is TimeScheme.BDF2:
-        kernels["bootstrap"] = compile_kernel(spec, scheme=TimeScheme.EULER_IMPLICIT)
+        first = ir
+        if ir.scheme is TimeScheme.BDF2:
+            first = compile_kernel(spec, scheme=TimeScheme.EULER_IMPLICIT)
+        schedule = [(k, k * spec.time.dt, first if k == 1 else ir)
+                    for k in range(1, spec.time.num_steps + 1)]
+        if initial is None:
+            initial = nodal_values(
+                mesh, spec.initial_conditions.get(ir.unknown, 0.0), t=0.0,
+                coefficients=spec.coefficients)
+        initial = np.asarray(initial, float)
+        if initial.shape != (mesh.n_nodes,):
+            raise ValueError(f"initial has shape {initial.shape}, expected "
+                             f"({mesh.n_nodes},)")
+        # make the start state consistent with the constraints
+        state = constraint @ initial[mesh.free_nodes]
+    previous = state
+    # a kernel's reduced matrix is kept when no step can change it
+    keep = not _matrix_reads_time(ir, spec)
     timings["assemble"] = time.perf_counter() - tick
-    matrix_cache = {}
-    reuse_matrix = not _bilinear_references_time(ir)
-    warm = None
-    for k in range(1, num_steps + 1):
-        t_k = k * dt
-        key = "bootstrap" if (k == 1 and "bootstrap" in kernels) else "main"
-        kernel_ir = kernels[key]
-        history = {1: state, 2: previous}
+
+    kept = {}                   # id(kernel) -> its kept reduced matrix
+    steps = []
+    solution = None
+    options = spec.solver
+    for k, t_k, kernel in schedule:
         tick = time.perf_counter()
-        cached = matrix_cache.get(key) if reuse_matrix else None
-        if cached is None:
-            A, b = assembler.assemble(kernel_ir, t=t_k, history=history)
+        reduced = kept.get(id(kernel))
+        A, b = assembler.assemble(kernel, t=t_k,
+                                  history={1: state, 2: previous},
+                                  matrix=reduced is None)
+        if reduced is None:
             reduced, rhs = reduce_system(A, b, constraint)
-            if reuse_matrix:
-                matrix_cache[key] = reduced
+            if keep:
+                kept[id(kernel)] = reduced
         else:
-            _, b = assembler.assemble(kernel_ir, t=t_k, history=history,
-                                      matrix=False)
-            reduced = cached
             rhs = constraint.T @ b
         timings["assemble"] += time.perf_counter() - tick
         tick = time.perf_counter()
-        solution, info = _solve_reduced(reduced, rhs, spec, x0=warm)
+        solution, info = bicgstab(reduced, rhs, x0=solution,
+                                  abs_tol=options.abs_tol,
+                                  rel_tol=options.rel_tol,
+                                  max_iterations=options.max_iterations,
+                                  pc_type=options.pc_type)
         timings["solve"] += time.perf_counter() - tick
-        warm = solution
-        previous = state
-        state = constraint @ solution
+        previous, state = state, constraint @ solution
         steps.append(StepRecord(k, t_k, info.iterations, info.residual))
-        if on_step is not None:
+        if on_step is not None and not ir.steady:
             on_step(k, t_k, state)
     return RunResult(spec=spec, mesh=mesh, ir=ir, values=state,
                      steps=steps, timings=timings)

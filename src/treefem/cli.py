@@ -37,7 +37,7 @@ from .errors import (
 from .forms import compile_kernel
 from .mesh import build_mesh
 from .problem import parse_problem, with_levels
-from .vtkio import write_diagnostics_csv, write_fields_vtk, write_mesh_vtk
+from .vtkio import _fmt, write_diagnostics_csv, write_fields_vtk, write_mesh_vtk
 
 __all__ = ["ConvergenceReport", "ConvergenceRow", "cmd_codegen",
            "cmd_converge", "cmd_mesh", "cmd_run", "main"]
@@ -61,10 +61,6 @@ class ConvergenceReport:
     constant: float
 
 
-def _fmt(value):
-    return f"{float(value):.17g}"
-
-
 def _load_spec(script_path):
     path = Path(script_path)
     spec = parse_problem(path.read_text())
@@ -78,10 +74,6 @@ def _coarse_h(spec, level):
 
 def _parse_exact(text):
     return ex.parse(text) if isinstance(text, str) else text
-
-
-def _final_time(spec):
-    return 0.0 if spec.time is None else spec.time.dt * spec.time.num_steps
 
 
 def _print_timings(timings):
@@ -116,7 +108,7 @@ def cmd_run(script_path, output_dir=".", level=None, exact=None):
 
     result = run_problem(spec, base_dir=base_dir, mesh=mesh, on_step=on_step)
     result.timings["mesh"] += mesh_seconds
-    if spec.time is None:
+    if result.ir.steady:
         write(out / "solution.vtk", result.values)
     csv_path = out / "diagnostics.csv"
     write_diagnostics_csv(csv_path, result.steps)
@@ -126,7 +118,8 @@ def cmd_run(script_path, output_dir=".", level=None, exact=None):
     print(f"final residual: {result.steps[-1].residual:.6e}")
     if exact is not None:
         err = l2_error(result.mesh, result.values, _parse_exact(exact),
-                       t=_final_time(spec), coefficients=spec.coefficients)
+                       t=result.steps[-1].time,
+                       coefficients=spec.coefficients)
         print(f"L2 error vs exact: {err:.6e}")
     _print_timings(result.timings)
     print(f"wrote {len(written)} VTK file(s) and {csv_path}")
@@ -141,7 +134,6 @@ def cmd_converge(script_path, levels, exact, output_csv="convergence.csv"):
     """
     spec, base_dir = _load_spec(script_path)
     exact = _parse_exact(exact)
-    t_final = _final_time(spec)
     rows = []
     with open(output_csv, "w") as handle:
         handle.write("h,L2,level,ndof,iterations\n")
@@ -150,7 +142,8 @@ def cmd_converge(script_path, levels, exact, output_csv="convergence.csv"):
             tick = time.perf_counter()
             result = run_problem(with_levels(spec, level), base_dir=base_dir)
             seconds = time.perf_counter() - tick
-            err = l2_error(result.mesh, result.values, exact, t=t_final,
+            err = l2_error(result.mesh, result.values, exact,
+                           t=result.steps[-1].time,
                            coefficients=spec.coefficients)
             iterations = sum(s.iterations for s in result.steps)
             row = ConvergenceRow(level, _coarse_h(spec, level), result.ndof,

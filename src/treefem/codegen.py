@@ -2,9 +2,8 @@
 
 Rendering fills a ``string.Template`` text file whose placeholders are the
 generated pieces: ``${dimension}``, ``${prelude}``, ``${coefficient_table}``,
-and one ``*_terms`` body per contribution group (``volume_matrix_terms``,
-``volume_vector_terms``, ``dirichlet_matrix_terms``, ``dirichlet_vector_terms``,
-``neumann_matrix_terms``, ``neumann_vector_terms``), plus optional
+and one ``<region>_<matrix|vector>_terms`` body per contribution group
+(``volume_matrix_terms``, ..., ``neumann_vector_terms``), plus optional
 ``${unknown}`` and ``${scheme}``. Templates are plain data files; the default
 one ships with the package and targets a C++ element-kernel layer. Each
 bilinear contribution renders as one accumulation line of the form
@@ -20,7 +19,7 @@ The serialized document is line oriented and versioned:
     scheme <euler_implicit|bdf2|none>
     unknown <name>
     prelude <var> <steps_back>        (zero or more)
-    group volume_bilinear             (all six groups, canonical order)
+    group <KernelIR field>            (all six groups, forms.GROUPS order)
     term <test> <trial> <scalar>      (zero or more per group)
 
 Selectors are ``N`` or ``dN:<axis>``; a linear term's trial slot holds
@@ -35,26 +34,13 @@ from string import Template
 
 from . import expr as ex
 from .errors import CodegenError
-from .forms import BasisSel, Contribution, KernelIR, required_names
+from .forms import GROUPS, BasisSel, Contribution, KernelIR, required_names
 from .problem import TimeScheme
 
 __all__ = ["DEFAULT_TEMPLATE", "c_scalar", "emit_kernels", "parse_ir",
            "serialize_ir"]
 
 DEFAULT_TEMPLATE = Path(__file__).parent / "templates" / "dendro_kernels.cpp.tmpl"
-
-_GROUP_FIELDS = ("volume_bilinear", "volume_linear",
-                 "dirichlet_bilinear", "dirichlet_linear",
-                 "neumann_bilinear", "neumann_linear")
-
-_BODY_KEYS = ("volume_matrix_terms", "volume_vector_terms",
-              "dirichlet_matrix_terms", "dirichlet_vector_terms",
-              "neumann_matrix_terms", "neumann_vector_terms")
-
-_REQUIRED_PLACEHOLDERS = frozenset(_BODY_KEYS) | {
-    "dimension", "prelude", "coefficient_table"}
-
-_OPTIONAL_PLACEHOLDERS = frozenset({"unknown", "scheme"})
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +188,22 @@ def emit_kernels(ir, template=None, out_dir="."):
         raise CodegenError(f"cannot read template '{path}': {err}")
     tmpl = Template(text)
     found = _placeholders(tmpl)
-    missing = _REQUIRED_PLACEHOLDERS - found
+    # every generated piece but the unknown and the scheme is required
+    mapping = {"dimension": str(ir.dimension), "prelude": _prelude_lines(ir),
+               "coefficient_table": _coefficient_table(ir)}
+    for region, bilinear, contributions in ir.groups():
+        key = f"{region.value}_{'matrix' if bilinear else 'vector'}_terms"
+        mapping[key] = _term_lines(contributions,
+                                   "      " if bilinear else "    ")
+    missing = set(mapping) - found
     if missing:
         raise CodegenError("template is missing placeholder(s): "
                            + ", ".join(sorted(missing)))
-    unknown = found - _REQUIRED_PLACEHOLDERS - _OPTIONAL_PLACEHOLDERS
+    mapping.update(unknown=ir.unknown, scheme=_scheme_text(ir))
+    unknown = found - set(mapping)
     if unknown:
         raise CodegenError("template references unknown placeholder(s): "
                            + ", ".join(sorted(unknown)))
-
-    mapping = {"dimension": str(ir.dimension), "unknown": ir.unknown,
-               "scheme": _scheme_text(ir), "prelude": _prelude_lines(ir),
-               "coefficient_table": _coefficient_table(ir)}
-    for key, field in zip(_BODY_KEYS, _GROUP_FIELDS):
-        indent = "      " if field.endswith("bilinear") else "    "
-        mapping[key] = _term_lines(getattr(ir, field), indent)
 
     out_name = path.stem if path.suffix == ".tmpl" else path.name
     out_path = Path(out_dir) / out_name
@@ -260,7 +247,7 @@ def serialize_ir(ir):
              f"scheme {ir.scheme.value if ir.scheme is not None else 'none'}",
              f"unknown {ir.unknown}"]
     lines.extend(f"prelude {var} {back}" for var, back in ir.prelude)
-    for field in _GROUP_FIELDS:
+    for field, _, _ in GROUPS:
         lines.append(f"group {field}")
         for c in getattr(ir, field):
             lines.append(f"term {_sel_text(c.test)} {_sel_text(c.trial)} "
@@ -277,7 +264,8 @@ def parse_ir(text):
             "header line)")
     fields = {}
     prelude = []
-    buckets = {name: [] for name in _GROUP_FIELDS}
+    buckets = {field: [] for field, _, _ in GROUPS}
+    bilinear = {field: side for field, _, side in GROUPS}
     current = None
     for line in lines[1:]:
         if not line.strip():
@@ -306,7 +294,7 @@ def parse_ir(text):
             except ex.ParseError as err:
                 raise CodegenError(f"bad term scalar: {err}")
             trial = _parse_sel(words[1], "trial")
-            if current.endswith("_bilinear") != (trial is not None):
+            if bilinear[current] != (trial is not None):
                 raise CodegenError(
                     f"term trial selector '{words[1]}' does not fit group "
                     f"'{current}'")

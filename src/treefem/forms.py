@@ -5,9 +5,13 @@ product terms, each tagged with its integration region (volume, Dirichlet
 surface, Neumann surface) and holding exactly one test-function factor, at
 most one unknown factor, and a residual scalar program. Time derivatives
 ``Dt(u*v)`` become mass and history terms for the configured scheme, the
-whole transient system is scaled by dt, terms split into matrix and vector
-contributions, and the result is lowered to a :class:`KernelIR` that both
-the embedded runtime and the source-text generator consume.
+whole transient system is scaled by dt, and :func:`lower` splits the terms
+into matrix and vector contributions of a :class:`KernelIR` that both the
+embedded runtime and the source-text generator consume.
+
+The IR holds six contribution groups, one per (region, matrix or vector)
+pair. :data:`GROUPS` declares them once, in the canonical order that code
+generation, the serialized document and assembly all follow.
 
 Scalar programs reuse the front-end expression nodes with a reserved name
 space that never collides with user identifiers (the script grammar has no
@@ -36,9 +40,9 @@ from .errors import FormError
 from .problem import TimeScheme
 
 __all__ = [
-    "Region", "BasisSel", "Term", "TermGroups", "Contribution", "KernelIR",
-    "expand", "discretize_time", "classify", "lower", "compile_kernel",
-    "fold", "required_names",
+    "Region", "BasisSel", "Term", "Contribution", "KernelIR", "GROUPS",
+    "expand", "discretize_time", "lower", "compile_kernel", "fold",
+    "required_names",
 ]
 
 
@@ -73,22 +77,6 @@ class Term:
 
 
 @dataclass(frozen=True)
-class TermGroups:
-    """Terms split by region and by matrix (bilinear) vs vector (linear) side.
-
-    Linear term scalars are already sign-flipped onto the right-hand side.
-    """
-    volume_bilinear: tuple
-    volume_linear: tuple
-    dirichlet_bilinear: tuple
-    dirichlet_linear: tuple
-    neumann_bilinear: tuple
-    neumann_linear: tuple
-    steady: bool
-    scheme: object             # TimeScheme or None
-
-
-@dataclass(frozen=True)
 class Contribution:
     test: BasisSel
     trial: BasisSel            # None on vector contributions
@@ -103,7 +91,7 @@ class KernelIR:
     scheme: object             # TimeScheme or None
     unknown: str
     prelude: tuple             # ((var, steps_back), ...) history reads
-    volume_bilinear: tuple     # Contribution tuples
+    volume_bilinear: tuple     # Contribution tuples, one field per GROUPS row
     volume_linear: tuple
     dirichlet_bilinear: tuple
     dirichlet_linear: tuple
@@ -111,14 +99,21 @@ class KernelIR:
     neumann_linear: tuple
 
     def groups(self):
-        return (
-            (Region.VOLUME, True, self.volume_bilinear),
-            (Region.VOLUME, False, self.volume_linear),
-            (Region.DIRICHLET_SURFACE, True, self.dirichlet_bilinear),
-            (Region.DIRICHLET_SURFACE, False, self.dirichlet_linear),
-            (Region.NEUMANN_SURFACE, True, self.neumann_bilinear),
-            (Region.NEUMANN_SURFACE, False, self.neumann_linear),
-        )
+        """``(region, bilinear, contributions)`` per group, in GROUPS order."""
+        return tuple((region, bilinear, getattr(self, field))
+                     for field, region, bilinear in GROUPS)
+
+
+# The six contribution groups, (KernelIR field, region, bilinear), in
+# canonical kernel order.
+GROUPS = (
+    ("volume_bilinear", Region.VOLUME, True),
+    ("volume_linear", Region.VOLUME, False),
+    ("dirichlet_bilinear", Region.DIRICHLET_SURFACE, True),
+    ("dirichlet_linear", Region.DIRICHLET_SURFACE, False),
+    ("neumann_bilinear", Region.NEUMANN_SURFACE, True),
+    ("neumann_linear", Region.NEUMANN_SURFACE, False),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -513,61 +508,42 @@ def discretize_time(terms, scheme):
 
 
 # ---------------------------------------------------------------------------
-# Classification and lowering
+# Lowering
 
-def classify(terms, steady=True, scheme=None):
-    """Split terms into matrix/vector groups; vector scalars move to the RHS."""
-    buckets = {(region, side): [] for region in Region for side in (True, False)}
+def lower(terms, dimension, steady=True, scheme=None):
+    """Lower discretized terms to a dimension-specialized :class:`KernelIR`.
+
+    Terms with an unknown factor become matrix (bilinear) contributions;
+    the others become vector (linear) ones, their scalars sign-flipped
+    onto the right-hand side and multiplied by their history value.
+    """
+    groups = {(region, bilinear): [] for _, region, bilinear in GROUPS}
+    unknowns = set()
+    prelude = set()
     for term in terms:
         if term.is_dt:
-            raise FormError("Dt terms must pass through discretize_time before classify")
-        bilinear = term.trial is not None
-        if not bilinear:
-            term = Term(region=term.region, test=term.test, prev=term.prev,
-                        scalar=fold(ex.Neg(term.scalar)))
-        buckets[(term.region, bilinear)].append(term)
-    return TermGroups(
-        volume_bilinear=tuple(buckets[(Region.VOLUME, True)]),
-        volume_linear=tuple(buckets[(Region.VOLUME, False)]),
-        dirichlet_bilinear=tuple(buckets[(Region.DIRICHLET_SURFACE, True)]),
-        dirichlet_linear=tuple(buckets[(Region.DIRICHLET_SURFACE, False)]),
-        neumann_bilinear=tuple(buckets[(Region.NEUMANN_SURFACE, True)]),
-        neumann_linear=tuple(buckets[(Region.NEUMANN_SURFACE, False)]),
-        steady=steady,
-        scheme=scheme,
-    )
-
-
-def lower(groups, dimension):
-    """Turn classified terms into a dimension-specialized :class:`KernelIR`."""
-    unknowns = set()
-    prelude = []
-
-    def contribution(term):
-        scalar = term.scalar
+            raise FormError("Dt terms must pass through discretize_time before lower")
         if term.trial is not None:
             unknowns.add(term.trial[0])
-            return Contribution(test=term.test, trial=term.trial[1], scalar=scalar)
+            groups[(term.region, True)].append(
+                Contribution(term.test, term.trial[1], term.scalar))
+            continue
+        scalar = fold(ex.Neg(term.scalar))
         if term.prev is not None:
             var, back = term.prev
             unknowns.add(var)
-            if (var, back) not in prelude:
-                prelude.append((var, back))
+            prelude.add((var, back))
             scalar = fold(ex.Bin("*", scalar, ex.Name(f"prev:{var}:{back}")))
-        return Contribution(test=term.test, trial=None, scalar=scalar)
-
-    lowered = {}
-    for field in ("volume_bilinear", "volume_linear", "dirichlet_bilinear",
-                  "dirichlet_linear", "neumann_bilinear", "neumann_linear"):
-        lowered[field] = tuple(contribution(t) for t in getattr(groups, field))
+        groups[(term.region, False)].append(Contribution(term.test, None, scalar))
 
     if len(unknowns) > 1:
         raise FormError(
             f"the kernel solves a single unknown field, got {sorted(unknowns)}")
     unknown = next(iter(unknowns)) if unknowns else "u"
-    prelude.sort()
-    return KernelIR(dimension=dimension, steady=groups.steady, scheme=groups.scheme,
-                    unknown=unknown, prelude=tuple(prelude), **lowered)
+    return KernelIR(dimension=dimension, steady=steady, scheme=scheme,
+                    unknown=unknown, prelude=tuple(sorted(prelude)),
+                    **{field: tuple(groups[(region, bilinear)])
+                       for field, region, bilinear in GROUPS})
 
 
 def compile_kernel(spec, scheme=None):
@@ -581,8 +557,7 @@ def compile_kernel(spec, scheme=None):
     if scheme is None and spec.time is not None:
         scheme = spec.time.scheme
     terms, steady = discretize_time(terms, scheme)
-    groups = classify(terms, steady=steady, scheme=None if steady else scheme)
-    return lower(groups, spec.dimension)
+    return lower(terms, spec.dimension, steady, None if steady else scheme)
 
 
 def required_names(ir):

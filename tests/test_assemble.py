@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import dataclasses
+
 from treefem.assemble import (
-    Assembler, bicgstab, l2_error, nodal_values, reduce_system, run_problem,
+    Assembler, RunResult, StepRecord, _matrix_reads_time, bicgstab, l2_error,
+    nodal_values, reduce_system, run_problem,
 )
 from treefem.errors import AssemblyError, SolverError
 from treefem.forms import compile_kernel
 from treefem.geometry import write_stl
 from treefem.mesh import build_mesh
-from treefem.problem import BCKind, parse_problem
+from treefem.problem import BCKind, TimeScheme, parse_problem
 from treefem import expr as ex
 
 from shapes import bumpy_sphere
@@ -591,6 +594,71 @@ def test_transient_initial_override():
     assert np.abs(result.values - 2.0 / 1.3).max() < 1e-12
 
 
+@pytest.mark.parametrize("scheme", ["euler_implicit", "bdf2"])
+def test_time_dependent_coefficient_reassembles_the_matrix(scheme):
+    # c(t) = 1 + t reaches the mass-plus-decay matrix only through the
+    # coefficient, so the matrix must be assembled again at every step
+    script = DECAY.format(scheme=scheme, steps=5).replace(
+        "c = 3.0", "c = 1 + t")
+    result = solve(script)
+    dt = 0.1
+    u = [1.0]
+    for k in range(1, 6):
+        lead = 1.0 if scheme == "euler_implicit" or k == 1 else 1.5
+        rhs = u[-1] if lead == 1.0 else 2 * u[-1] - 0.5 * u[-2]
+        u.append(rhs / (lead + dt * (1 + k * dt)))
+    assert np.abs(result.values - u[-1]).max() < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(86,), (80,), (81, 2)])
+def test_initial_of_wrong_shape_is_rejected(shape):
+    spec = parse_problem(DECAY.format(scheme="euler_implicit", steps=1))
+    mesh = build_mesh(spec)
+    assert mesh.n_nodes == 81
+    with pytest.raises(ValueError, match=r"expected \(81,\)"):
+        run_problem(spec, mesh=mesh, initial=np.ones(shape))
+
+
+def _with_coefficients(spec, **coefficients):
+    return dataclasses.replace(spec, coefficients={
+        name: ex.parse(text) for name, text in coefficients.items()})
+
+
+def _edit(script, old, new):
+    assert script.count(old) == 1
+    return script.replace(old, new)
+
+
+def _wall_robin(term, value="0"):
+    # the box patch's Nitsche form plus one more wall term
+    return _edit(BOX_PATCH.format(base=2, extra="", value=value),
+                 "[weak_form]\ndot(grad(u), grad(v))",
+                 f"[weak_form]\ndot(grad(u), grad(v)) + dirichletBoundary({term})")
+
+
+@pytest.mark.parametrize("script,coefficients,expected", [
+    (DECAY.format(scheme="bdf2", steps=1), {}, False),
+    (DECAY.format(scheme="bdf2", steps=1), {"c": "1 + t"}, True),
+    (DECAY.format(scheme="bdf2", steps=1), {"a": "t*x", "c": "1 + a"}, True),
+    (DECAY.format(scheme="bdf2", steps=1), {"c": "1 + x"}, False),
+    (_heat_script(base=2, glevel=3), {}, False),
+    (_edit(_heat_script(base=2, glevel=3), "1 = true", "1 = t < 0.5"), {},
+     True),
+    (_edit(_heat_script(base=2, glevel=3), "dirichlet, exp(",
+           "dirichlet, t*exp("), {}, False),
+    (_wall_robin("dirichletValue()*u*v"), {}, False),
+    (_wall_robin("dirichletValue()*u*v", value="1 + t"), {}, True),
+    (_wall_robin("dirichletValue()*v", value="1 + t"), {}, False),
+], ids=["constant", "coefficient", "coefficient_chain", "space_only",
+        "heat", "heat_predicate", "heat_linear_value", "robin",
+        "robin_value", "linear_value"])
+def test_matrix_reads_time(script, coefficients, expected):
+    spec = parse_problem(script)
+    if coefficients:
+        spec = _with_coefficients(spec, **coefficients)
+    assert _matrix_reads_time(compile_kernel(spec), spec) is expected
+
+
 def test_steady_state_is_transient_fixed_point():
     steady = solve(DISK_POISSON, base=4, glevel=5)
     transient_script = DISK_POISSON.format(base=4, glevel=5).replace(
@@ -601,6 +669,119 @@ def test_steady_state_is_transient_fixed_point():
     result = run_problem(spec, mesh=steady.mesh, initial=steady.values)
     drift = np.abs(result.values - steady.values).max()
     assert drift < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# oracle: the driver with separate steady and transient paths that the
+# one step loop replaced
+
+def reference_run_problem(spec, base_dir=".", mesh=None, initial=None,
+                          on_step=None):
+    """The old ``run_problem``; it reuses a transient matrix unless a
+    bilinear scalar names ``t`` itself."""
+    options = spec.solver
+
+    def solve_reduced(A, b, x0=None):
+        return bicgstab(A, b, x0=x0, abs_tol=options.abs_tol,
+                        rel_tol=options.rel_tol,
+                        max_iterations=options.max_iterations,
+                        pc_type=options.pc_type)
+
+    def bilinear_references_time(ir):
+        return any("t" in ex.names_in(c.scalar)
+                   for _, bilinear, contributions in ir.groups() if bilinear
+                   for c in contributions)
+
+    timings = {"mesh": 0.0, "assemble": 0.0, "solve": 0.0}
+    if mesh is None:
+        mesh = build_mesh(spec, base_dir)
+    constraint = mesh.constraint
+    assembler = Assembler(mesh, spec)
+    ir = compile_kernel(spec)
+    steps = []
+
+    if ir.steady:
+        A, b = assembler.assemble(ir, t=0.0)
+        reduced, rhs = reduce_system(A, b, constraint)
+        solution, info = solve_reduced(reduced, rhs)
+        values = constraint @ solution
+        steps.append(StepRecord(0, 0.0, info.iterations, info.residual))
+        return RunResult(spec=spec, mesh=mesh, ir=ir, values=values,
+                         steps=steps, timings=timings)
+
+    dt = spec.time.dt
+    num_steps = spec.time.num_steps
+    unknown = ir.unknown
+    if initial is not None:
+        state = np.asarray(initial, float).copy()
+    else:
+        state = nodal_values(mesh, spec.initial_conditions.get(unknown, 0.0),
+                             t=0.0, coefficients=spec.coefficients)
+    state = constraint @ state[mesh.free_nodes]
+    previous = state.copy()
+    kernels = {"main": ir}
+    if ir.scheme is TimeScheme.BDF2:
+        kernels["bootstrap"] = compile_kernel(
+            spec, scheme=TimeScheme.EULER_IMPLICIT)
+    matrix_cache = {}
+    reuse_matrix = not bilinear_references_time(ir)
+    warm = None
+    for k in range(1, num_steps + 1):
+        t_k = k * dt
+        key = "bootstrap" if (k == 1 and "bootstrap" in kernels) else "main"
+        kernel_ir = kernels[key]
+        history = {1: state, 2: previous}
+        cached = matrix_cache.get(key) if reuse_matrix else None
+        if cached is None:
+            A, b = assembler.assemble(kernel_ir, t=t_k, history=history)
+            reduced, rhs = reduce_system(A, b, constraint)
+            if reuse_matrix:
+                matrix_cache[key] = reduced
+        else:
+            _, b = assembler.assemble(kernel_ir, t=t_k, history=history,
+                                      matrix=False)
+            reduced = cached
+            rhs = constraint.T @ b
+        solution, info = solve_reduced(reduced, rhs, x0=warm)
+        warm = solution
+        previous = state
+        state = constraint @ solution
+        steps.append(StepRecord(k, t_k, info.iterations, info.residual))
+        if on_step is not None:
+            on_step(k, t_k, state)
+    return RunResult(spec=spec, mesh=mesh, ir=ir, values=state,
+                     steps=steps, timings=timings)
+
+
+DRIVER_CASES = {
+    "steady_disk": DISK_POISSON.format(base=4, glevel=5),
+    "decay_euler": DECAY.format(scheme="euler_implicit", steps=5),
+    "decay_bdf2": DECAY.format(scheme="bdf2", steps=6),
+    "heat_bdf2": _heat_script(base=2, glevel=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIVER_CASES))
+def test_step_loop_matches_two_path_driver_oracle(case):
+    spec = parse_problem(DRIVER_CASES[case])
+    mesh = build_mesh(spec)
+    calls = {"new": [], "old": []}
+
+    def recorder(name):
+        def on_step(step, t, values):
+            calls[name].append((step, t, values.copy()))
+        return on_step
+
+    result = run_problem(spec, mesh=mesh, on_step=recorder("new"))
+    expected = reference_run_problem(spec, mesh=mesh, on_step=recorder("old"))
+    assert np.array_equal(result.values, expected.values)
+    assert result.steps == expected.steps
+    assert len(calls["new"]) == len(calls["old"]) == (
+        0 if spec.time is None else spec.time.num_steps)
+    for (step, t, values), (step_old, t_old, values_old) in zip(
+            calls["new"], calls["old"]):
+        assert (step, t) == (step_old, t_old)
+        assert np.array_equal(values, values_old)
 
 
 # ---------------------------------------------------------------------------

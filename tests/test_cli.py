@@ -138,6 +138,18 @@ def test_run_steady_writes_one_vtk(disk_script, tmp_path, capsys):
     assert "wall time:" in text
 
 
+def test_run_steady_form_with_time_section_writes_one_vtk(tmp_path):
+    # without Dt the weak form is steady whatever the [time] section says:
+    # one solve at t = 0, which has to reach a file
+    script = write_script(tmp_path, DISK.format(radius=0.5).replace(
+        "[weak_form]", "[time]\nscheme = bdf2\ndt = 0.1\nsteps = 3\n\n"
+        "[weak_form]"))
+    out = tmp_path / "out"
+    assert main(["run", str(script), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "diagnostics.csv", "solution.vtk"]
+
+
 def test_run_reports_l2_error(disk_script, tmp_path, capsys):
     code = main(["run", str(disk_script), "--out", str(tmp_path / "o"),
                  "--exact", DISK_EXACT, "--levels", "5"])

@@ -8,6 +8,7 @@ counts product terms by the distribution law alone.
 """
 
 import math
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, assume, settings, strategies as st
@@ -16,8 +17,7 @@ import treefem.expr as ex
 from treefem.errors import FormError
 from treefem.forms import (
     BasisSel, Contribution, KernelIR, Region, Term, VALUE,
-    classify, compile_kernel, discretize_time, expand, fold, lower,
-    required_names,
+    compile_kernel, discretize_time, expand, fold, lower, required_names,
 )
 from treefem.problem import TimeScheme, parse_problem
 
@@ -41,8 +41,84 @@ def form(text):
 def pipeline(text, dim=2, scheme=None, coefficients=None, unknowns=("u",)):
     terms = expand(form(text), dim, unknowns=unknowns, coefficients=coefficients)
     terms, steady = discretize_time(terms, scheme)
-    groups = classify(terms, steady=steady, scheme=None if steady else scheme)
-    return lower(groups, dim)
+    return lower(terms, dim, steady, None if steady else scheme)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for lowering: the two-pass classify-then-lower that one-pass
+# lower() replaced, with its per-group dataclass.
+
+@dataclass(frozen=True)
+class ReferenceTermGroups:
+    volume_bilinear: tuple
+    volume_linear: tuple
+    dirichlet_bilinear: tuple
+    dirichlet_linear: tuple
+    neumann_bilinear: tuple
+    neumann_linear: tuple
+    steady: bool
+    scheme: object
+
+
+def reference_classify(terms, steady=True, scheme=None):
+    buckets = {(region, side): [] for region in Region for side in (True, False)}
+    for term in terms:
+        if term.is_dt:
+            raise FormError("Dt terms must pass through discretize_time before classify")
+        bilinear = term.trial is not None
+        if not bilinear:
+            term = Term(region=term.region, test=term.test, prev=term.prev,
+                        scalar=fold(ex.Neg(term.scalar)))
+        buckets[(term.region, bilinear)].append(term)
+    return ReferenceTermGroups(
+        volume_bilinear=tuple(buckets[(Region.VOLUME, True)]),
+        volume_linear=tuple(buckets[(Region.VOLUME, False)]),
+        dirichlet_bilinear=tuple(buckets[(Region.DIRICHLET_SURFACE, True)]),
+        dirichlet_linear=tuple(buckets[(Region.DIRICHLET_SURFACE, False)]),
+        neumann_bilinear=tuple(buckets[(Region.NEUMANN_SURFACE, True)]),
+        neumann_linear=tuple(buckets[(Region.NEUMANN_SURFACE, False)]),
+        steady=steady,
+        scheme=scheme,
+    )
+
+
+def reference_lower(groups, dimension):
+    unknowns = set()
+    prelude = []
+
+    def contribution(term):
+        scalar = term.scalar
+        if term.trial is not None:
+            unknowns.add(term.trial[0])
+            return Contribution(test=term.test, trial=term.trial[1], scalar=scalar)
+        if term.prev is not None:
+            var, back = term.prev
+            unknowns.add(var)
+            if (var, back) not in prelude:
+                prelude.append((var, back))
+            scalar = fold(ex.Bin("*", scalar, ex.Name(f"prev:{var}:{back}")))
+        return Contribution(test=term.test, trial=None, scalar=scalar)
+
+    lowered = {}
+    for field in ("volume_bilinear", "volume_linear", "dirichlet_bilinear",
+                  "dirichlet_linear", "neumann_bilinear", "neumann_linear"):
+        lowered[field] = tuple(contribution(t) for t in getattr(groups, field))
+
+    if len(unknowns) > 1:
+        raise FormError(
+            f"the kernel solves a single unknown field, got {sorted(unknowns)}")
+    unknown = next(iter(unknowns)) if unknowns else "u"
+    prelude.sort()
+    return KernelIR(dimension=dimension, steady=groups.steady, scheme=groups.scheme,
+                    unknown=unknown, prelude=tuple(prelude), **lowered)
+
+
+def reference_pipeline(text, dim=2, scheme=None, coefficients=None):
+    terms = expand(form(text), dim, coefficients=coefficients)
+    terms, steady = discretize_time(terms, scheme)
+    groups = reference_classify(terms, steady=steady,
+                                scheme=None if steady else scheme)
+    return reference_lower(groups, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +275,13 @@ def test_ir_matches_direct_evaluation(text, dim, scheme, coefficients):
         if not ir.steady:
             direct *= env["dt"]
         assert ir_total(ir, env) == pytest.approx(direct, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("text,dim,scheme,coefficients", EQUIV_CASES)
+def test_lower_matches_classify_then_lower_oracle(text, dim, scheme,
+                                                  coefficients):
+    assert pipeline(text, dim, scheme, coefficients) == reference_pipeline(
+        text, dim, scheme, coefficients)
 
 
 def test_bilinear_part_is_linear_in_unknown():
@@ -364,10 +447,10 @@ def test_dt_without_scheme_is_an_error():
         discretize_time(terms, None)
 
 
-def test_classify_rejects_undiscretized_dt():
+def test_lower_rejects_undiscretized_dt():
     terms = expand(form("Dt(u*v)"), 2)
     with pytest.raises(FormError, match="discretize_time"):
-        classify(terms)
+        lower(terms, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +547,7 @@ def test_lower_rejects_coupled_fields():
     terms = expand(form("u*v + w*v"), 2, unknowns=("u", "w"))
     terms, steady = discretize_time(terms, None)
     with pytest.raises(FormError, match="single unknown"):
-        lower(classify(terms, steady=steady), 2)
+        lower(terms, 2, steady)
 
 
 def test_bad_dimension():
@@ -584,6 +667,18 @@ def test_compile_kernel_from_script():
     mass = [c for c in boot.volume_bilinear
             if c.trial == VALUE and c.test == VALUE]
     assert mass[0].scalar == ex.Num(1.0)
+
+
+@pytest.mark.parametrize("scheme", [None, TimeScheme.EULER_IMPLICIT])
+def test_compile_kernel_matches_classify_then_lower_oracle(scheme):
+    spec = parse_problem(TRANSIENT_SCRIPT)
+    terms = expand(spec.weak_form, spec.dimension, unknowns=spec.variables,
+                   test=spec.test_symbol, coefficients=spec.coefficients)
+    terms, _ = discretize_time(terms, scheme or spec.time.scheme)
+    expected = reference_lower(
+        reference_classify(terms, False, scheme or spec.time.scheme),
+        spec.dimension)
+    assert compile_kernel(spec, scheme=scheme) == expected
 
 
 def test_compile_kernel_steady_script():
