@@ -93,7 +93,6 @@ def nodal_values(mesh, value, t=0.0, coefficients=None):
 
 @dataclass
 class _FaceBatch:
-    kind: int
     conn: np.ndarray            # (n_f, nc) owner connectivity
     basis_values: np.ndarray    # (nqp, nc)
     basis_grads: np.ndarray     # (nqp, nc, dim)
@@ -171,7 +170,7 @@ class Assembler:
                 n_true = np.broadcast_to(n_tilde, x_surr.shape).copy()
                 dvec = np.zeros_like(x_surr)
             batches.append(_FaceBatch(
-                kind=kind, conn=mesh.elem_nodes[owners],
+                conn=mesh.elem_nodes[owners],
                 basis_values=values, basis_grads=grads, warea=warea,
                 h_cell=h, x_surr=x_surr, x_true=x_true, dvec=dvec,
                 n_true=n_true, n_tilde=n_tilde))

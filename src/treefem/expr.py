@@ -529,22 +529,27 @@ def _walk_names(expr, out):
             _walk_names(arg, out)
 
 
+def is_predicate(expr):
+    """True when the root of ``expr`` yields a boolean: a comparison,
+    ``&&``, ``||``, ``true`` or ``false``."""
+    return isinstance(expr, Bool) or (
+        isinstance(expr, Bin) and expr.op in _COMPARISONS + ("&&", "||"))
+
+
 def has_comparison(expr):
     """True when ``expr`` contains a comparison or boolean operator."""
     stack = [expr]
     while stack:
         node = stack.pop()
+        if is_predicate(node):
+            return True
         if isinstance(node, Bin):
-            if node.op in _COMPARISONS or node.op in ("&&", "||"):
-                return True
             stack.append(node.left)
             stack.append(node.right)
         elif isinstance(node, Neg):
             stack.append(node.arg)
         elif isinstance(node, Call):
             stack.extend(node.args)
-        elif isinstance(node, Bool):
-            return True
     return False
 
 

@@ -18,9 +18,12 @@ refined box. Construction runs in four stages:
    splits into half- or quarter-face slices.
 4. **number**: corner nodes are numbered on the shared integer lattice
    (the domain spans 2**30 lattice units per axis), hanging nodes are
-   detected by probing face/edge midpoints of every element, and the
-   constraint matrix mapping free node values to all node values is built
-   by substituting chains of midpoint averages.
+   detected by probing the face centres (and edge midpoints in 3-D) of
+   every element, and the constraint matrix mapping free node values to
+   all node values is built in one sparse step: an identity row per free
+   node and a row of midpoint weights per hanging node. The balance of
+   stage 2 keeps every parent of a hanging node free, so no constraint
+   refers to another hanging node.
 
 Anchors are integer cell coordinates at the cell's own level; lattice
 coordinates are at the fixed normalization level 30, so all point
@@ -37,6 +40,7 @@ rejected with a ``MeshError`` when the index is built.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,19 +172,18 @@ def _lattice_coords(lattice, spec):
 
 
 def classify_elements(levels, anchors, spec, geometries):
-    """Per-element class overall and against each geometry separately.
+    """Per-element class against each geometry, one code array per geometry.
 
     Classes: INTERIOR (all corners kept), EXTERIOR (none), INTERCEPTED.
-    Without geometries every element is INTERIOR.
+    Without geometries the list is empty.
     """
     n = len(levels)
     dim = anchors.shape[1]
     if not geometries:
-        return np.full(n, INTERIOR, np.int8), []
+        return []
     lattice = _corner_lattice(levels, anchors)
     index = _lattice_index(lattice, levels)
     points = _lattice_coords(lattice[index.first], spec)
-    combined = np.ones((n, 2 ** dim), bool)
     per_geom = []
     for geom in geometries:
         kept = geom.kept(points)[index.inverse].reshape(n, 2 ** dim)
@@ -189,12 +192,7 @@ def classify_elements(levels, anchors, spec, geometries):
         codes[count == 2 ** dim] = INTERIOR
         codes[count == 0] = EXTERIOR
         per_geom.append(codes)
-        combined &= kept
-    count = combined.sum(axis=1)
-    overall = np.full(n, INTERCEPTED, np.int8)
-    overall[count == 2 ** dim] = INTERIOR
-    overall[count == 0] = EXTERIOR
-    return overall, per_geom
+    return per_geom
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +208,9 @@ def build_tree(spec, geometries):
     walls = [_WALL_AXIS[name] for name in spec.refine_walls]
     while len(levels):
         refine = levels < spec.base_refine_level
-        if geometries:
-            _, per_geom = classify_elements(levels, anchors, spec, geometries)
-            for gspec, codes in zip(spec.geometries, per_geom):
-                refine |= (codes == INTERCEPTED) & (levels < gspec.refine_level)
+        per_geom = classify_elements(levels, anchors, spec, geometries)
+        for gspec, codes in zip(spec.geometries, per_geom):
+            refine |= (codes == INTERCEPTED) & (levels < gspec.refine_level)
         if walls and spec.wall_refine_level is not None:
             touch = np.zeros(len(levels), bool)
             top = (np.int64(1) << levels) - 1
@@ -242,21 +239,11 @@ def build_tree(spec, geometries):
 # Stage 2: 2:1 balance
 
 def _balance_directions(dim):
-    dirs = []
-    for axis in range(dim):
-        for sign in (-1, 1):
-            v = np.zeros(dim, np.int64)
-            v[axis] = sign
-            dirs.append(v)
-    if dim == 3:
-        for a in range(3):
-            for b in range(a + 1, 3):
-                for sa in (-1, 1):
-                    for sb in (-1, 1):
-                        v = np.zeros(3, np.int64)
-                        v[a], v[b] = sa, sb
-                        dirs.append(v)
-    return dirs
+    """Steps to a cell's face neighbours, plus its edge neighbours in 3-D:
+    every ``v`` in {-1, 0, 1}**dim with 1 to ``dim - 1`` nonzero entries."""
+    dirs = np.array(list(itertools.product((-1, 0, 1), repeat=dim)), np.int64)
+    nonzero = np.count_nonzero(dirs, axis=1)
+    return dirs[(nonzero >= 1) & (nonzero < dim)]
 
 
 def balance(levels, anchors, dim):
@@ -291,9 +278,11 @@ def balance(levels, anchors, dim):
 # Stage 3: carve
 
 def carve(levels, anchors, spec, geometries):
-    """Keep fully interior elements, sorted canonically; error if none."""
-    overall, _ = classify_elements(levels, anchors, spec, geometries)
-    kept = overall == INTERIOR
+    """Keep elements every geometry calls INTERIOR, sorted canonically;
+    error if none."""
+    kept = np.ones(len(levels), bool)
+    for codes in classify_elements(levels, anchors, spec, geometries):
+        kept &= codes == INTERIOR
     if not kept.any():
         raise EmptyMeshError(
             "carving left no interior elements; the domain may be thinner "
@@ -334,17 +323,14 @@ def _face_child_offsets(dim, axis, orient):
     offsets[:, axis] = 1 - orient
     for col, d in enumerate(tang):
         offsets[:, d] = combos[:, col]
-    return offsets, tang, combos
+    return offsets, combos
 
 
-def surrogate_faces(levels, anchors, dim, n_geoms):
-    """Enumerate boundary faces of the kept element set."""
+def surrogate_faces(levels, anchors, dim):
+    """Enumerate boundary faces of the kept element set; ``geom`` is left
+    at -1 for ``_assign_face_geometry``."""
     index = _cell_index(levels, anchors)
-    rows_element = []
-    rows_axis = []
-    rows_orient = []
-    rows_kind = []
-    rows_slices = []
+    groups = []     # (element rows, axis, orient, kind, slice codes)
     top = np.int64(1) << levels
     for axis in range(dim):
         for orient in (0, 1):
@@ -357,7 +343,7 @@ def surrogate_faces(levels, anchors, dim, n_geoms):
             parent = ~oob & ~covered
             covered[parent] = index.find(
                 _keys(levels[parent] - 1, na[parent] >> 1)) >= 0
-            offsets, tang, combos = _face_child_offsets(dim, axis, orient)
+            offsets, combos = _face_child_offsets(dim, axis, orient)
             open_rows = np.nonzero(~oob & ~covered)[0]
             child_kept = np.zeros((len(open_rows), len(offsets)), bool)
             for c, offset in enumerate(offsets):
@@ -366,58 +352,41 @@ def surrogate_faces(levels, anchors, dim, n_geoms):
                     _keys(levels[open_rows] + 1, child)) >= 0
             any_child = child_kept.any(axis=1)
             # wall faces and faces with no kept neighbor fragment: full face
-            full_rows = np.concatenate([np.nonzero(oob)[0],
-                                        open_rows[~any_child]])
-            kinds = np.concatenate([
-                np.full(int(oob.sum()), KIND_WALL, np.int8),
-                np.full(int((~any_child).sum()), KIND_GEOMETRY, np.int8)])
-            rows_element.append(full_rows)
-            rows_axis.append(np.full(len(full_rows), axis, np.int8))
-            rows_orient.append(np.full(len(full_rows), orient, np.int8))
-            rows_kind.append(kinds)
-            rows_slices.append(np.zeros((len(full_rows), dim - 1), np.int8))
+            whole = np.zeros(dim - 1, np.int8)
+            groups.append((np.nonzero(oob)[0], axis, orient, KIND_WALL, whole))
+            groups.append((open_rows[~any_child], axis, orient, KIND_GEOMETRY,
+                           whole))
             # partially covered faces: one sub-face per missing child
             part = open_rows[any_child]
             part_kept = child_kept[any_child]
             for c, combo in enumerate(combos):
-                miss = part[~part_kept[:, c]]
-                rows_element.append(miss)
-                rows_axis.append(np.full(len(miss), axis, np.int8))
-                rows_orient.append(np.full(len(miss), orient, np.int8))
-                rows_kind.append(np.full(len(miss), KIND_GEOMETRY, np.int8))
-                rows_slices.append(np.tile(1 + combo.astype(np.int8),
-                                           (len(miss), 1)))
-    element = np.concatenate(rows_element)
+                groups.append((part[~part_kept[:, c]], axis, orient,
+                               KIND_GEOMETRY, 1 + combo))
+    element = np.concatenate([group[0] for group in groups])
     order = np.argsort(element, kind="stable")
-    faces = SurrogateFaces(
-        element=element[order],
-        axis=np.concatenate(rows_axis)[order],
-        orient=np.concatenate(rows_orient)[order],
-        kind=np.concatenate(rows_kind)[order],
-        geom=np.full(len(element), -1, np.int32),
-        slices=np.vstack(rows_slices)[order],
-    )
-    geometry_rows = faces.kind == KIND_GEOMETRY
-    if n_geoms == 1:
-        faces.geom[geometry_rows] = 0
-    return faces
+    sizes = [len(group[0]) for group in groups]
+
+    def column(i):
+        values = np.array([group[i] for group in groups], np.int8)
+        return np.repeat(values, sizes, axis=0)[order]
+    return SurrogateFaces(element=element[order], axis=column(1),
+                          orient=column(2), kind=column(3),
+                          geom=np.full(len(element), -1, np.int32),
+                          slices=column(4))
 
 
 def _assign_face_geometry(mesh):
-    """Route each geometry face to the nearest surface when several exist."""
+    """Route each geometry face to the surface nearest its centre, the
+    first one on ties; a single geometry takes every face unmeasured."""
     faces = mesh.faces
     rows = np.nonzero(faces.kind == KIND_GEOMETRY)[0]
-    if len(rows) == 0 or len(mesh.geometries) <= 1:
-        return
-    centers = mesh.face_centers()[rows]
-    best = np.full(len(rows), np.inf)
-    pick = np.zeros(len(rows), np.int32)
-    for g, geom in enumerate(mesh.geometries):
-        dist = geom.closest(centers).distances
-        closer = dist < best
-        best[closer] = dist[closer]
-        pick[closer] = g
-    faces.geom[rows] = pick
+    if len(mesh.geometries) > 1 and len(rows):
+        centers = mesh.face_centers()[rows]
+        faces.geom[rows] = np.argmin(
+            [geom.closest(centers).distances for geom in mesh.geometries],
+            axis=0)
+    else:
+        faces.geom[rows] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -426,37 +395,16 @@ def _assign_face_geometry(mesh):
 def _probe_table(dim):
     """Midpoint probes in doubled-corner coordinates (0..2 per axis).
 
-    Each row: probe position, plus the corner list it averages.
+    One probe per balance direction ``v``: the centre ``v + 1`` of the face
+    or edge shared with that neighbour, with the corners it averages (those
+    that match it on every axis where ``v`` is nonzero).
     """
-    probes = []
     bits = corner_bits(dim)
-    if dim == 2:
-        for axis in range(2):
-            for orient in (0, 2):
-                pos = np.array([1, 1], np.int64)
-                pos[axis] = orient
-                corners = [k for k in range(4)
-                           if bits[k, axis] * 2 == orient]
-                probes.append((pos, corners))
-    else:
-        for axis in range(3):
-            for orient in (0, 2):
-                pos = np.ones(3, np.int64)
-                pos[axis] = orient
-                corners = [k for k in range(8)
-                           if bits[k, axis] * 2 == orient]
-                probes.append((pos, corners))
-        for axis in range(3):
-            others = [d for d in range(3) if d != axis]
-            for b0 in (0, 2):
-                for b1 in (0, 2):
-                    pos = np.ones(3, np.int64)
-                    pos[others[0]] = b0
-                    pos[others[1]] = b1
-                    corners = [k for k in range(8)
-                               if bits[k, others[0]] * 2 == b0
-                               and bits[k, others[1]] * 2 == b1]
-                    probes.append((pos, corners))
+    probes = []
+    for v in _balance_directions(dim):
+        on = v != 0
+        corners = np.nonzero((2 * bits[:, on] == v[on] + 1).all(axis=1))[0]
+        probes.append((v + 1, corners))
     return probes
 
 
@@ -473,50 +421,46 @@ def number_nodes(levels, anchors, dim):
     elem_nodes = index.inverse.reshape(len(levels), 2 ** dim)
 
     hanging = {}
-    half = (np.int64(1) << (_NL - levels)) >> 1
-    can = half >= 1
-    origins = anchors * (np.int64(1) << (_NL - levels))[:, None]
+    size = np.int64(1) << (_NL - levels)
+    rows = np.nonzero(size >= 2)[0]
+    origins = anchors[rows] * size[rows, None]
+    half = size[rows, None] >> 1
     for pos, corners in _probe_table(dim):
-        probe = origins[can] + half[can, None] * pos[None, :]
-        found = index.find(probe)
+        found = index.find(origins + half * pos)
+        # every cell that finds a node on this probe names the same corners
+        hit = np.nonzero(found >= 0)[0]
+        nodes, first = np.unique(found[hit], return_index=True)
+        parents = elem_nodes[rows[hit[first]]][:, corners].tolist()
         weight = 1.0 / len(corners)
-        for row, node in zip(np.nonzero(can)[0][found >= 0], found[found >= 0]):
-            if node in hanging:
-                continue
-            hanging[int(node)] = tuple(
-                (int(elem_nodes[row, k]), weight) for k in corners)
+        hanging.update(
+            (node, tuple((parent, weight) for parent in row))
+            for node, row in zip(nodes.tolist(), parents))
     return node_lattice, elem_nodes, hanging
 
 
 def _constraint_matrix(n_nodes, hanging):
-    """Sparse map from free node values to all node values."""
-    free = [n for n in range(n_nodes) if n not in hanging]
-    col_of = {n: c for c, n in enumerate(free)}
-    cache = {}
+    """Sparse map from free node values to all node values.
 
-    def resolve(node, trail):
-        if node in cache:
-            return cache[node]
-        if node not in hanging:
-            result = {col_of[node]: 1.0}
-        else:
-            if node in trail:
-                raise MeshError("hanging node constraints form a cycle")
-            result = {}
-            for parent, weight in hanging[node]:
-                for col, w in resolve(parent, trail | {node}).items():
-                    result[col] = result.get(col, 0.0) + weight * w
-        cache[node] = result
-        return result
-
-    rows, cols, vals = [], [], []
-    for node in range(n_nodes):
-        for col, w in resolve(node, frozenset()).items():
-            rows.append(node)
-            cols.append(col)
-            vals.append(w)
+    A free node's row is its own column; a hanging node's row holds its
+    weights on its parents' columns. 2:1 balance across faces (and edges
+    in 3-D) keeps every parent free, so these rows are the whole map.
+    """
+    entry = np.array(
+        [(node, parent, weight) for node, pairs in hanging.items()
+         for parent, weight in pairs],
+        dtype=[("node", np.int64), ("parent", np.int64), ("weight", float)])
+    is_free = np.ones(n_nodes, bool)
+    is_free[entry["node"]] = False
+    if not is_free[entry["parent"]].all():
+        raise MeshError("a hanging node's parent is hanging too; the tree "
+                        "is not 2:1 balanced")
+    free = np.nonzero(is_free)[0]
+    column = np.cumsum(is_free) - 1
+    rows = np.concatenate([free, entry["node"]])
+    cols = column[np.concatenate([free, entry["parent"]])]
+    vals = np.concatenate([np.ones(len(free)), entry["weight"]])
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, len(free)))
-    return np.asarray(free, np.int64), matrix
+    return free, matrix
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +546,7 @@ def build_mesh(spec, base_dir="."):
     levels, anchors = build_tree(spec, geometries)
     levels, anchors = balance(levels, anchors, spec.dimension)
     levels, anchors = carve(levels, anchors, spec, geometries)
-    faces = surrogate_faces(levels, anchors, spec.dimension, len(geometries))
+    faces = surrogate_faces(levels, anchors, spec.dimension)
     node_lattice, elem_nodes, hanging = number_nodes(levels, anchors,
                                                      spec.dimension)
     free_nodes, constraint = _constraint_matrix(len(node_lattice), hanging)

@@ -33,7 +33,8 @@ expression. Sections and keys:
 
 ``[boundary_regions]``
     ``id = predicate`` lines; order matters, the first satisfied predicate
-    claims the point.
+    claims the point. A predicate's root is a comparison, ``&&``/``||``,
+    ``true`` or ``false``; a value's root is none of these.
 
 ``[boundary_conditions]``
     ``var @ region = dirichlet|neumann, value-expression``.
@@ -288,11 +289,19 @@ def _parse_names(text):
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-def _parse_expr(text, line_no, names=None):
+def _parse_expr(text, line_no, names=None, predicate=None):
+    """Parse one expression of the script. ``predicate`` True demands a
+    boolean root (a comparison, ``&&``/``||``, ``true``/``false``), False
+    forbids one, and None (the weak form) checks neither."""
     try:
-        return ex.parse(text, names=names)
+        expr = ex.parse(text, names=names)
     except ParseError as err:
         raise ParseError(err.message, line=line_no, col=err.col) from None
+    if predicate is not None and ex.is_predicate(expr) != predicate:
+        want = ("a predicate (a comparison, '&&', '||', true or false)"
+                if predicate else "a numeric value, not a predicate")
+        raise ParseError(f"expected {want}: '{text.strip()}'", line=line_no)
+    return expr
 
 
 def _split_top_level(text):
@@ -325,7 +334,8 @@ def _parse_coefficient(text, line_no, key):
         return float(text)
     except ValueError:
         pass
-    return _parse_expr(text, line_no, names=set(COORD_NAMES) | {"t"})
+    return _parse_expr(text, line_no, names=set(COORD_NAMES) | {"t"},
+                       predicate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +369,7 @@ def parse_problem(text):
     if domain.get("refine_where") is not None:
         refine_where = _parse_expr(
             domain.get("refine_where"), domain.line("refine_where"),
-            names=set(COORD_NAMES[:dimension]) | {"t", "level"})
+            names=set(COORD_NAMES[:dimension]) | {"t", "level"}, predicate=True)
 
     if "variables" not in sections:
         raise ParseError("script has no [variables] section", line=1)
@@ -404,7 +414,8 @@ def parse_problem(text):
             if rid in seen_regions:
                 raise ParseError(f"duplicate boundary region {rid}", line=line_no)
             seen_regions.add(rid)
-            boundary_regions.append((rid, _parse_expr(value, line_no, predicate_names)))
+            boundary_regions.append(
+                (rid, _parse_expr(value, line_no, predicate_names, predicate=True)))
 
     value_names = predicate_names | {
         name for name, value in coefficients.items() if not isinstance(value, tuple)
@@ -434,14 +445,15 @@ def parse_problem(text):
                 raise ParseError(
                     f"duplicate boundary condition for {var} @ {rid}", line=line_no)
             boundary_conditions[(var, rid)] = BoundaryCondition(
-                kind, _parse_expr(parts[1], line_no, value_names))
+                kind, _parse_expr(parts[1], line_no, value_names, predicate=False))
 
     initial_conditions = {}
     if "initial_conditions" in sections:
         for line_no, key, value in sections["initial_conditions"]:
             if key in initial_conditions:
                 raise ParseError(f"duplicate initial condition for '{key}'", line=line_no)
-            initial_conditions[key] = _parse_expr(value, line_no, value_names)
+            initial_conditions[key] = _parse_expr(value, line_no, value_names,
+                                                  predicate=False)
 
     solver = SolverOptions()
     if "solver" in sections:

@@ -1,0 +1,148 @@
+"""Former mesh-stage implementations, kept as references for the tests.
+
+Each function is the code ``treefem.mesh`` ran before its stage was
+rewritten with arrays: the face/edge rule spelled out per dimension, the
+hanging map filled one hit at a time, the constraint resolved node by
+node through chains of midpoint averages, and the carve classes computed
+from a combined corner mask as well as per geometry.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from treefem.errors import MeshError
+from treefem.mesh import (
+    EXTERIOR, INTERCEPTED, INTERIOR, _NL, _corner_lattice, _lattice_coords,
+    _lattice_index, corner_bits,
+)
+
+
+def balance_directions(dim):
+    dirs = []
+    for axis in range(dim):
+        for sign in (-1, 1):
+            v = np.zeros(dim, np.int64)
+            v[axis] = sign
+            dirs.append(v)
+    if dim == 3:
+        for a in range(3):
+            for b in range(a + 1, 3):
+                for sa in (-1, 1):
+                    for sb in (-1, 1):
+                        v = np.zeros(3, np.int64)
+                        v[a], v[b] = sa, sb
+                        dirs.append(v)
+    return dirs
+
+
+def probe_table(dim):
+    """Midpoint probes in doubled-corner coordinates (0..2 per axis).
+
+    Each row: probe position, plus the corner list it averages.
+    """
+    probes = []
+    bits = corner_bits(dim)
+    if dim == 2:
+        for axis in range(2):
+            for orient in (0, 2):
+                pos = np.array([1, 1], np.int64)
+                pos[axis] = orient
+                corners = [k for k in range(4)
+                           if bits[k, axis] * 2 == orient]
+                probes.append((pos, corners))
+    else:
+        for axis in range(3):
+            for orient in (0, 2):
+                pos = np.ones(3, np.int64)
+                pos[axis] = orient
+                corners = [k for k in range(8)
+                           if bits[k, axis] * 2 == orient]
+                probes.append((pos, corners))
+        for axis in range(3):
+            others = [d for d in range(3) if d != axis]
+            for b0 in (0, 2):
+                for b1 in (0, 2):
+                    pos = np.ones(3, np.int64)
+                    pos[others[0]] = b0
+                    pos[others[1]] = b1
+                    corners = [k for k in range(8)
+                               if bits[k, others[0]] * 2 == b0
+                               and bits[k, others[1]] * 2 == b1]
+                    probes.append((pos, corners))
+    return probes
+
+
+def fill_hanging(levels, anchors, elem_nodes, find, dim):
+    """The hanging map, filled hit by hit; ``find`` maps lattice points to
+    node indices or -1."""
+    hanging = {}
+    half = (np.int64(1) << (_NL - levels)) >> 1
+    can = half >= 1
+    origins = anchors * (np.int64(1) << (_NL - levels))[:, None]
+    for pos, corners in probe_table(dim):
+        probe = origins[can] + half[can, None] * pos[None, :]
+        found = find(probe)
+        weight = 1.0 / len(corners)
+        for row, node in zip(np.nonzero(can)[0][found >= 0], found[found >= 0]):
+            if node in hanging:
+                continue
+            hanging[int(node)] = tuple(
+                (int(elem_nodes[row, k]), weight) for k in corners)
+    return hanging
+
+
+def constraint_matrix(n_nodes, hanging):
+    """Sparse map from free node values to all node values."""
+    free = [n for n in range(n_nodes) if n not in hanging]
+    col_of = {n: c for c, n in enumerate(free)}
+    cache = {}
+
+    def resolve(node, trail):
+        if node in cache:
+            return cache[node]
+        if node not in hanging:
+            result = {col_of[node]: 1.0}
+        else:
+            if node in trail:
+                raise MeshError("hanging node constraints form a cycle")
+            result = {}
+            for parent, weight in hanging[node]:
+                for col, w in resolve(parent, trail | {node}).items():
+                    result[col] = result.get(col, 0.0) + weight * w
+        cache[node] = result
+        return result
+
+    rows, cols, vals = [], [], []
+    for node in range(n_nodes):
+        for col, w in resolve(node, frozenset()).items():
+            rows.append(node)
+            cols.append(col)
+            vals.append(w)
+    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, len(free)))
+    return np.asarray(free, np.int64), matrix
+
+
+def classify_elements(levels, anchors, spec, geometries):
+    """Per-element class overall and against each geometry separately."""
+    n = len(levels)
+    dim = anchors.shape[1]
+    if not geometries:
+        return np.full(n, INTERIOR, np.int8), []
+    lattice = _corner_lattice(levels, anchors)
+    index = _lattice_index(lattice, levels)
+    points = _lattice_coords(lattice[index.first], spec)
+    combined = np.ones((n, 2 ** dim), bool)
+    per_geom = []
+    for geom in geometries:
+        kept = geom.kept(points)[index.inverse].reshape(n, 2 ** dim)
+        count = kept.sum(axis=1)
+        codes = np.full(n, INTERCEPTED, np.int8)
+        codes[count == 2 ** dim] = INTERIOR
+        codes[count == 0] = EXTERIOR
+        per_geom.append(codes)
+        combined &= kept
+    count = combined.sum(axis=1)
+    overall = np.full(n, INTERCEPTED, np.int8)
+    overall[count == 2 ** dim] = INTERIOR
+    overall[count == 0] = EXTERIOR
+    return overall, per_geom

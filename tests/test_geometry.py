@@ -584,7 +584,9 @@ def test_20k_triangle_surface_meshes_and_sets_up(tmp_path):
     surf = mesh.geometries[0]
     assert np.array_equal(surf.edge_slot_normals,
                           scan_edge_slot_normals(surf.faces, surf.face_normals))
-    batches = [b for b in asm.face_batches if b.kind == KIND_GEOMETRY]
+    # the sphere touches no wall, so every face batch is a geometry batch
+    assert (mesh.faces.kind == KIND_GEOMETRY).all()
+    batches = asm.face_batches
     x_surr = np.concatenate([b.x_surr.reshape(-1, 3) for b in batches])
     x_true = np.concatenate([b.x_true.reshape(-1, 3) for b in batches])
     n_true = np.concatenate([b.n_true.reshape(-1, 3) for b in batches])

@@ -1,15 +1,23 @@
 """Tree mesh construction: refinement, balance, carving, constraints."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treefem.mesh as mesh_module
 from treefem.errors import EmptyMeshError, MeshError
+from treefem.geometry import load_geometry
 from treefem.mesh import (
-    KIND_GEOMETRY, KIND_WALL, balance, build_mesh, build_tree, carve,
-    corner_bits, surrogate_faces,
+    INTERIOR, KIND_GEOMETRY, KIND_WALL, _constraint_matrix, _corner_lattice,
+    _lattice_index, balance, build_mesh, build_tree, carve,
+    classify_elements, corner_bits, number_nodes,
 )
 from treefem.problem import parse_problem
+
+import mesh_oracles as oracle
+from test_tree_index import box_spec
 
 BASE_2D = """
 [domain]
@@ -267,8 +275,9 @@ dot(grad(u), grad(v)) - 1.0 * v
     assert two_to_one_ok(mesh, include_edges=True)
 
 
-def test_chained_constraints_reproduce_linears():
-    # steep gradation in one corner produces constraint chains
+def test_steep_corner_gradation_reproduces_linears():
+    # levels 2 to 7 graded 2:1 towards one corner; balance keeps every
+    # parent of a hanging node free, so no constraint refers to another
     mesh = mesh_2d(base=2, extra=(
         "refine_where = x < exp(-0.6 * level) && y < exp(-0.6 * level) "
         "&& level < 7"))
@@ -313,6 +322,47 @@ def test_balance_gradation_property(ix, iy, wx, wy, depth):
     check_linear_reproduction(mesh)
     area, normal = face_area_normal(mesh)
     assert np.abs((area[:, None] * normal).sum(axis=0)).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2 ** 32 - 1))
+def test_numbering_and_constraint_match_oracles(dim, seed):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 0.7, dim).round(3)
+    hi = (lo + rng.uniform(0.1, 0.5, dim)).round(3)
+    base = int(rng.integers(1, 3))
+    depth = base + int(rng.integers(1, 6 if dim == 2 else 4))
+    tree = build_tree(box_spec(dim, base, lo, hi, depth), [])
+    levels, anchors = balance(*tree, dim)
+    with mock.patch.object(mesh_module, "_balance_directions",
+                           oracle.balance_directions):
+        oracle_levels, oracle_anchors = balance(*tree, dim)
+    assert np.array_equal(levels, oracle_levels)
+    assert np.array_equal(anchors, oracle_anchors)
+
+    node_lattice, elem_nodes, hanging = number_nodes(levels, anchors, dim)
+    index = _lattice_index(_corner_lattice(levels, anchors), levels)
+    assert hanging == oracle.fill_hanging(levels, anchors, elem_nodes,
+                                          index.find, dim)
+    free, constraint = _constraint_matrix(len(node_lattice), hanging)
+    oracle_free, oracle_constraint = oracle.constraint_matrix(
+        len(node_lattice), hanging)
+    assert np.array_equal(free, oracle_free)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(constraint, part),
+                              getattr(oracle_constraint, part))
+    assert (np.asarray(constraint.sum(axis=1)).ravel() == 1.0).all()
+    assert not set(hanging) & {p for pairs in hanging.values()
+                               for p, _ in pairs}
+
+
+@pytest.mark.parametrize("hanging", [
+    {1: ((0, 0.5), (2, 0.5)), 2: ((0, 0.5), (3, 0.5))},
+    {1: ((0, 0.5), (2, 0.5)), 2: ((1, 0.5), (3, 0.5))},
+], ids=["chain", "cycle"])
+def test_constraint_rejects_hanging_parent(hanging):
+    with pytest.raises(MeshError, match="parent is hanging"):
+        _constraint_matrix(4, hanging)
 
 
 def test_balance_is_fixpoint():
@@ -401,6 +451,48 @@ def test_void_circle_keeps_outside():
     geom_rows = kinds == KIND_GEOMETRY
     r = np.linalg.norm(centers[geom_rows] - 0.5, axis=1)
     assert (r < 0.2 + 3 * h).all()
+
+
+ANNULUS_2D = CIRCLE_2D.format(
+    base=4, glevel=6, radius=0.45, extra="", gextra="") + """
+[geometry]
+shape = circle
+center = 0.5, 0.5
+radius = 0.2
+refine_level = 6
+outer_boundary = false
+boundary_types = sbm
+bids = 1
+"""
+
+
+def test_annulus_routes_faces_to_nearest_circle():
+    spec = parse_problem(ANNULUS_2D)
+    mesh = build_mesh(spec)
+    lo, hi = element_boxes(mesh)
+    for b in corner_bits(2):
+        r = np.linalg.norm(np.where(b, hi, lo) - 0.5, axis=1)
+        assert (r >= 0.2 - 1e-12).all()
+        assert (r <= 0.45 + 1e-12).all()
+    assert (mesh.faces.kind == KIND_GEOMETRY).all()
+    r = np.linalg.norm(mesh.face_centers() - 0.5, axis=1)
+    outer = r > 0.325
+    assert (mesh.faces.geom[outer] == 0).all()
+    assert (mesh.faces.geom[~outer] == 1).all()
+    assert (outer.sum(), (~outer).sum()) == (192, 96)
+    # on the balanced tree, the per-geometry classes and the carve agree
+    # with the combined-mask oracle
+    geometries = [load_geometry(g, 2, ".") for g in spec.geometries]
+    levels, anchors = balance(*build_tree(spec, geometries), 2)
+    per_geom = classify_elements(levels, anchors, spec, geometries)
+    overall, oracle_per_geom = oracle.classify_elements(
+        levels, anchors, spec, geometries)
+    assert len(per_geom) == 2
+    for codes, expected in zip(per_geom, oracle_per_geom):
+        assert np.array_equal(codes, expected)
+    kept = (per_geom[0] == INTERIOR) & (per_geom[1] == INTERIOR)
+    assert np.array_equal(kept, overall == INTERIOR)
+    assert len(mesh.levels) == kept.sum()
 
 
 def test_sphere_carve_volume():

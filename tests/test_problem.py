@@ -214,6 +214,30 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="var @ region"):
             parse_problem(script)
 
+    @pytest.mark.parametrize("old, new, want", [
+        ("1 = true", "1 = 1", "predicate"),
+        ("1 = true", "1 = x", "predicate"),
+        ("base_refine_level = 5", "base_refine_level = 5\nrefine_where = 4 - level",
+         "predicate"),
+        ("base_refine_level = 5", "base_refine_level = 5\nrefine_where = 0.5 - x",
+         "predicate"),
+        ("u @ 1 = dirichlet, 0.01", "u @ 1 = dirichlet, x < 0.5", "numeric value"),
+        ("u @ 1 = dirichlet, 0.01", "u @ 1 = dirichlet, true", "numeric value"),
+        ("f = 1", "f = x > 0.5 || y > 0.5", "numeric value"),
+        ("u @ 1 = dirichlet, 0.01",
+         "u @ 1 = dirichlet, 0.01\n\n[initial_conditions]\nu = x <= 0.5",
+         "numeric value"),
+    ], ids=["region_number", "region_name", "refine_level_difference",
+            "refine_coordinate_difference", "bc_comparison", "bc_true",
+            "coefficient_or", "initial_comparison"])
+    def test_expression_of_wrong_type_names_its_line(self, old, new, want):
+        # the offending expression is the last line of ``new``
+        script = edit(CIRCLE_SCRIPT, old, new)
+        with pytest.raises(ParseError, match=want) as err:
+            parse_problem(script)
+        assert err.value.line == script.splitlines().index(
+            new.splitlines()[-1]) + 1
+
 
 class TestValidation:
     def test_bc_without_region(self):

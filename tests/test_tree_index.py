@@ -14,11 +14,12 @@ from hypothesis import given, settings, strategies as st
 from treefem.errors import MeshError
 from treefem.mesh import (
     TreeIndex, _NL, _cell_index, _corner_lattice, _keys, _lattice_index,
-    _probe_table, balance, build_mesh, build_tree, corner_bits,
+    balance, build_mesh, build_tree, corner_bits,
 )
 from treefem.problem import parse_problem
 
 from mesh_digests import GOLDEN, case_meshes, mesh_digests
+from mesh_oracles import fill_hanging
 
 
 def _match(table, queries):
@@ -51,18 +52,8 @@ def oracle_number_nodes(levels, anchors, dim):
     lattice = _corner_lattice(levels, anchors)
     node_lattice, inverse = np.unique(lattice, axis=0, return_inverse=True)
     elem_nodes = inverse.ravel().reshape(len(levels), 2 ** dim)
-    hanging = {}
-    half = (np.int64(1) << (_NL - levels)) >> 1
-    can = half >= 1
-    origins = anchors * (np.int64(1) << (_NL - levels))[:, None]
-    for pos, corners in _probe_table(dim):
-        probe = origins[can] + half[can, None] * pos[None, :]
-        found = _match(node_lattice, probe)
-        weight = 1.0 / len(corners)
-        for row, node in zip(np.nonzero(can)[0][found >= 0], found[found >= 0]):
-            if node not in hanging:
-                hanging[int(node)] = tuple(
-                    (int(elem_nodes[row, k]), weight) for k in corners)
+    hanging = fill_hanging(levels, anchors, elem_nodes,
+                           lambda probe: _match(node_lattice, probe), dim)
     return node_lattice, elem_nodes, hanging
 
 
