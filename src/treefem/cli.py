@@ -93,11 +93,12 @@ def cmd_run(script_path, output_dir=".", level=None, exact=None):
         spec = with_levels(spec, level)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    unknown = spec.variables[0]
     written = []
     tick = time.perf_counter()
     mesh = build_mesh(spec, base_dir)
     mesh_seconds = time.perf_counter() - tick
+    # the field is named after the unknown the kernel solves
+    unknown = compile_kernel(spec).unknown
 
     def write(path, values):
         write_fields_vtk(path, mesh, {unknown: values})

@@ -75,29 +75,7 @@ def _c_name(name):
 
 def c_scalar(expr):
     """Print a kernel scalar program as a C expression."""
-    if isinstance(expr, ex.Num):
-        return ex._fmt_num(expr.value)
-    if isinstance(expr, ex.Bool):
-        return "true" if expr.value else "false"
-    if isinstance(expr, ex.Name):
-        return _c_name(expr.id)
-    if isinstance(expr, ex.Neg):
-        inner = c_scalar(expr.arg)
-        if ex._level(expr.arg) < ex._LEVEL_UNARY:
-            inner = f"({inner})"
-        return "-" + inner
-    if isinstance(expr, ex.Call):
-        fn = _CALL_NAMES.get(expr.fn, expr.fn)
-        return f"{fn}({', '.join(c_scalar(a) for a in expr.args)})"
-    if isinstance(expr, ex.Bin):
-        mine = ex._level(expr)
-        left, right = c_scalar(expr.left), c_scalar(expr.right)
-        if ex._level(expr.left) < mine:
-            left = f"({left})"
-        if ex._level(expr.right) <= mine:
-            right = f"({right})"
-        return f"{left} {expr.op} {right}"
-    raise CodegenError(f"not a scalar program node: {expr!r}")
+    return ex._render(expr, _c_name, lambda fn: _CALL_NAMES.get(fn, fn))
 
 
 def _weight_factor(scalar):

@@ -366,23 +366,30 @@ def _fmt_num(value):
 
 def to_text(expr):
     """Print ``expr`` so that :func:`parse` round-trips it structurally."""
+    return _render(expr, lambda name: name, lambda fn: fn)
+
+
+def _render(expr, name, call):
+    """Print ``expr`` with the grammar's precedence and parentheses, each
+    plain identifier as ``name(id)`` and each call's function as ``call(fn)``."""
     if isinstance(expr, Num):
         return _fmt_num(expr.value)
     if isinstance(expr, Bool):
         return "true" if expr.value else "false"
     if isinstance(expr, Name):
-        return expr.id
+        return name(expr.id)
     if isinstance(expr, Neg):
-        inner = to_text(expr.arg)
+        inner = _render(expr.arg, name, call)
         if _level(expr.arg) < _LEVEL_UNARY:
             inner = f"({inner})"
         return "-" + inner
     if isinstance(expr, Call):
-        return f"{expr.fn}({', '.join(to_text(a) for a in expr.args)})"
+        args = ", ".join(_render(a, name, call) for a in expr.args)
+        return f"{call(expr.fn)}({args})"
     if isinstance(expr, Bin):
         mine = _BIN_LEVEL[expr.op]
-        left = to_text(expr.left)
-        right = to_text(expr.right)
+        left = _render(expr.left, name, call)
+        right = _render(expr.right, name, call)
         if _level(expr.left) < mine:
             left = f"({left})"
         # All binary operators parse left-associative, so a right child at

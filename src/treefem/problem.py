@@ -1,16 +1,19 @@
 """Problem scripts: the structured-text front end.
 
 A problem script is a UTF-8 text document made of ``[section]`` headers and
-``key = value`` lines. ``#`` starts a comment anywhere on a line. The
-``[weak_form]`` section is special: its lines are joined verbatim into one
-expression. Sections and keys:
+``key = value`` lines. ``#`` starts a comment anywhere on a line. Only
+``[geometry]`` may appear more than once. The ``[weak_form]`` section is
+special: its lines are joined verbatim into one expression. The keyed
+sections are read first, in script order: the first bad row of a section
+in line order is reported, and a missing required key at its header line.
+Sections and keys:
 
 ``[domain]`` (required)
     ``dimension`` (2 or 3), ``min``/``max`` (comma separated coordinates),
     ``base_refine_level`` (>= 1), optional ``wall_refine_level``,
-    ``refine_walls`` (comma list of wall names), and ``refine_where``
-    (a predicate over x, y, z, t, level). Wall names are ``x-``, ``x+``,
-    ``y-``, ``y+``, ``z-``, ``z+``.
+    ``refine_walls`` (comma list of wall names), and ``refine_where`` (a
+    predicate that may also name ``level``). Wall names are ``x-``,
+    ``x+``, ``y-``, ``y+``, ``z-``, ``z+``.
 
 ``[geometry]`` (repeatable)
     ``shape`` = ``circle`` | ``sphere`` | ``mesh``; ``center``/``radius``
@@ -29,7 +32,7 @@ expression. Sections and keys:
 
 ``[coefficients]``
     ``name = value`` where value is a number, a comma separated numeric
-    vector, or an expression over x, y, z, t.
+    vector, or an expression.
 
 ``[boundary_regions]``
     ``id = predicate`` lines; order matters, the first satisfied predicate
@@ -49,6 +52,12 @@ expression. Sections and keys:
 ``[weak_form]`` (required)
     The residual expression; volume terms plus ``dirichletBoundary(...)``
     and ``neumannBoundary(...)`` surface blocks.
+
+Every expression outside the weak form may name the coordinates of the
+script's dimension (``x``, ``y``, and ``z`` in 3-D), ``t``, and the scalar
+and expression coefficients declared before it. ``refine_where`` is read
+with ``[domain]``, before any coefficient. The weak form names the fields,
+the test symbol and every coefficient.
 """
 
 from __future__ import annotations
@@ -159,134 +168,169 @@ class ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# Script scanning
+# Value readers: (text, line_no, key) -> value, raising ParseError
 
-_SECTION_KEYS = {
-    "domain": {"dimension", "min", "max", "base_refine_level",
-               "wall_refine_level", "refine_walls", "refine_where"},
-    "geometry": {"shape", "center", "radius", "mesh_file", "name", "position",
-                 "outer_boundary", "refine_level", "boundary_types", "bids"},
-    "time": {"scheme", "dt", "steps"},
-    "variables": {"names", "test"},
-    "coefficients": None,           # free keys
-    "boundary_regions": None,
-    "boundary_conditions": None,
-    "initial_conditions": None,
-    "solver": {"ksp_type", "max_iterations", "abs_tol", "rel_tol", "pc_type"},
-    "weak_form": None,              # raw text body
+def _number(convert, noun):
+    def read(text, line_no, key):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ParseError(f"{key} must be {noun}, got '{text}'", line=line_no) from None
+    return read
+
+
+_parse_int = _number(int, "an integer")
+_parse_float = _number(float, "a number")
+
+
+def _parse_bool(text, line_no, key):
+    if text.lower() not in ("true", "false"):
+        raise ParseError(f"{key} must be true or false, got '{text}'", line=line_no)
+    return text.lower() == "true"
+
+
+def _parse_floats(text, line_no, key):
+    return tuple(_parse_float(p.strip(), line_no, key) for p in text.split(","))
+
+
+def _parse_names(text, line_no=None, key=None):
+    return tuple(p.strip() for p in text.split(",") if p.strip())
+
+
+def _parse_ints(text, line_no, key):
+    return tuple(_parse_int(p, line_no, key) for p in _parse_names(text))
+
+
+def _raw(text, line_no, key):
+    return text
+
+
+def _word(text, line_no, key):
+    return text.lower()
+
+
+def _choice(text, line_no, noun, words, hint=""):
+    """``text`` lower-cased, which must be one of ``words``."""
+    word = text.lower()
+    if word not in words:
+        raise ParseError(f"unknown {noun} '{word}'{hint}", line=line_no)
+    return word
+
+
+def _parse_shape(text, line_no, key):
+    return _choice(text, line_no, "geometry shape", _SHAPE_KEYS)
+
+
+def _parse_scheme(text, line_no, key):
+    return TimeScheme(_choice(text, line_no, "time scheme", [s.value for s in TimeScheme],
+                              " (euler_implicit or bdf2)"))
+
+
+# ---------------------------------------------------------------------------
+# Script schema and scanning
+
+# Every key of each keyed section with its reader, then the required keys.
+# A value is stored under the dataclass field it fills: the key itself
+# unless _FIELD renames it.
+_SCHEMA = {
+    "domain": ({"dimension": _parse_int, "min": _parse_floats, "max": _parse_floats,
+                "base_refine_level": _parse_int, "wall_refine_level": _parse_int,
+                "refine_walls": _parse_names, "refine_where": _raw},
+               ("dimension", "min", "max", "base_refine_level")),
+    "geometry": ({"shape": _parse_shape, "center": _parse_floats,
+                  "radius": _parse_float, "mesh_file": _raw, "name": _raw,
+                  "position": _parse_floats, "outer_boundary": _parse_bool,
+                  "refine_level": _parse_int, "boundary_types": _parse_names,
+                  "bids": _parse_ints},
+                 ("shape", "refine_level")),
+    "time": ({"scheme": _parse_scheme, "dt": _parse_float, "steps": _parse_int},
+             ("scheme", "dt", "steps")),
+    "variables": ({"names": _parse_names, "test": _raw}, ("names",)),
+    "solver": ({"ksp_type": _word, "max_iterations": _parse_int,
+                "abs_tol": _parse_float, "rel_tol": _parse_float, "pc_type": _word},
+               ()),
 }
+_FIELD = {"min": "domain_min", "max": "domain_max", "names": "variables",
+          "test": "test_symbol", "shape": "kind", "steps": "num_steps"}
+# Sections of free ``key = value`` rows, and the raw weak form body.
+_FREE_SECTIONS = ("coefficients", "boundary_regions", "boundary_conditions",
+                  "initial_conditions", "weak_form")
+# The keys each geometry shape needs; the others of these it must not have.
+_SHAPE_KEYS = {"circle": ("center", "radius"), "sphere": ("center", "radius"),
+               "mesh": ("mesh_file",)}
 
 
 def _scan(text):
     """Split the script into sections.
 
-    Returns (sections, geometry_sections, weak_form_lines) where sections
-    maps a name to a list of (line_no, key, value) and weak_form_lines is a
-    list of (line_no, text).
+    Returns a dict mapping a section name to a list of (header_line, rows),
+    one entry per section; only ``[geometry]`` may repeat. A row is
+    (line_no, key, value), or (line_no, text) in ``[weak_form]``.
     """
     sections = {}
-    geometry_sections = []
-    weak_lines = []
-    current = None
-    bucket = None
+    rows = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        stripped = line.strip()
-        if stripped.startswith("["):
-            if not stripped.endswith("]"):
+        if line.startswith("["):
+            if not line.endswith("]"):
                 raise ParseError("unterminated section header", line=line_no)
-            name = stripped[1:-1].strip()
-            if name not in _SECTION_KEYS:
+            name = line[1:-1].strip()
+            if name not in _SCHEMA and name not in _FREE_SECTIONS:
                 raise ParseError(f"unknown section [{name}]", line=line_no)
-            current = name
-            if name == "geometry":
-                bucket = []
-                geometry_sections.append((line_no, bucket))
-            elif name == "weak_form":
-                bucket = weak_lines
-            else:
-                if name in sections:
-                    raise ParseError(f"duplicate section [{name}]", line=line_no)
-                bucket = sections.setdefault(name, [])
+            if name in sections and name != "geometry":
+                raise ParseError(f"duplicate section [{name}]", line=line_no)
+            rows = []
+            sections.setdefault(name, []).append((line_no, rows))
             continue
-        if current is None:
+        if rows is None:
             raise ParseError("content before the first [section] header", line=line_no)
-        if current == "weak_form":
-            bucket.append((line_no, stripped))
+        if name == "weak_form":
+            rows.append((line_no, line))
             continue
         if "=" not in line:
             raise ParseError("expected 'key = value'", line=line_no)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if not key:
             raise ParseError("missing key before '='", line=line_no)
-        allowed = _SECTION_KEYS[current]
-        if allowed is not None and key not in allowed:
-            raise ParseError(f"unknown key '{key}' in [{current}]", line=line_no)
-        bucket.append((line_no, key, value))
-    return sections, geometry_sections, weak_lines
+        rows.append((line_no, key, value.strip()))
+    return sections
 
 
-class _Section:
-    """Key/value access with duplicate detection and line tracking."""
-
-    def __init__(self, name, rows):
-        self.name = name
-        self.rows = rows
-        self.map = {}
-        for line_no, key, value in rows:
-            if key in self.map:
-                raise ParseError(f"duplicate key '{key}' in [{name}]", line=line_no)
-            self.map[key] = (line_no, value)
-
-    def get(self, key, default=None):
-        if key in self.map:
-            return self.map[key][1]
-        return default
-
-    def line(self, key):
-        return self.map[key][0]
-
-    def require(self, key, header_line):
-        if key not in self.map:
-            raise ParseError(f"[{self.name}] is missing required key '{key}'",
+def _require(name, present, keys, header_line):
+    for key in keys:
+        if key not in present:
+            raise ParseError(f"[{name}] is missing required key '{key}'",
                              line=header_line)
-        return self.map[key][1]
 
 
-def _parse_int(text, line_no, key):
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"{key} must be an integer, got '{text}'", line=line_no) from None
+def _read_section(name, header_line, rows):
+    """Read a keyed section's rows, in line order, against :data:`_SCHEMA`.
+
+    Returns (values, lines): each value under its dataclass field name, and
+    each key's line number under the key.
+    """
+    readers, required = _SCHEMA[name]
+    values, lines = {}, {}
+    for line_no, key, text in rows:
+        if key not in readers:
+            raise ParseError(f"unknown key '{key}' in [{name}]", line=line_no)
+        if key in lines:
+            raise ParseError(f"duplicate key '{key}' in [{name}]", line=line_no)
+        values[_FIELD.get(key, key)] = readers[key](text, line_no, key)
+        lines[key] = line_no
+    _require(name, lines, required, header_line)
+    return values, lines
 
 
-def _parse_float(text, line_no, key):
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"{key} must be a number, got '{text}'", line=line_no) from None
-
-
-def _parse_bool(text, line_no, key):
-    lowered = text.strip().lower()
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    raise ParseError(f"{key} must be true or false, got '{text}'", line=line_no)
-
-
-def _parse_floats(text, line_no, key):
-    parts = [p.strip() for p in text.split(",")]
-    return tuple(_parse_float(p, line_no, key) for p in parts)
-
-
-def _parse_names(text):
-    return tuple(p.strip() for p in text.split(",") if p.strip())
+def _scope(dimension, coefficients):
+    """Names a script expression may read: the coordinates of the script's
+    dimension, ``t``, and the non-vector coefficients declared so far."""
+    return {*COORD_NAMES[:dimension], "t",
+            *(name for name, value in coefficients.items()
+              if not isinstance(value, tuple))}
 
 
 def _parse_expr(text, line_no, names=None, predicate=None):
@@ -321,7 +365,7 @@ def _split_top_level(text):
     return [p.strip() for p in parts]
 
 
-def _parse_coefficient(text, line_no, key):
+def _parse_coefficient(text, line_no, key, names):
     parts = _split_top_level(text)
     if len(parts) > 1:
         try:
@@ -334,8 +378,7 @@ def _parse_coefficient(text, line_no, key):
         return float(text)
     except ValueError:
         pass
-    return _parse_expr(text, line_no, names=set(COORD_NAMES) | {"t"},
-                       predicate=False)
+    return _parse_expr(text, line_no, names, predicate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -343,201 +386,108 @@ def _parse_coefficient(text, line_no, key):
 
 def parse_problem(text):
     """Parse a problem script into a validated :class:`ProblemSpec`."""
-    sections, geometry_rows, weak_lines = _scan(text)
+    sections = _scan(text)
+    # every keyed section is read first, in script order, so a bad row is
+    # reported before any expression or cross-section error
+    read = {name: [(header_line, *_read_section(name, header_line, rows))
+                   for header_line, rows in entries]
+            for name, entries in sections.items() if name in _SCHEMA}
 
-    if "domain" not in sections:
-        raise ParseError("script has no [domain] section", line=1)
-    domain = _Section("domain", sections["domain"])
-    dim_text = domain.require("dimension", 1)
-    dimension = _parse_int(dim_text, domain.line("dimension"), "dimension")
+    def rows(name):
+        return sections[name][0][1] if name in sections else ()
+
+    for name in ("domain", "variables"):
+        if name not in read:
+            raise ParseError(f"script has no [{name}] section", line=1)
+    _, domain, lines = read["domain"][0]
+    dimension = domain["dimension"]
     if dimension not in (2, 3):
         raise ValidationError(f"dimension must be 2 or 3, got {dimension}")
+    if "refine_where" in domain:
+        domain["refine_where"] = _parse_expr(
+            domain["refine_where"], lines["refine_where"],
+            _scope(dimension, {}) | {"level"}, predicate=True)
 
-    domain_min = _parse_floats(domain.require("min", 1), domain.line("min"), "min")
-    domain_max = _parse_floats(domain.require("max", 1), domain.line("max"), "max")
-    base_level = _parse_int(domain.require("base_refine_level", 1),
-                            domain.line("base_refine_level"), "base_refine_level")
-
-    wall_refine = None
-    if domain.get("wall_refine_level") is not None:
-        wall_refine = _parse_int(domain.get("wall_refine_level"),
-                                 domain.line("wall_refine_level"), "wall_refine_level")
-    refine_walls = ()
-    if domain.get("refine_walls") is not None:
-        refine_walls = _parse_names(domain.get("refine_walls"))
-    refine_where = None
-    if domain.get("refine_where") is not None:
-        refine_where = _parse_expr(
-            domain.get("refine_where"), domain.line("refine_where"),
-            names=set(COORD_NAMES[:dimension]) | {"t", "level"}, predicate=True)
-
-    if "variables" not in sections:
-        raise ParseError("script has no [variables] section", line=1)
-    var_section = _Section("variables", sections["variables"])
-    variables = _parse_names(var_section.require("names", 1))
-    if not variables:
-        raise ParseError("[variables] names is empty", line=var_section.line("names"))
-    test_symbol = (var_section.get("test") or "v").strip()
+    _, variables, lines = read["variables"][0]
+    if not variables["variables"]:
+        raise ParseError("[variables] names is empty", line=lines["names"])
+    variables["test_symbol"] = variables.get("test_symbol") or "v"
 
     coefficients = {}
-    if "coefficients" in sections:
-        for line_no, key, value in sections["coefficients"]:
-            if key in coefficients:
-                raise ParseError(f"duplicate coefficient '{key}'", line=line_no)
-            coefficients[key] = _parse_coefficient(value, line_no, key)
+    for line_no, key, value in rows("coefficients"):
+        if key in coefficients:
+            raise ParseError(f"duplicate coefficient '{key}'", line=line_no)
+        coefficients[key] = _parse_coefficient(
+            value, line_no, key, _scope(dimension, coefficients))
 
-    geometries = []
-    for header_line, rows in geometry_rows:
-        section = _Section("geometry", rows)
-        geometries.append(_parse_geometry(section, header_line, dimension))
+    geometries = tuple(_geometry(*entry) for entry in read.get("geometry", ()))
+    time_config = TimeConfig(**read["time"][0][1]) if "time" in read else None
+    solver = SolverOptions(**read["solver"][0][1]) if "solver" in read else SolverOptions()
 
-    time_config = None
-    if "time" in sections:
-        time_sec = _Section("time", sections["time"])
-        scheme_text = time_sec.require("scheme", 1).strip().lower()
-        try:
-            scheme = TimeScheme(scheme_text)
-        except ValueError:
-            raise ParseError(
-                f"unknown time scheme '{scheme_text}' (euler_implicit or bdf2)",
-                line=time_sec.line("scheme")) from None
-        dt = _parse_float(time_sec.require("dt", 1), time_sec.line("dt"), "dt")
-        steps = _parse_int(time_sec.require("steps", 1), time_sec.line("steps"), "steps")
-        time_config = TimeConfig(scheme, dt, steps)
+    names = _scope(dimension, coefficients)
+    boundary_regions = {}
+    for line_no, key, value in rows("boundary_regions"):
+        rid = _parse_int(key, line_no, "region id")
+        if rid in boundary_regions:
+            raise ParseError(f"duplicate boundary region {rid}", line=line_no)
+        boundary_regions[rid] = _parse_expr(value, line_no, names, predicate=True)
 
-    predicate_names = set(COORD_NAMES[:dimension]) | {"t"}
-    boundary_regions = []
-    seen_regions = set()
-    if "boundary_regions" in sections:
-        for line_no, key, value in sections["boundary_regions"]:
-            rid = _parse_int(key, line_no, "region id")
-            if rid in seen_regions:
-                raise ParseError(f"duplicate boundary region {rid}", line=line_no)
-            seen_regions.add(rid)
-            boundary_regions.append(
-                (rid, _parse_expr(value, line_no, predicate_names, predicate=True)))
-
-    value_names = predicate_names | {
-        name for name, value in coefficients.items() if not isinstance(value, tuple)
-    }
     boundary_conditions = {}
-    if "boundary_conditions" in sections:
-        for line_no, key, value in sections["boundary_conditions"]:
-            if "@" not in key:
-                raise ParseError(
-                    "boundary condition keys look like 'var @ region'", line=line_no)
-            var_part, _, region_part = key.partition("@")
-            var = var_part.strip()
-            rid = _parse_int(region_part.strip(), line_no, "region id")
-            parts = _split_top_level(value)
-            if len(parts) != 2:
-                raise ParseError(
-                    "boundary condition values look like 'dirichlet, expression'",
-                    line=line_no)
-            kind_text = parts[0].strip().lower()
-            try:
-                kind = BCKind(kind_text)
-            except ValueError:
-                raise ParseError(
-                    f"unknown boundary condition kind '{kind_text}'", line=line_no
-                ) from None
-            if (var, rid) in boundary_conditions:
-                raise ParseError(
-                    f"duplicate boundary condition for {var} @ {rid}", line=line_no)
-            boundary_conditions[(var, rid)] = BoundaryCondition(
-                kind, _parse_expr(parts[1], line_no, value_names, predicate=False))
+    for line_no, key, value in rows("boundary_conditions"):
+        if "@" not in key:
+            raise ParseError(
+                "boundary condition keys look like 'var @ region'", line=line_no)
+        var, _, region = (part.strip() for part in key.partition("@"))
+        rid = _parse_int(region, line_no, "region id")
+        parts = _split_top_level(value)
+        if len(parts) != 2:
+            raise ParseError(
+                "boundary condition values look like 'dirichlet, expression'",
+                line=line_no)
+        kind = BCKind(_choice(parts[0], line_no, "boundary condition kind",
+                              [k.value for k in BCKind]))
+        if (var, rid) in boundary_conditions:
+            raise ParseError(
+                f"duplicate boundary condition for {var} @ {rid}", line=line_no)
+        boundary_conditions[(var, rid)] = BoundaryCondition(
+            kind, _parse_expr(parts[1], line_no, names, predicate=False))
 
     initial_conditions = {}
-    if "initial_conditions" in sections:
-        for line_no, key, value in sections["initial_conditions"]:
-            if key in initial_conditions:
-                raise ParseError(f"duplicate initial condition for '{key}'", line=line_no)
-            initial_conditions[key] = _parse_expr(value, line_no, value_names,
-                                                  predicate=False)
+    for line_no, key, value in rows("initial_conditions"):
+        if key in initial_conditions:
+            raise ParseError(f"duplicate initial condition for '{key}'", line=line_no)
+        initial_conditions[key] = _parse_expr(value, line_no, names, predicate=False)
 
-    solver = SolverOptions()
-    if "solver" in sections:
-        sol = _Section("solver", sections["solver"])
-        kwargs = {}
-        if sol.get("ksp_type") is not None:
-            kwargs["ksp_type"] = sol.get("ksp_type").strip().lower()
-        if sol.get("pc_type") is not None:
-            kwargs["pc_type"] = sol.get("pc_type").strip().lower()
-        if sol.get("max_iterations") is not None:
-            kwargs["max_iterations"] = _parse_int(
-                sol.get("max_iterations"), sol.line("max_iterations"), "max_iterations")
-        if sol.get("abs_tol") is not None:
-            kwargs["abs_tol"] = _parse_float(sol.get("abs_tol"), sol.line("abs_tol"), "abs_tol")
-        if sol.get("rel_tol") is not None:
-            kwargs["rel_tol"] = _parse_float(sol.get("rel_tol"), sol.line("rel_tol"), "rel_tol")
-        solver = SolverOptions(**kwargs)
-
+    weak_lines = rows("weak_form")
     if not weak_lines:
         raise ParseError("script has no [weak_form] section", line=1)
-    weak_text = " ".join(line for _, line in weak_lines)
-    weak_names = set(variables) | {test_symbol} | set(coefficients)
-    weak_form = _parse_expr(weak_text, weak_lines[0][0], names=weak_names)
+    weak_form = _parse_expr(
+        " ".join(line for _, line in weak_lines), weak_lines[0][0],
+        names=set(variables["variables"]) | {variables["test_symbol"]} | set(coefficients))
 
-    spec = ProblemSpec(
-        dimension=dimension,
-        domain_min=domain_min,
-        domain_max=domain_max,
-        base_refine_level=base_level,
-        variables=variables,
-        test_symbol=test_symbol,
+    return ProblemSpec(
+        **domain,
+        **variables,
         weak_form=weak_form,
-        geometries=tuple(geometries),
-        wall_refine_level=wall_refine,
-        refine_walls=refine_walls,
-        refine_where=refine_where,
+        geometries=geometries,
         time=time_config,
         coefficients=coefficients,
-        boundary_regions=tuple(boundary_regions),
+        boundary_regions=tuple(boundary_regions.items()),
         boundary_conditions=boundary_conditions,
         initial_conditions=initial_conditions,
         solver=solver,
-    )
-    spec.validate()
-    return spec
+    ).validate()
 
 
-def _parse_geometry(section, header_line, dimension):
-    shape = section.require("shape", header_line).strip().lower()
-    if shape not in ("circle", "sphere", "mesh"):
-        raise ParseError(f"unknown geometry shape '{shape}'", line=section.line("shape"))
-    refine_level = _parse_int(section.require("refine_level", header_line),
-                              section.line("refine_level"), "refine_level")
-    kwargs = dict(kind=shape, refine_level=refine_level)
-    if shape in ("circle", "sphere"):
-        kwargs["center"] = _parse_floats(section.require("center", header_line),
-                                         section.line("center"), "center")
-        kwargs["radius"] = _parse_float(section.require("radius", header_line),
-                                        section.line("radius"), "radius")
-        if section.get("mesh_file") is not None:
-            raise ParseError("mesh_file is only valid for shape = mesh",
-                             line=section.line("mesh_file"))
-    else:
-        kwargs["mesh_file"] = section.require("mesh_file", header_line).strip()
-        for bad in ("center", "radius"):
-            if section.get(bad) is not None:
-                raise ParseError(f"{bad} is only valid for analytic shapes",
-                                 line=section.line(bad))
-    if section.get("name") is not None:
-        kwargs["name"] = section.get("name").strip()
-    if section.get("position") is not None:
-        kwargs["position"] = _parse_floats(section.get("position"),
-                                           section.line("position"), "position")
-    if section.get("outer_boundary") is not None:
-        kwargs["outer_boundary"] = _parse_bool(section.get("outer_boundary"),
-                                               section.line("outer_boundary"),
-                                               "outer_boundary")
-    if section.get("boundary_types") is not None:
-        kwargs["boundary_types"] = _parse_names(section.get("boundary_types"))
-    if section.get("bids") is not None:
-        kwargs["bids"] = tuple(
-            _parse_int(p, section.line("bids"), "bids")
-            for p in _parse_names(section.get("bids")))
-    return GeometrySpec(**kwargs)
+def _geometry(header_line, values, lines):
+    """A geometry section's spec, once its shape's keys are checked."""
+    wanted = _SHAPE_KEYS[values["kind"]]
+    _require("geometry", lines, wanted, header_line)
+    for key in ("center", "radius", "mesh_file"):
+        if key in values and key not in wanted:
+            where = "shape = mesh" if key == "mesh_file" else "analytic shapes"
+            raise ParseError(f"{key} is only valid for {where}", line=lines[key])
+    return GeometrySpec(**values)
 
 
 # ---------------------------------------------------------------------------

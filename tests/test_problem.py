@@ -1,14 +1,20 @@
 """Problem script parsing and validation tests."""
 
 import dataclasses
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from treefem import expr as ex
+from treefem import problem
 from treefem.errors import ParseError, ValidationError
 from treefem.problem import (
     BCKind, TimeScheme, parse_problem, with_levels,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 CIRCLE_SCRIPT = """
 # Steady Poisson on a disk carved from the unit square.
@@ -97,6 +103,10 @@ def edit(script, old, new):
     return script.replace(old, new)
 
 
+def line_of(script, text):
+    return script.splitlines().index(text) + 1
+
+
 class TestParse:
     def test_circle_script(self):
         spec = parse_problem(CIRCLE_SCRIPT)
@@ -171,6 +181,22 @@ class TestParse:
         env = {"x": 0.9, "y": 0.9, "t": 0.0, "level": 4.0}
         assert ex.eval_scalar(spec.refine_where, env) is True
 
+    def test_coefficient_reads_the_coefficients_declared_before_it(self):
+        script = edit(CIRCLE_SCRIPT, "f = 1", "f = 1\ng = 2 * alpha + x")
+        spec = parse_problem(script)
+        env = ex.point_env(np.array([[0.0, 0.0], [0.5, 1.0]]),
+                           coefficients=spec.coefficients)
+        assert np.array_equal(env["g"], [800.0, 800.5])
+
+    @pytest.mark.parametrize("old, new", [
+        ("1 = true", "1 = x < alpha"),
+        ("u @ 1 = dirichlet, 0.01", "u @ 1 = dirichlet, f / alpha"),
+        ("u @ 1 = dirichlet, 0.01",
+         "u @ 1 = dirichlet, 0.01\n\n[initial_conditions]\nu = f * x"),
+    ], ids=["region", "boundary_value", "initial_condition"])
+    def test_expressions_name_the_scalar_coefficients(self, old, new):
+        parse_problem(edit(CIRCLE_SCRIPT, old, new))
+
 
 class TestParseErrors:
     def test_unknown_key_names_it(self):
@@ -198,6 +224,38 @@ class TestParseErrors:
         script = edit(CIRCLE_SCRIPT, "dimension = 2\n", "")
         with pytest.raises(ParseError, match="dimension"):
             parse_problem(script)
+
+    @pytest.mark.parametrize("script, header, row", [
+        (CIRCLE_SCRIPT, "[domain]", "dimension = 2"),
+        (CIRCLE_SCRIPT, "[variables]", "names = u"),
+        (CIRCLE_SCRIPT, "[geometry]", "radius = 0.5"),
+        (HEAT3D_SCRIPT, "[time]", "dt = 0.01"),
+    ], ids=["domain", "variables", "geometry", "time"])
+    def test_missing_required_key_names_the_section_header(self, script, header,
+                                                           row):
+        script = edit(script, row + "\n", "")
+        key = row.split(" =")[0]
+        with pytest.raises(ParseError, match=f"missing required key '{key}'") as err:
+            parse_problem(script)
+        assert err.value.line == line_of(script, header)
+
+    def test_second_weak_form_section_is_rejected(self):
+        script = CIRCLE_SCRIPT + "[weak_form]\n+ 3*v\n"
+        with pytest.raises(ParseError, match=r"duplicate section \[weak_form\]") as err:
+            parse_problem(script)
+        assert err.value.line == len(CIRCLE_SCRIPT.splitlines()) + 1
+
+    @pytest.mark.parametrize("old, new, name", [
+        ("f = 1", "f = 1\ng = 1 + z", "z"),
+        ("f = 1", "f = 1 + g\ng = 2", "g"),
+        ("f = 1", "f = 1\nb = 1, 2\ng = b * x", "b"),
+    ], ids=["z_in_2d", "declared_later", "vector"])
+    def test_coefficient_outside_its_scope_names_its_line(self, old, new, name):
+        script = edit(CIRCLE_SCRIPT, old, new)
+        bad = next(line for line in new.splitlines() if name in line.split("=")[1])
+        with pytest.raises(ParseError, match=f"unknown identifier '{name}'") as err:
+            parse_problem(script)
+        assert err.value.line == line_of(script, bad)
 
     def test_weak_form_expression_error_located(self):
         script = edit(CIRCLE_SCRIPT, "dot(grad(u), grad(v))", "dot(grad(u, v))")
@@ -315,3 +373,24 @@ class TestLevelOverride:
         with_levels(spec, 6)
         assert spec.base_refine_level == 5
         assert spec.geometries[0].refine_level == 7
+
+
+def _sections(text, heading):
+    """Map each section name to its text, splitting at ``heading`` matches."""
+    parts = re.split(heading, text)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+@pytest.mark.parametrize("where", ["readme", "docstring"])
+def test_docs_name_every_key_of_the_schema(where):
+    if where == "readme":
+        text = README.read_text().split("\n## Problem scripts\n")[1]
+        found = _sections(text.split("\n## ")[0], r"\n- `\[(\w+)\]`")
+        quote = "`{}`"
+    else:
+        found = _sections(problem.__doc__, r"\n``\[(\w+)\]``(?: \(.*\))?\n")
+        quote = "``{}``"
+    missing = [f"[{section}] {key}"
+               for section, (readers, _) in problem._SCHEMA.items()
+               for key in readers if quote.format(key) not in found.get(section, "")]
+    assert missing == []
