@@ -1,26 +1,26 @@
 """Batched assembly of compiled kernels over a tree mesh, and the solver.
 
-Elements are processed in per-level batches: every element at one level
-shares the same cell size, hence the same quadrature weights and basis
-tables. A batch adds every bilinear contribution into one element block
-``ke`` of shape ``(n_e, nc, nc)`` and every linear contribution into one
-``be`` of shape ``(n_e, nc)``, the way the generated C++ kernels add all
-terms into one ``Ae``/``be``. A contribution whose scalar program
-evaluates to a constant is integrated once per batch and broadcast.
+Cells and boundary faces share one batch record, built once at set-up:
+the owners' connectivity, origins and edge lengths ``h``, the reference
+quadrature points with their basis tables, and the physical weights.
+Cells are batched by level, so a batch shares one size, one set of
+weights and one table; faces by (level, axis, orientation, slice, kind,
+geometry). A face batch also holds its true-boundary points and its fixed
+surface data: for geometry faces the closest point on the true surface,
+the displacement to it and the true normal; for wall faces a zero
+displacement and the face normal itself.
 
-Boundary faces are batched by (level, axis, orientation, slice, kind,
-geometry). For geometry faces the closest point on the true surface, the
-displacement to it, and the true normal are computed once per mesh and
-reused; wall faces use a zero displacement and the face normal itself.
-Each quadrature point is routed through the ordered boundary-region
-predicates (evaluated at the true boundary point), and the matching
-condition decides which surface blocks apply there and supplies the
-prescribed boundary value. A face batch adds its Dirichlet and Neumann
-blocks into the same ``ke``/``be``.
-
-All batches then go through one scatter: their element blocks become one
-COO triplet list, summed into CSR by one ``tocsr()``, and their ``be``
-blocks one ``np.bincount`` in batch order.
+Per assembly, each batch gets one evaluation environment at its physical
+points (computed from the origins) and adds every contribution into one
+block ``ke`` of shape ``(n_e, nc, nc)`` and one ``be`` of shape
+``(n_e, nc)``, as the generated C++ kernels add all terms into one
+``Ae``/``be``; a scalar program that is constant is integrated once per
+batch and broadcast. A cell batch binds the history fields. A face batch
+routes each point through the ordered boundary-region predicates,
+evaluated at the true boundary point: the first that holds claims it, and
+its condition decides which surface blocks apply and supplies the
+boundary value. All blocks then go through one scatter: one COO triplet
+list summed into CSR by one ``tocsr()``, and one ``np.bincount``.
 
 The constrained system is reduced with the mesh's hanging-node expansion
 ``C`` (solve ``CᵀAC y = Cᵀb``, then expand ``u = Cy``) and solved with a
@@ -37,7 +37,7 @@ import scipy.sparse as sp
 
 from . import expr as ex
 from .errors import AssemblyError, SolverError
-from .forms import Region, compile_kernel, required_names
+from .forms import Region, compile_kernel
 from .kernel import basis_table, face_reference_points, tensor_rule
 from .mesh import KIND_GEOMETRY, build_mesh
 from .problem import BCKind, TimeScheme
@@ -92,17 +92,79 @@ def nodal_values(mesh, value, t=0.0, coefficients=None):
 
 
 @dataclass
-class _FaceBatch:
-    conn: np.ndarray            # (n_f, nc) owner connectivity
-    basis_values: np.ndarray    # (nqp, nc)
-    basis_grads: np.ndarray     # (nqp, nc, dim)
-    warea: np.ndarray           # (nqp,) physical area weights
-    h_cell: np.ndarray          # (dim,) owner edge lengths
-    x_surr: np.ndarray          # (n_f, nqp, dim)
-    x_true: np.ndarray
-    dvec: np.ndarray
-    n_true: np.ndarray
-    n_tilde: np.ndarray         # (dim,)
+class _Batch:
+    """Quadrature data of one batch of same-level cells or faces."""
+    conn: np.ndarray            # (n_e, nc) owner connectivity
+    points: np.ndarray          # (nqp, dim) reference points in the owner
+    values: np.ndarray          # (nqp, nc) basis values
+    grads: np.ndarray           # (nqp, nc, dim) reference basis gradients
+    origin: np.ndarray          # (n_e, dim) owner origins
+    h: np.ndarray               # (dim,) owner edge lengths
+    weights: np.ndarray         # (nqp,) physical weights
+    x_true: np.ndarray = None   # faces: (n_e, nqp, dim) true-boundary points
+    surface: dict = None        # faces: fixed surface names and values
+
+    def coords(self):
+        """Physical quadrature points, ``(n_e, nqp, dim)``."""
+        return (self.origin[:, None, :]
+                + self.points[None, :, :] * self.h[None, None, :])
+
+
+def _batch(mesh, owners, points, weights, axes):
+    """Batch record of the same-level cells ``owners`` at the reference
+    ``points``; the reference ``weights`` scale with the edge lengths
+    along ``axes``."""
+    h = mesh.extent / float(1 << int(mesh.levels[owners[0]]))
+    values, grads = basis_table(points, mesh.dimension)
+    return _Batch(conn=mesh.elem_nodes[owners], points=points, values=values,
+                  grads=grads, origin=mesh.element_origin(owners), h=h,
+                  weights=weights * np.prod(h[list(axes)]))
+
+
+def _cell_batches(mesh, rule):
+    """One batch per cell level, with the tensor ``rule``."""
+    return [_batch(mesh, np.nonzero(mesh.levels == level)[0], rule.points,
+                   rule.weights, range(mesh.dimension))
+            for level in np.unique(mesh.levels)]
+
+
+def _face_batches(mesh):
+    """One batch per (level, axis, orientation, kind, geometry, slice) of
+    surrogate faces, with its true-boundary points and surface data."""
+    f = mesh.faces
+    dim = mesh.dimension
+    rule = tensor_rule(_ASSEMBLY_QUAD, dim - 1)
+    keys = np.column_stack([mesh.levels[f.element], f.axis, f.orient, f.kind,
+                            f.geom, f.slices.astype(np.int64)])
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    batches = []
+    for b, key in enumerate(uniq):
+        rows = np.nonzero(inverse == b)[0]
+        _, axis, orient, kind, geom = (int(v) for v in key[:5])
+        codes = tuple(int(v) for v in key[5:])
+        points, fraction = face_reference_points(rule.points, axis, orient,
+                                                 codes, dim)
+        batch = _batch(mesh, f.element[rows], points, rule.weights * fraction,
+                       [d for d in range(dim) if d != axis])
+        x_surr = batch.coords()
+        n_tilde = np.zeros(dim)
+        n_tilde[axis] = 1.0 if orient == 1 else -1.0
+        if kind == KIND_GEOMETRY:
+            closest = mesh.geometries[geom].closest(x_surr.reshape(-1, dim))
+            batch.x_true = closest.points.reshape(x_surr.shape)
+            n_true = closest.normals.reshape(x_surr.shape)
+        else:
+            batch.x_true = x_surr
+            n_true = np.broadcast_to(n_tilde, x_surr.shape)
+        dvec = batch.x_true - x_surr
+        batch.surface = {"special:h": float(batch.h.max())}
+        for d in range(dim):
+            batch.surface[f"special:nt:{d}"] = float(n_tilde[d])
+            batch.surface[f"special:ntrue:{d}"] = n_true[..., d]
+            batch.surface[f"special:d:{d}"] = dvec[..., d]
+        batches.append(batch)
+    return batches
 
 
 class Assembler:
@@ -116,65 +178,9 @@ class Assembler:
     def __init__(self, mesh, spec):
         self.mesh = mesh
         self.spec = spec
-        dim = mesh.dimension
-        self.dim = dim
-        rule = tensor_rule(_ASSEMBLY_QUAD, dim)
-        self.vol_points = rule.points
-        self.vol_weights = rule.weights
-        self.vol_values, self.vol_grads = basis_table(rule.points, dim)
-        self.vol_batches = []
-        for level in np.unique(mesh.levels):
-            rows = np.nonzero(mesh.levels == level)[0]
-            self.vol_batches.append((int(level), rows))
-        self.face_rule = tensor_rule(_ASSEMBLY_QUAD, dim - 1)
-        self.face_batches = self._build_face_batches()
-
-    # -- face precomputation ------------------------------------------------
-
-    def _build_face_batches(self):
-        mesh = self.mesh
-        f = mesh.faces
-        if len(f) == 0:
-            return []
-        dim = self.dim
-        levels = mesh.levels[f.element]
-        keys = np.column_stack([levels, f.axis, f.orient, f.kind, f.geom,
-                                f.slices.astype(np.int64)])
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        batches = []
-        for b, key in enumerate(uniq):
-            rows = np.nonzero(inverse == b)[0]
-            level, axis, orient, kind, geom = (int(v) for v in key[:5])
-            codes = tuple(int(v) for v in key[5:])
-            points, fraction = face_reference_points(
-                self.face_rule.points, axis, orient, codes, dim)
-            values, grads = basis_table(points, dim)
-            h = mesh.extent / float(1 << level)
-            tangential = [d for d in range(dim) if d != axis]
-            warea = self.face_rule.weights * fraction * np.prod(h[tangential])
-            owners = f.element[rows]
-            origin = mesh.element_origin(owners)
-            x_surr = origin[:, None, :] + points[None, :, :] * h[None, None, :]
-            n_tilde = np.zeros(dim)
-            n_tilde[axis] = 1.0 if orient == 1 else -1.0
-            if kind == KIND_GEOMETRY:
-                geometry = mesh.geometries[geom]
-                flat = x_surr.reshape(-1, dim)
-                closest = geometry.closest(flat)
-                x_true = closest.points.reshape(x_surr.shape)
-                n_true = closest.normals.reshape(x_surr.shape)
-                dvec = x_true - x_surr
-            else:
-                x_true = x_surr
-                n_true = np.broadcast_to(n_tilde, x_surr.shape).copy()
-                dvec = np.zeros_like(x_surr)
-            batches.append(_FaceBatch(
-                conn=mesh.elem_nodes[owners],
-                basis_values=values, basis_grads=grads, warea=warea,
-                h_cell=h, x_surr=x_surr, x_true=x_true, dvec=dvec,
-                n_true=n_true, n_tilde=n_tilde))
-        return batches
+        self.cell_batches = _cell_batches(
+            mesh, tensor_rule(_ASSEMBLY_QUAD, mesh.dimension))
+        self.face_batches = _face_batches(mesh)
 
     @staticmethod
     def _integrate(groups, env, weights, values, grads, h):
@@ -207,97 +213,64 @@ class Assembler:
                 blocks[bilinear] = block if total is None else total + block
         return blocks[True], blocks[False]
 
-    # -- boundary routing -----------------------------------------------------
-
     def _route_regions(self, batch, t, unknown):
-        """Region id per quadrature point, from the ordered predicates."""
+        """Mask and boundary value per condition kind of a face batch's
+        points; the first region predicate that holds claims a point."""
         shape = batch.x_true.shape[:2]
         env = ex.point_env(batch.x_true, t, self.spec.coefficients)
-        region = np.full(shape, -10 ** 9, np.int64)
         open_rows = np.ones(shape, bool)
+        masks = {}
         for rid, predicate in self.spec.boundary_regions:
             hold = ex.eval_scalar(predicate, env)
-            hold = np.broadcast_to(np.asarray(hold, bool), shape)
-            take = open_rows & hold
-            region[take] = rid
-            open_rows &= ~take
+            sel = open_rows & np.broadcast_to(np.asarray(hold, bool), shape)
+            open_rows &= ~sel
+            bc = self.spec.boundary_conditions.get((unknown, rid))
+            if bc is None or not sel.any():
+                continue
+            value = np.asarray(ex.eval_scalar(bc.value, env), float)
+            prior_mask, prior_val = masks.get(bc.kind, (False, 0.0))
+            masks[bc.kind] = (prior_mask | sel, np.where(sel, value, prior_val))
         if open_rows.any():
             where = batch.x_true[open_rows][0]
             raise AssemblyError(
                 "a boundary point matched no boundary region predicate "
                 f"(near {tuple(round(float(c), 6) for c in where)})")
-        masks = {}
-        for rid, _ in self.spec.boundary_regions:
-            bc = self.spec.boundary_conditions.get((unknown, rid))
-            if bc is None:
-                continue
-            sel = region == rid
-            if not sel.any():
-                continue
-            value = ex.eval_scalar(bc.value, env)
-            value = np.broadcast_to(np.asarray(value, float), shape)
-            prior_mask, prior_val = masks.get(bc.kind, (False, 0.0))
-            masks[bc.kind] = (prior_mask | sel, np.where(sel, value, prior_val))
         return masks
 
-    # -- assembly -------------------------------------------------------------
+    def _blocks(self, ir, groups, batch, t, dt, history):
+        """Element blocks ``(conn, ke, be)`` of one batch.
 
-    def _volume_batch(self, ir, names, groups, level, rows, t, dt, history):
-        """Element blocks of one same-level element batch.
-
-        Returns ``(conn, ke, be)``: ``ke`` of shape ``(n_e, nc, nc)`` sums
-        the bilinear volume contributions of ``groups``, ``be`` of shape
-        ``(n_e, nc)`` the linear ones; either is ``None`` without
-        contributions.
+        ``ke`` of shape ``(n_e, nc, nc)`` sums the bilinear contributions
+        of ``groups``, ``be`` of shape ``(n_e, nc)`` the linear ones; either
+        is ``None`` without contributions.
         """
-        mesh = self.mesh
-        conn = mesh.elem_nodes[rows]
-        h = mesh.extent / float(1 << level)
-        wdetj = self.vol_weights * np.prod(h)
-        origin = mesh.element_origin(rows)
-        coords = (origin[:, None, :]
-                  + self.vol_points[None, :, :] * h[None, None, :])
-        env = ex.point_env(coords, t, self.spec.coefficients, dt)
-        for var, back in ir.prelude:
-            name = f"prev:{var}:{back}"
-            if name not in names:
-                continue
-            if history is None or back not in history:
-                raise AssemblyError(
-                    f"kernel needs history field '{name}' but none was given")
-            env[name] = np.einsum("qc,ec->eq", self.vol_values,
-                                  history[back][conn])
-        ke, be = self._integrate(groups, env, {Region.VOLUME: wdetj},
-                                 self.vol_values, self.vol_grads, h)
+        env = ex.point_env(batch.coords(), t, self.spec.coefficients, dt)
+        if batch.surface is None:
+            for var, back in ir.prelude:
+                name = f"prev:{var}:{back}"
+                if history is None or back not in history:
+                    raise AssemblyError(
+                        f"kernel needs history field '{name}' but none was given")
+                env[name] = np.einsum("qc,ec->eq", batch.values,
+                                      history[back][batch.conn])
+            weights = {Region.VOLUME: batch.weights}
+        else:
+            env.update(batch.surface)
+            weights = {}
+            for kind, (sel, value) in self._route_regions(
+                    batch, t, ir.unknown).items():
+                region, data_name = _SURFACE[kind]
+                env[data_name] = value
+                weights[region] = sel * batch.weights[None, :]
+        ke, be = self._integrate(groups, env, weights, batch.values,
+                                 batch.grads, batch.h)
         # a batch of constant scalar programs holds one cell block
-        nc = conn.shape[1]
+        n_e, nc = batch.conn.shape
         if ke is not None:
-            ke = np.broadcast_to(ke, (len(rows), nc, nc))
+            ke = np.broadcast_to(ke, (n_e, nc, nc))
         if be is not None:
-            be = np.broadcast_to(be, (len(rows), nc))
-        return conn, ke, be
-
-    def _face_batch(self, ir, groups, batch, t, dt):
-        """Element blocks ``(conn, ke, be)`` of one surrogate-face batch.
-
-        The Dirichlet and Neumann contributions of ``groups`` add into the
-        same blocks.
-        """
-        masks = self._route_regions(batch, t, ir.unknown)
-        env = ex.point_env(batch.x_surr, t, self.spec.coefficients, dt)
-        env["special:h"] = float(batch.h_cell.max())
-        for d in range(self.dim):
-            env[f"special:nt:{d}"] = float(batch.n_tilde[d])
-            env[f"special:ntrue:{d}"] = batch.n_true[..., d]
-            env[f"special:d:{d}"] = batch.dvec[..., d]
-        weights = {}
-        for kind, (region, data_name) in _SURFACE.items():
-            if kind in masks:
-                sel, env[data_name] = masks[kind]
-                weights[region] = sel * batch.warea[None, :]
-        return (batch.conn,) + self._integrate(
-            groups, env, weights, batch.basis_values, batch.basis_grads,
-            batch.h_cell)
+            be = np.broadcast_to(be, (n_e, nc))
+        return batch.conn, ke, be
 
     def assemble(self, ir, t=0.0, history=None, matrix=True):
         """Assemble the full-space system for one kernel.
@@ -306,18 +279,15 @@ class Assembler:
         ``matrix`` is false, b the full-space right-hand side.
         """
         n = self.mesh.n_nodes
-        names = required_names(ir)
         dt = None if ir.steady else self.spec.time.dt
         groups = [(region, bilinear, contributions)
                   for region, bilinear, contributions in ir.groups()
                   if contributions and (matrix or not bilinear)]
-
-        results = [self._volume_batch(ir, names, groups, level, rows, t, dt,
-                                      history)
-                   for level, rows in self.vol_batches]
+        batches = self.cell_batches
         if any(region is not Region.VOLUME for region, _, _ in groups):
-            results.extend(self._face_batch(ir, groups, batch, t, dt)
-                           for batch in self.face_batches)
+            batches = batches + self.face_batches
+        results = [self._blocks(ir, groups, batch, t, dt, history)
+                   for batch in batches]
 
         rhs = [(conn, be) for conn, _, be in results if be is not None]
         b = np.bincount(np.concatenate([conn for conn, _ in rhs]).ravel(),
@@ -533,23 +503,17 @@ def l2_error(mesh, values, exact, t=0.0, coefficients=None):
     ``exact`` may be an expression over x, y, z, t or a callable taking a
     (m, dim) point array.
     """
-    dim = mesh.dimension
-    rule = tensor_rule(_ERROR_QUAD, dim)
-    basis_values, _ = basis_table(rule.points, dim)
     total = 0.0
-    for level in np.unique(mesh.levels):
-        rows = np.nonzero(mesh.levels == level)[0]
-        conn = mesh.elem_nodes[rows]
-        h = mesh.extent / float(1 << level)
-        wdetj = rule.weights * np.prod(h)
-        origin = mesh.element_origin(rows)
-        coords = origin[:, None, :] + rule.points[None, :, :] * h[None, None, :]
-        numeric = np.einsum("qc,ec->eq", basis_values, values[conn])
+    for batch in _cell_batches(mesh, tensor_rule(_ERROR_QUAD, mesh.dimension)):
+        coords = batch.coords()
+        numeric = np.einsum("qc,ec->eq", batch.values, values[batch.conn])
         if callable(exact):
-            reference = exact(coords.reshape(-1, dim)).reshape(numeric.shape)
+            reference = exact(coords.reshape(-1, mesh.dimension)).reshape(
+                numeric.shape)
         else:
             env = ex.point_env(coords, t, coefficients)
             reference = np.broadcast_to(
                 np.asarray(ex.eval_scalar(exact, env), float), numeric.shape)
-        total += float(((numeric - reference) ** 2 * wdetj[None, :]).sum())
+        total += float(((numeric - reference) ** 2
+                        * batch.weights[None, :]).sum())
     return np.sqrt(total)

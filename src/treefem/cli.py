@@ -97,11 +97,10 @@ def cmd_run(script_path, output_dir=".", level=None, exact=None):
     tick = time.perf_counter()
     mesh = build_mesh(spec, base_dir)
     mesh_seconds = time.perf_counter() - tick
-    # the field is named after the unknown the kernel solves
-    unknown = compile_kernel(spec).unknown
 
+    # validation leaves only fields the weak form names, and it solves one
     def write(path, values):
-        write_fields_vtk(path, mesh, {unknown: values})
+        write_fields_vtk(path, mesh, {spec.variables[0]: values})
         written.append(path)
 
     def on_step(step, _t, values):

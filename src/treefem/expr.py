@@ -515,25 +515,24 @@ def point_env(coords, t=0.0, coefficients=None, dt=None):
     return env
 
 
+def _nodes(expr):
+    """Every node of ``expr``, the root first."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Bin):
+            stack += (node.right, node.left)
+        elif isinstance(node, Neg):
+            stack.append(node.arg)
+        elif isinstance(node, Call):
+            stack.extend(node.args)
+
+
 def names_in(expr):
     """Set of plain identifiers referenced by ``expr`` (``pi`` excluded)."""
-    out = set()
-    _walk_names(expr, out)
-    return out
-
-
-def _walk_names(expr, out):
-    if isinstance(expr, Name):
-        if expr.id != "pi":
-            out.add(expr.id)
-    elif isinstance(expr, Neg):
-        _walk_names(expr.arg, out)
-    elif isinstance(expr, Bin):
-        _walk_names(expr.left, out)
-        _walk_names(expr.right, out)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            _walk_names(arg, out)
+    return {node.id for node in _nodes(expr)
+            if isinstance(node, Name) and node.id != "pi"}
 
 
 def is_predicate(expr):
@@ -545,19 +544,7 @@ def is_predicate(expr):
 
 def has_comparison(expr):
     """True when ``expr`` contains a comparison or boolean operator."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if is_predicate(node):
-            return True
-        if isinstance(node, Bin):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Neg):
-            stack.append(node.arg)
-        elif isinstance(node, Call):
-            stack.extend(node.args)
-    return False
+    return any(is_predicate(node) for node in _nodes(expr))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ Sections and keys:
     ``scheme`` = ``euler_implicit`` | ``bdf2``, ``dt``, ``steps``.
 
 ``[variables]`` (required)
-    ``names`` = unknown field names; optional ``test`` symbol (default v).
+    ``names`` = unknown field names, each named by the weak form; optional
+    ``test`` symbol (default v).
 
 ``[coefficients]``
     ``name = value`` where value is a number, a comma separated numeric
@@ -567,9 +568,13 @@ def _validate(spec):
 
     if ex.has_comparison(spec.weak_form):
         raise ValidationError("comparison operators are not allowed inside a weak form")
-    if spec.test_symbol not in ex.names_in(spec.weak_form):
+    used = ex.names_in(spec.weak_form)
+    if spec.test_symbol not in used:
         raise ValidationError(
             f"the weak form never references the test function '{spec.test_symbol}'")
+    for var in spec.variables:
+        if var not in used:
+            raise ValidationError(f"the weak form never references the field '{var}'")
 
 
 def _validate_geometry(spec, geom):

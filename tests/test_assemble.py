@@ -16,7 +16,8 @@ from treefem.assemble import (
 from treefem.errors import AssemblyError, SolverError
 from treefem.forms import compile_kernel
 from treefem.geometry import write_stl
-from treefem.mesh import build_mesh
+from treefem.kernel import basis_table, face_reference_points, tensor_rule
+from treefem.mesh import KIND_GEOMETRY, build_mesh
 from treefem.problem import BCKind, TimeScheme, parse_problem
 from treefem import expr as ex
 
@@ -327,17 +328,91 @@ def test_mixed_dirichlet_neumann_patch_on_carved_disk():
 def _reference_table(sel, values, grads, h):
     if sel.kind == "N":
         return values
-    return grads[:, :, sel.axis] / h[sel.axis]
+    return grads[..., sel.axis] / h[..., sel.axis]
 
 
-def reference_assemble(asm, ir, t=0.0, history=None, matrix=True):
+def reference_route(spec, x_true, t, unknown):
+    """Boundary routing in two passes: a region id per point from the
+    ordered predicates, then each region's condition, in region order."""
+    shape = x_true.shape[:2]
+    env = ex.point_env(x_true, t, spec.coefficients)
+    region = np.full(shape, -10 ** 9, np.int64)
+    open_rows = np.ones(shape, bool)
+    for rid, predicate in spec.boundary_regions:
+        hold = ex.eval_scalar(predicate, env)
+        hold = np.broadcast_to(np.asarray(hold, bool), shape)
+        take = open_rows & hold
+        region[take] = rid
+        open_rows &= ~take
+    if open_rows.any():
+        raise AssemblyError("a boundary point matched no boundary region")
+    masks = {}
+    for rid, _ in spec.boundary_regions:
+        bc = spec.boundary_conditions.get((unknown, rid))
+        if bc is None:
+            continue
+        sel = region == rid
+        if not sel.any():
+            continue
+        value = ex.eval_scalar(bc.value, env)
+        value = np.broadcast_to(np.asarray(value, float), shape)
+        prior_mask, prior_val = masks.get(bc.kind, (False, 0.0))
+        masks[bc.kind] = (prior_mask | sel, np.where(sel, value, prior_val))
+    return masks
+
+
+def reference_faces(mesh):
+    """Quadrature data of every surrogate face, one row per face.
+
+    Built face by face from the mesh, the reference rules and the
+    geometries' closest-point queries: owner connectivity, per-face basis
+    tables ``(n_f, nqp, nc[, dim])``, edge lengths ``(n_f, dim)``, area
+    weights ``(n_f, nqp)``, surrogate and true points, true normals and
+    the face normals ``(n_f, dim)``.
+    """
+    f = mesh.faces
+    dim = mesh.dimension
+    rule = tensor_rule(2, dim - 1)
+    h = mesh.extent[None, :] / (1 << mesh.levels[f.element]).astype(float)[:, None]
+    points, warea = [], []
+    n_tilde = np.zeros((len(f), dim))
+    for i in range(len(f)):
+        axis, orient = int(f.axis[i]), int(f.orient[i])
+        pts, fraction = face_reference_points(rule.points, axis, orient,
+                                              f.slices[i], dim)
+        points.append(pts)
+        tangential = [d for d in range(dim) if d != axis]
+        warea.append(rule.weights * fraction * np.prod(h[i, tangential]))
+        n_tilde[i, axis] = 1.0 if orient == 1 else -1.0
+    points = np.array(points)
+    values, grads = basis_table(points.reshape(-1, dim), dim)
+    nqp = rule.points.shape[0]
+    x_surr = (mesh.element_origin(f.element)[:, None, :]
+              + points * h[:, None, :])
+    x_true = x_surr.copy()
+    n_true = np.broadcast_to(n_tilde[:, None, :], x_surr.shape).copy()
+    for g, geometry in enumerate(mesh.geometries):
+        on = (f.kind == KIND_GEOMETRY) & (f.geom == g)
+        closest = geometry.closest(x_surr[on].reshape(-1, dim))
+        x_true[on] = closest.points.reshape(-1, nqp, dim)
+        n_true[on] = closest.normals.reshape(-1, nqp, dim)
+    return dict(conn=mesh.elem_nodes[f.element],
+                values=values.reshape(len(f), nqp, -1),
+                grads=grads.reshape(len(f), nqp, -1, dim), h=h,
+                warea=np.array(warea), x_surr=x_surr, x_true=x_true,
+                n_true=n_true, n_tilde=n_tilde)
+
+
+def reference_assemble(mesh, spec, ir, t=0.0, history=None, matrix=True):
     """One COO triplet block per bilinear term, ``np.add.at`` per linear one.
 
-    Uses the assembler's cached batches, basis tables and boundary
-    routing; the element integrals and their scatter are the old code's.
+    Cells go level by level; all surrogate faces are integrated at once
+    with per-face basis tables, from ``reference_faces`` and
+    ``reference_route``. Nothing is read from the ``Assembler``.
     """
-    n = asm.mesh.n_nodes
-    dt = None if ir.steady else asm.spec.time.dt
+    n = mesh.n_nodes
+    dim = mesh.dimension
+    dt = None if ir.steady else spec.time.dt
     rows_acc, cols_acc, vals_acc = [], [], []
     b = np.zeros(n)
 
@@ -346,21 +421,24 @@ def reference_assemble(asm, ir, t=0.0, history=None, matrix=True):
         cols_acc.append(np.broadcast_to(conn[:, None, :], vals.shape).ravel())
         vals_acc.append(np.asarray(vals).ravel())
 
-    for level, rows in asm.vol_batches:
-        conn = asm.mesh.elem_nodes[rows]
-        h = asm.mesh.extent / float(1 << level)
-        wdetj = asm.vol_weights * np.prod(h)
-        coords = (asm.mesh.element_origin(rows)[:, None, :]
-                  + asm.vol_points[None, :, :] * h[None, None, :])
-        env = ex.point_env(coords, t, asm.spec.coefficients, dt)
+    rule = tensor_rule(2, dim)
+    vol_values, vol_grads = basis_table(rule.points, dim)
+    for level in np.unique(mesh.levels):
+        rows = np.nonzero(mesh.levels == level)[0]
+        conn = mesh.elem_nodes[rows]
+        h = mesh.extent / float(1 << int(level))
+        wdetj = rule.weights * np.prod(h)
+        coords = (mesh.element_origin(rows)[:, None, :]
+                  + rule.points[None, :, :] * h[None, None, :])
+        env = ex.point_env(coords, t, spec.coefficients, dt)
         for var, back in ir.prelude:
             if history is not None and back in history:
                 env[f"prev:{var}:{back}"] = np.einsum(
-                    "qc,ec->eq", asm.vol_values, history[back][conn])
+                    "qc,ec->eq", vol_values, history[back][conn])
         if matrix:
             for c in ir.volume_bilinear:
-                T = _reference_table(c.test, asm.vol_values, asm.vol_grads, h)
-                U = _reference_table(c.trial, asm.vol_values, asm.vol_grads, h)
+                T = _reference_table(c.test, vol_values, vol_grads, h)
+                U = _reference_table(c.trial, vol_values, vol_grads, h)
                 value = ex.eval_scalar(c.scalar, env)
                 if np.ndim(value) == 0:
                     cell = float(value) * np.einsum("q,qi,qj->ij", wdetj, T, U)
@@ -369,7 +447,7 @@ def reference_assemble(asm, ir, t=0.0, history=None, matrix=True):
                     vals = np.einsum("eq,qi,qj->eij", value * wdetj, T, U)
                 add_triplets(conn, vals)
         for c in ir.volume_linear:
-            T = _reference_table(c.test, asm.vol_values, asm.vol_grads, h)
+            T = _reference_table(c.test, vol_values, vol_grads, h)
             value = ex.eval_scalar(c.scalar, env)
             if np.ndim(value) == 0:
                 be = np.broadcast_to(
@@ -381,15 +459,18 @@ def reference_assemble(asm, ir, t=0.0, history=None, matrix=True):
 
     surface = any((ir.dirichlet_bilinear, ir.dirichlet_linear,
                    ir.neumann_bilinear, ir.neumann_linear))
-    for batch in asm.face_batches if surface else ():
-        masks = asm._route_regions(batch, t, ir.unknown)
-        env = ex.point_env(batch.x_surr, t, asm.spec.coefficients, dt)
-        env["special:h"] = float(batch.h_cell.max())
-        for d in range(asm.dim):
-            env[f"special:nt:{d}"] = float(batch.n_tilde[d])
-            env[f"special:ntrue:{d}"] = batch.n_true[..., d]
-            env[f"special:d:{d}"] = batch.dvec[..., d]
-        tables = (batch.basis_values, batch.basis_grads, batch.h_cell)
+    if surface:
+        faces = reference_faces(mesh)
+        masks = reference_route(spec, faces["x_true"], t, ir.unknown)
+        env = ex.point_env(faces["x_surr"], t, spec.coefficients, dt)
+        env["special:h"] = faces["h"].max(axis=1)[:, None]
+        dvec = faces["x_true"] - faces["x_surr"]
+        for d in range(dim):
+            env[f"special:nt:{d}"] = faces["n_tilde"][:, d, None]
+            env[f"special:ntrue:{d}"] = faces["n_true"][..., d]
+            env[f"special:d:{d}"] = dvec[..., d]
+        tables = (faces["values"], faces["grads"], faces["h"][:, None, None, :])
+        conn = faces["conn"]
         for kind, data_name, bilinear, linear in (
                 (BCKind.DIRICHLET, "special:gd",
                  ir.dirichlet_bilinear, ir.dirichlet_linear),
@@ -398,18 +479,18 @@ def reference_assemble(asm, ir, t=0.0, history=None, matrix=True):
             if kind not in masks:
                 continue
             sel, env[data_name] = masks[kind]
-            weight = sel * batch.warea[None, :]
+            weight = sel * faces["warea"]
             for c in bilinear if matrix else ():
                 sval = np.broadcast_to(ex.eval_scalar(c.scalar, env),
                                        sel.shape) * weight
-                add_triplets(batch.conn, np.einsum(
-                    "eq,qi,qj->eij", sval, _reference_table(c.test, *tables),
+                add_triplets(conn, np.einsum(
+                    "eq,eqi,eqj->eij", sval, _reference_table(c.test, *tables),
                     _reference_table(c.trial, *tables)))
             for c in linear:
                 sval = np.broadcast_to(ex.eval_scalar(c.scalar, env),
                                        sel.shape) * weight
-                np.add.at(b, batch.conn, np.einsum(
-                    "eq,qi->ei", sval, _reference_table(c.test, *tables)))
+                np.add.at(b, conn, np.einsum(
+                    "eq,eqi->ei", sval, _reference_table(c.test, *tables)))
 
     if not matrix:
         return None, b
@@ -450,8 +531,8 @@ def test_single_block_assembly_matches_per_term_oracle(case):
         history = {1: np.sin(3 * coords[:, 0]) + coords[:, -1],
                    2: np.cos(2 * coords[:, 1])}
     A, b = asm.assemble(ir, t=0.25, history=history, matrix=matrix)
-    A_ref, b_ref = reference_assemble(asm, ir, t=0.25, history=history,
-                                      matrix=matrix)
+    A_ref, b_ref = reference_assemble(mesh, spec, ir, t=0.25,
+                                      history=history, matrix=matrix)
     if case == "sphere_hanging":
         assert mesh.hanging
     if case == "one_linear_term":

@@ -587,9 +587,11 @@ def test_20k_triangle_surface_meshes_and_sets_up(tmp_path):
     # the sphere touches no wall, so every face batch is a geometry batch
     assert (mesh.faces.kind == KIND_GEOMETRY).all()
     batches = asm.face_batches
-    x_surr = np.concatenate([b.x_surr.reshape(-1, 3) for b in batches])
+    x_surr = np.concatenate([b.coords().reshape(-1, 3) for b in batches])
     x_true = np.concatenate([b.x_true.reshape(-1, 3) for b in batches])
-    n_true = np.concatenate([b.n_true.reshape(-1, 3) for b in batches])
+    n_true = np.concatenate([
+        np.stack([b.surface[f"special:ntrue:{d}"] for d in range(3)],
+                 axis=-1).reshape(-1, 3) for b in batches])
     sample = np.random.default_rng(12).choice(len(x_surr), 200, replace=False)
     projections, normals, _ = scan_closest(surf, x_surr[sample])
     assert np.array_equal(x_true[sample], projections)

@@ -358,6 +358,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match="'v'"):
             parse_problem(script)
 
+    @pytest.mark.parametrize("names", ["w, u", "u, w"],
+                             ids=["listed_first", "listed_last"])
+    def test_every_field_must_appear(self, names):
+        # a field the weak form never names would be validated and then
+        # ignored, with its boundary conditions and initial condition
+        script = edit(CIRCLE_SCRIPT, "names = u", f"names = {names}")
+        with pytest.raises(ValidationError, match="field 'w'"):
+            parse_problem(script)
+
 
 class TestLevelOverride:
     def test_with_levels(self):
