@@ -19,8 +19,12 @@ batch and broadcast. A cell batch binds the history fields. A face batch
 routes each point through the ordered boundary-region predicates,
 evaluated at the true boundary point: the first that holds claims it, and
 its condition decides which surface blocks apply and supplies the
-boundary value. All blocks then go through one scatter: one COO triplet
-list summed into CSR by one ``tocsr()``, and one ``np.bincount``.
+boundary value. When no predicate or boundary value reads ``t``, directly
+or through the coefficients they name, routing is set-up work: each face
+batch is routed once per ``Assembler`` and unknown, at its first
+assembly, and its masks and values are kept. All blocks then go through
+one scatter: one COO triplet list summed into CSR by one ``tocsr()``, and
+one ``np.bincount``.
 
 The constrained system is reduced with the mesh's hanging-node expansion
 ``C`` (solve ``CᵀAC y = Cᵀb``, then expand ``u = Cy``) and solved with a
@@ -181,6 +185,12 @@ class Assembler:
         self.cell_batches = _cell_batches(
             mesh, tensor_rule(_ASSEMBLY_QUAD, mesh.dimension))
         self.face_batches = _face_batches(mesh)
+        routing = [p for _, p in spec.boundary_regions] + [
+            bc.value for bc in spec.boundary_conditions.values()]
+        # (id(face batch), unknown) -> its routing; kept only when no
+        # region predicate or boundary value reads t
+        self._routes = None if _reads_time(
+            set().union(*map(ex.names_in, routing)), spec.coefficients) else {}
 
     @staticmethod
     def _integrate(groups, env, weights, values, grads, h):
@@ -212,6 +222,16 @@ class Assembler:
                 total = blocks[bilinear]
                 blocks[bilinear] = block if total is None else total + block
         return blocks[True], blocks[False]
+
+    def _routed(self, batch, t, unknown):
+        """``_route_regions``, computed once per batch and unknown when
+        it cannot depend on ``t``."""
+        if self._routes is None:
+            return self._route_regions(batch, t, unknown)
+        key = (id(batch), unknown)
+        if key not in self._routes:
+            self._routes[key] = self._route_regions(batch, t, unknown)
+        return self._routes[key]
 
     def _route_regions(self, batch, t, unknown):
         """Mask and boundary value per condition kind of a face batch's
@@ -257,7 +277,7 @@ class Assembler:
         else:
             env.update(batch.surface)
             weights = {}
-            for kind, (sel, value) in self._route_regions(
+            for kind, (sel, value) in self._routed(
                     batch, t, ir.unknown).items():
                 region, data_name = _SURFACE[kind]
                 env[data_name] = value
@@ -386,6 +406,18 @@ def bicgstab(A, b, x0=None, abs_tol=1e-8, rel_tol=1e-8, max_iterations=1000,
         f"(residual {history[-1]:.3e}, target {target:.3e})", history)
 
 
+def _reads_time(names, coefficients):
+    """Whether expressions naming ``names`` read ``t``, directly or
+    through the ``coefficients`` they name."""
+    # a coefficient reads only coefficients declared before it
+    names = {name.split(":")[0] for name in names}
+    for name, value in reversed(coefficients.items()):
+        if name in names:
+            for part in value if isinstance(value, tuple) else (value,):
+                names |= ex.names_in(part)
+    return "t" in names
+
+
 def _matrix_reads_time(ir, spec):
     """Whether ``ir``'s reduced matrix can change between time steps.
 
@@ -403,13 +435,7 @@ def _matrix_reads_time(ir, spec):
     for bc in spec.boundary_conditions.values():
         if _SURFACE[bc.kind][1] in names:
             names |= ex.names_in(bc.value)
-    # a coefficient reads only coefficients declared before it
-    names = {name.split(":")[0] for name in names}
-    for name, value in reversed(spec.coefficients.items()):
-        if name in names:
-            for part in value if isinstance(value, tuple) else (value,):
-                names |= ex.names_in(part)
-    return "t" in names
+    return _reads_time(names, spec.coefficients)
 
 
 # ---------------------------------------------------------------------------

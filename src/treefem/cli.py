@@ -78,7 +78,7 @@ def _parse_exact(text):
 
 def _print_timings(timings):
     parts = ", ".join(f"{phase} {timings[phase]:.2f} s"
-                      for phase in ("mesh", "assemble", "solve"))
+                      for phase in ("mesh", "assemble", "solve", "write"))
     print(f"wall time: {parts}")
 
 
@@ -94,13 +94,17 @@ def cmd_run(script_path, output_dir=".", level=None, exact=None):
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
+    write_seconds = 0.0
     tick = time.perf_counter()
     mesh = build_mesh(spec, base_dir)
     mesh_seconds = time.perf_counter() - tick
 
     # validation leaves only fields the weak form names, and it solves one
     def write(path, values):
+        nonlocal write_seconds
+        tick = time.perf_counter()
         write_fields_vtk(path, mesh, {spec.variables[0]: values})
+        write_seconds += time.perf_counter() - tick
         written.append(path)
 
     def on_step(step, _t, values):
@@ -111,7 +115,9 @@ def cmd_run(script_path, output_dir=".", level=None, exact=None):
     if result.ir.steady:
         write(out / "solution.vtk", result.values)
     csv_path = out / "diagnostics.csv"
+    tick = time.perf_counter()
     write_diagnostics_csv(csv_path, result.steps)
+    write_seconds += time.perf_counter() - tick
 
     print(f"ndof: {result.ndof}")
     print(f"steps: {len(result.steps)}")
@@ -121,7 +127,7 @@ def cmd_run(script_path, output_dir=".", level=None, exact=None):
                        t=result.steps[-1].time,
                        coefficients=spec.coefficients)
         print(f"L2 error vs exact: {err:.6e}")
-    _print_timings(result.timings)
+    _print_timings({**result.timings, "write": write_seconds})
     print(f"wrote {len(written)} VTK file(s) and {csv_path}")
     return 0
 

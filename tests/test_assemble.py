@@ -740,6 +740,56 @@ def test_matrix_reads_time(script, coefficients, expected):
     assert _matrix_reads_time(compile_kernel(spec), spec) is expected
 
 
+def _heat_edits(*edits):
+    script = _heat_script(base=2, glevel=3)
+    for old, new in edits:
+        script = _edit(script, old, new)
+    return script
+
+
+ROUTING_CASES = {
+    # name: (script, whether its face routing reads t)
+    "heat": (_heat_edits(), False),
+    "heat_predicate": (_heat_edits(("1 = true", "1 = t < 0.5\n2 = true")),
+                       True),
+    "heat_linear_value": (_heat_edits(("dirichlet, exp(", "dirichlet, t*exp(")),
+                          True),
+    "coefficient_chain": (_heat_edits(
+        ("alpha = 200", "alpha = 200\na = t*x\ng = 1 + a"),
+        ("dirichlet, exp(", "dirichlet, g*exp(")), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTING_CASES))
+def test_face_routing_is_kept_only_when_t_free(case, monkeypatch):
+    script, reads_time = ROUTING_CASES[case]
+    spec = parse_problem(script)
+    mesh = build_mesh(spec)
+    ir = compile_kernel(spec)
+    coords = mesh.node_coords()
+    history = {1: np.sin(3 * coords[:, 0]) + coords[:, -1],
+               2: np.cos(2 * coords[:, 1])}
+    routed = []
+    route = Assembler._route_regions
+    monkeypatch.setattr(Assembler, "_route_regions", lambda self, *args: (
+        routed.append(args[0]) or route(self, *args)))
+    asm = Assembler(mesh, spec)
+    _, early = asm.assemble(ir, t=0.25, history=history, matrix=False)
+    _, late = asm.assemble(ir, t=0.75, history=history, matrix=False)
+    _, fresh = Assembler(mesh, spec).assemble(ir, t=0.75, history=history,
+                                              matrix=False)
+    assert np.array_equal(late, fresh)
+    batches = len(asm.face_batches)
+    assert batches > 0
+    if reads_time:
+        assert not np.array_equal(early, late)
+        assert len(routed) == 3 * batches
+    else:
+        # routed once by each Assembler
+        assert np.array_equal(early, late)
+        assert len(routed) == 2 * batches
+
+
 def test_steady_state_is_transient_fixed_point():
     steady = solve(DISK_POISSON, base=4, glevel=5)
     transient_script = DISK_POISSON.format(base=4, glevel=5).replace(

@@ -135,7 +135,10 @@ def test_run_steady_writes_one_vtk(disk_script, tmp_path, capsys):
     assert "ndof:" in text
     assert "steps: 1" in text
     assert "final residual:" in text
-    assert "wall time:" in text
+    wall = next(line for line in text.splitlines()
+                if line.startswith("wall time: "))
+    assert [part.split()[0] for part in wall[11:].split(", ")] == [
+        "mesh", "assemble", "solve", "write"]
 
 
 def test_run_steady_form_with_time_section_writes_one_vtk(tmp_path):

@@ -1,14 +1,21 @@
 """Legacy VTK and CSV writers, checked with a small independent parser."""
 
 import csv
+import gc
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
+from treefem import vtkio
 from treefem.assemble import StepRecord
 from treefem.mesh import build_mesh
 from treefem.problem import parse_problem
 from treefem.vtkio import write_diagnostics_csv, write_fields_vtk, write_mesh_vtk
+
+import vtk_oracle as oracle
 
 CIRCLE_2D = """
 [domain]
@@ -193,6 +200,89 @@ def test_writers_are_deterministic(disk_mesh, tmp_path):
     write_fields_vtk(a, disk_mesh, values)
     write_fields_vtk(b, disk_mesh, values)
     assert a.read_bytes() == b.read_bytes()
+
+
+def awkward_fields(mesh):
+    # two fields at once: special doubles, and an integer-typed array
+    u = np.linspace(-1.0, 1.0, mesh.n_nodes)
+    u[:7] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0 / 3.0, 1e300]
+    return {"u": u, "count": np.arange(mesh.n_nodes) - 7}
+
+
+def assert_matches_oracle(tmp_path, mesh, title="a mesh"):
+    """Both writers give the former writers' bytes for ``mesh``."""
+    for name, args in (("write_mesh_vtk", ()),
+                       ("write_fields_vtk", (awkward_fields(mesh),))):
+        new, ref = tmp_path / "new.vtk", tmp_path / "ref.vtk"
+        getattr(vtkio, name)(new, mesh, *args, title=title)
+        getattr(oracle, name)(ref, mesh, *args, title=title)
+        assert new.read_bytes() == ref.read_bytes(), name
+
+
+@pytest.mark.parametrize("fixture", ["disk_mesh", "box_mesh"])
+def test_writers_match_the_former_writers_byte_for_byte(fixture, request,
+                                                        tmp_path):
+    mesh = request.getfixturevalue(fixture)
+    assert_matches_oracle(tmp_path, mesh)
+    # a second write of the same mesh comes from the kept text
+    assert_matches_oracle(tmp_path, mesh, title="again")
+
+
+def test_kept_text_is_never_served_for_another_mesh(tmp_path):
+    disk = build_mesh(parse_problem(CIRCLE_2D))
+    box = build_mesh(parse_problem(BOX_3D))
+    third = build_mesh(parse_problem(CIRCLE_2D.replace(
+        "refine_level = 5", "refine_level = 4")))
+    for mesh in (disk, box, disk, disk, box, disk):
+        assert_matches_oracle(tmp_path, mesh)
+    # the last mesh written is not kept alive by the writer
+    ref, freed = weakref.ref(disk), id(disk)
+    del disk, mesh
+    gc.collect()
+    assert ref() is None
+    # a new mesh object may sit at the freed mesh's address; it still
+    # gets its own text
+    blanks = [object.__new__(type(box))]
+    while id(blanks[-1]) != freed and len(blanks) < 200_000:
+        blanks.append(object.__new__(type(box)))
+    twin = blanks[-1] if id(blanks[-1]) == freed else None
+    if twin is not None:
+        twin.__dict__.update(third.__dict__)
+        assert_matches_oracle(tmp_path, twin)
+    assert_matches_oracle(tmp_path, third)
+    assert_matches_oracle(tmp_path, box)
+    if twin is None:
+        pytest.skip("the allocator placed no new mesh at the freed address")
+
+
+def test_threads_writing_two_meshes_get_their_own_text(disk_mesh, box_mesh,
+                                                       tmp_path):
+    expected = {}
+    for mesh in (disk_mesh, box_mesh):
+        oracle.write_mesh_vtk(tmp_path / "ref.vtk", mesh)
+        expected[id(mesh)] = (tmp_path / "ref.vtk").read_bytes()
+    wrong = []
+
+    def work(k, mesh):
+        path = tmp_path / f"t{k}.vtk"
+        for _ in range(15):
+            write_mesh_vtk(path, mesh)
+            if path.read_bytes() != expected[id(mesh)]:
+                wrong.append(k)
+
+    threads = [threading.Thread(target=work, args=(k, mesh))
+               for k, mesh in enumerate([disk_mesh, box_mesh] * 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
 
 
 def test_diagnostics_csv(tmp_path):
