@@ -215,10 +215,13 @@ def _parse_levels(text):
         part = part.strip()
         if "-" in part[1:]:
             lo, hi = part.split("-", 1)
-            levels.extend(range(int(lo), int(hi) + 1))
+            span = range(int(lo), int(hi) + 1)
+            if not span:
+                raise ValueError(text)
+            levels.extend(span)
         else:
             levels.append(int(part))
-    if not levels or any(lv < 1 for lv in levels):
+    if any(lv < 1 for lv in levels):
         raise ValueError(text)
     return levels
 

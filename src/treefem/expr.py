@@ -2,28 +2,29 @@
 
 The grammar is a small arithmetic/boolean language:
 
-    expr    := or
-    or      := and ( "||" and )*
-    and     := cmp ( "&&" cmp )*
-    cmp     := add [ ("<" | "<=" | ">" | ">=" | "==") add ]
-    add     := mul ( ("+" | "-") mul )*
-    mul     := unary ( ("*" | "/") unary )*
+    expr    := unary ( BINOP unary )*
     unary   := "-" unary | primary
     primary := NUMBER | "true" | "false" | IDENT | IDENT "(" args ")"
              | "(" expr ")"
 
-Unary minus binds tighter than "*" and "/", so ``-x*y`` is ``(-x)*y``.
-Comparisons do not chain. ``pi`` is a predefined constant name. Identifiers
+Each binary operator is one row of ``_BINARY``: its token, its precedence
+level and its value function. Every level is left-associative, except that
+comparisons do not chain. Unary minus binds tighter than "*" and "/", so
+``-x*y`` is ``(-x)*y``. ``pi`` is a predefined constant name. Identifiers
 are case sensitive.
 
-Trees are immutable dataclasses with structural equality, and
-:func:`to_text` prints them back so that ``parse(to_text(e))`` reproduces
-the identical tree.
+Trees are immutable dataclasses with structural equality. :func:`to_text`
+prints them back so that ``parse(to_text(e))`` reproduces every tree that
+:func:`parse` returns, save that a literal past the float range, like
+``1e999``, parses as infinity and does not print. Trees holding negative
+number literals, such as ``forms.fold`` output, do not come back:
+``Num(-2.0)`` prints as ``-2``, which parses as ``Neg(Num(2.0))``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,15 @@ __all__ = [
     "parse", "to_text", "eval_scalar", "point_env", "names_in",
     "to_sexpr", "from_sexpr", "BUILTIN_CALLS", "WEAK_FORM_CALLS",
 ]
+
+# Plain math calls, evaluated directly: name -> (scalar, array) function.
+_MATH_CALLS = {
+    "sin": (math.sin, np.sin),
+    "cos": (math.cos, np.cos),
+    "exp": (math.exp, np.exp),
+    "sqrt": (math.sqrt, np.sqrt),
+    "abs": (abs, np.abs),
+}
 
 # Fixed arity of every recognized call. Anything else is an unknown function.
 BUILTIN_CALLS = {
@@ -50,29 +60,34 @@ BUILTIN_CALLS = {
     "elementDiameter": 0,
     "dirichletValue": 0,
     "neumannValue": 0,
-    "sin": 1,
-    "cos": 1,
-    "exp": 1,
-    "sqrt": 1,
-    "abs": 1,
+    **dict.fromkeys(_MATH_CALLS, 1),
 }
 
-# Calls that only make sense while compiling a weak form. eval_scalar
-# rejects them; plain math calls are evaluated directly.
-WEAK_FORM_CALLS = frozenset(
-    name for name in BUILTIN_CALLS
-    if name not in ("sin", "cos", "exp", "sqrt", "abs")
-)
+# Calls that only make sense while compiling a weak form; eval_scalar
+# rejects them.
+WEAK_FORM_CALLS = frozenset(BUILTIN_CALLS).difference(_MATH_CALLS)
 
-_MATH_CALLS = {
-    "sin": (math.sin, np.sin),
-    "cos": (math.cos, np.cos),
-    "exp": (math.exp, np.exp),
-    "sqrt": (math.sqrt, np.sqrt),
-    "abs": (abs, np.abs),
+# Precedence levels, loosest first.
+(_LEVEL_OR, _LEVEL_AND, _LEVEL_CMP, _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY,
+ _LEVEL_ATOM) = range(1, 8)
+
+# Every binary operator, token -> (precedence level, value function). The
+# lexer, parser, printer, evaluator and s-expression reader all read these
+# rows. ``&&`` and ``||`` have no value function: eval_scalar checks that
+# their operands are boolean and short-circuits them on scalars.
+_BINARY = {
+    "||": (_LEVEL_OR, None),
+    "&&": (_LEVEL_AND, None),
+    "<": (_LEVEL_CMP, operator.lt),
+    "<=": (_LEVEL_CMP, operator.le),
+    ">": (_LEVEL_CMP, operator.gt),
+    ">=": (_LEVEL_CMP, operator.ge),
+    "==": (_LEVEL_CMP, operator.eq),
+    "+": (_LEVEL_ADD, operator.add),
+    "-": (_LEVEL_ADD, operator.sub),
+    "*": (_LEVEL_MUL, operator.mul),
+    "/": (_LEVEL_MUL, operator.truediv),
 }
-
-_COMPARISONS = ("<", "<=", ">", ">=", "==")
 
 
 @dataclass(frozen=True)
@@ -114,10 +129,6 @@ Expr = Num | Bool | Name | Neg | Bin | Call
 # ---------------------------------------------------------------------------
 # Lexer
 
-_TWO_CHAR = ("<=", ">=", "==", "&&", "||")
-_ONE_CHAR = "+-*/(),<>"
-
-
 def _tokenize(text):
     """Yield (kind, value, col) tuples; col is 1-based."""
     tokens = []
@@ -158,14 +169,10 @@ def _tokenize(text):
             tokens.append(("ident", text[i:j], col))
             i = j
             continue
-        two = text[i:i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(("op", two, col))
-            i += 2
-            continue
-        if c in _ONE_CHAR:
-            tokens.append(("op", c, col))
-            i += 1
+        op = text[i:i + 2] if text[i:i + 2] in _BINARY else c
+        if op in _BINARY or op in "(),":
+            tokens.append(("op", op, col))
+            i += len(op)
             continue
         if c in "&|":
             raise ParseError(f"expected '{c}{c}'", col=col)
@@ -201,64 +208,31 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        expr = self.parse_or()
+        expr = self.parse_binary()
         kind, value, col = self.peek()
         if kind != "eof":
             shown = value if value is not None else kind
             raise ParseError(f"unexpected trailing input '{shown}'", col=col)
         return expr
 
-    def parse_or(self):
-        left = self.parse_and()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "||":
-                self.advance()
-                left = Bin("||", left, self.parse_and())
-            else:
-                return left
+    def at_level(self, level):
+        """True when the next token is a binary operator at ``level``."""
+        value = self.peek()[1]
+        return value in _BINARY and _BINARY[value][0] == level
 
-    def parse_and(self):
-        left = self.parse_cmp()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "&&":
-                self.advance()
-                left = Bin("&&", left, self.parse_cmp())
-            else:
-                return left
-
-    def parse_cmp(self):
-        left = self.parse_add()
-        kind, value, _ = self.peek()
-        if kind == "op" and value in _COMPARISONS:
-            self.advance()
-            right = self.parse_add()
-            kind2, value2, col2 = self.peek()
-            if kind2 == "op" and value2 in _COMPARISONS:
-                raise ParseError("comparisons cannot be chained", col=col2)
-            return Bin(value, left, right)
+    def parse_binary(self, level=_LEVEL_OR):
+        """A left-associative chain of the operators at ``level``, each
+        operand parsed one level tighter; a comparison takes one."""
+        if level == _LEVEL_UNARY:
+            return self.parse_unary()
+        left = self.parse_binary(level + 1)
+        while self.at_level(level):
+            op = self.advance()[1]
+            left = Bin(op, left, self.parse_binary(level + 1))
+            if level == _LEVEL_CMP and self.at_level(level):
+                raise ParseError("comparisons cannot be chained",
+                                 col=self.peek()[2])
         return left
-
-    def parse_add(self):
-        left = self.parse_mul()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("+", "-"):
-                self.advance()
-                left = Bin(value, left, self.parse_mul())
-            else:
-                return left
-
-    def parse_mul(self):
-        left = self.parse_unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("*", "/"):
-                self.advance()
-                left = Bin(value, left, self.parse_unary())
-            else:
-                return left
 
     def parse_unary(self):
         kind, value, _ = self.peek()
@@ -272,7 +246,7 @@ class _Parser:
         if kind == "num":
             return Num(value)
         if kind == "op" and value == "(":
-            inner = self.parse_or()
+            inner = self.parse_binary()
             self.expect_op(")")
             return inner
         if kind == "ident":
@@ -299,12 +273,12 @@ class _Parser:
         args = []
         kind, value, _ = self.peek()
         if not (kind == "op" and value == ")"):
-            args.append(self.parse_or())
+            args.append(self.parse_binary())
             while True:
                 kind, value, _ = self.peek()
                 if kind == "op" and value == ",":
                     self.advance()
-                    args.append(self.parse_or())
+                    args.append(self.parse_binary())
                 else:
                     break
         self.expect_op(")")
@@ -336,22 +310,9 @@ def parse(text, names=None):
 # ---------------------------------------------------------------------------
 # Printer
 
-_LEVEL_OR = 1
-_LEVEL_AND = 2
-_LEVEL_CMP = 3
-_LEVEL_ADD = 4
-_LEVEL_MUL = 5
-_LEVEL_UNARY = 6
-_LEVEL_ATOM = 7
-
-_BIN_LEVEL = {"||": _LEVEL_OR, "&&": _LEVEL_AND, "+": _LEVEL_ADD, "-": _LEVEL_ADD,
-              "*": _LEVEL_MUL, "/": _LEVEL_MUL}
-_BIN_LEVEL.update({op: _LEVEL_CMP for op in _COMPARISONS})
-
-
 def _level(expr):
     if isinstance(expr, Bin):
-        return _BIN_LEVEL[expr.op]
+        return _BINARY[expr.op][0]
     if isinstance(expr, Neg):
         return _LEVEL_UNARY
     return _LEVEL_ATOM
@@ -387,7 +348,7 @@ def _render(expr, name, call):
         args = ", ".join(_render(a, name, call) for a in expr.args)
         return f"{call(expr.fn)}({args})"
     if isinstance(expr, Bin):
-        mine = _BIN_LEVEL[expr.op]
+        mine = _level(expr)
         left = _render(expr.left, name, call)
         right = _render(expr.right, name, call)
         if _level(expr.left) < mine:
@@ -448,45 +409,29 @@ def eval_scalar(expr, env):
         raise EvalError(f"{expr.fn}(...) is only meaningful inside a weak form")
     if isinstance(expr, Bin):
         op = expr.op
-        if op in ("&&", "||"):
-            left = eval_scalar(expr.left, env)
+        left = eval_scalar(expr.left, env)
+        fn = _BINARY[op][1]
+        if fn is None:
             if not _is_bool(left):
                 raise EvalError(f"'{op}' requires boolean operands")
-            if not isinstance(left, np.ndarray):
-                # Short-circuit on plain scalars.
-                if op == "&&" and not left:
-                    return False
-                if op == "||" and left:
-                    return True
-                right = eval_scalar(expr.right, env)
-                if not _is_bool(right):
-                    raise EvalError(f"'{op}' requires boolean operands")
-                return bool(right) if not isinstance(right, np.ndarray) else right
+            scalar = not isinstance(left, np.ndarray)
+            if scalar and bool(left) == (op == "||"):
+                return bool(left)           # false && ..., true || ...
             right = eval_scalar(expr.right, env)
             if not _is_bool(right):
                 raise EvalError(f"'{op}' requires boolean operands")
-            if op == "&&":
-                return np.logical_and(left, right)
-            return np.logical_or(left, right)
-        left = eval_scalar(expr.left, env)
+            if scalar:
+                return right if isinstance(right, np.ndarray) else bool(right)
+            return (np.logical_and if op == "&&" else np.logical_or)(left, right)
         right = eval_scalar(expr.right, env)
         if _is_bool(left) or _is_bool(right):
             if op == "==":
                 return left == right
             raise EvalError(f"'{op}' requires numeric operands")
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            try:
-                return left / right
-            except ZeroDivisionError:
-                raise EvalError("division by zero") from None
-        return {"<": left < right, "<=": left <= right, ">": left > right,
-                ">=": left >= right, "==": left == right}[op]
+        try:
+            return fn(left, right)
+        except ZeroDivisionError:
+            raise EvalError("division by zero") from None
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -539,7 +484,7 @@ def is_predicate(expr):
     """True when the root of ``expr`` yields a boolean: a comparison,
     ``&&``, ``||``, ``true`` or ``false``."""
     return isinstance(expr, Bool) or (
-        isinstance(expr, Bin) and expr.op in _COMPARISONS + ("&&", "||"))
+        isinstance(expr, Bin) and _BINARY[expr.op][0] <= _LEVEL_CMP)
 
 
 def has_comparison(expr):
@@ -549,9 +494,6 @@ def has_comparison(expr):
 
 # ---------------------------------------------------------------------------
 # S-expression form (used by the kernel IR serializer)
-
-_SEXPR_OPS = {"+", "-", "*", "/", "<", "<=", ">", ">=", "==", "&&", "||"}
-
 
 def to_sexpr(expr):
     """Canonical prefix form, e.g. ``(* dt (+ a 1.5))``."""
@@ -608,7 +550,7 @@ def _read_sexpr(tokens, i):
         if not args or not isinstance(args[0], Name):
             raise ParseError("call head must carry a function name")
         return Call(args[0].id, tuple(args[1:])), i
-    if head in _SEXPR_OPS:
+    if head in _BINARY:
         if len(args) != 2:
             raise ParseError(f"operator {head} takes two arguments")
         return Bin(head, args[0], args[1]), i

@@ -134,15 +134,9 @@ def fold(expr):
         left = fold(expr.left)
         right = fold(expr.right)
         op = expr.op
-        if isinstance(left, ex.Num) and isinstance(right, ex.Num):
-            if op == "+":
-                return ex.Num(left.value + right.value)
-            if op == "-":
-                return ex.Num(left.value - right.value)
-            if op == "*":
-                return ex.Num(left.value * right.value)
-            if op == "/" and right.value != 0.0:
-                return ex.Num(left.value / right.value)
+        if (isinstance(left, ex.Num) and isinstance(right, ex.Num)
+                and _arithmetic(op) and (op != "/" or right.value != 0.0)):
+            return ex.Num(ex._BINARY[op][1](left.value, right.value))
         if op == "*":
             # Canonical product: flatten the chain, merge every numeric
             # factor into one leading constant, turn 1/y factors into
@@ -195,6 +189,11 @@ def fold(expr):
     return expr
 
 
+def _arithmetic(op):
+    """True for ``+ - * /``, the operators allowed in a weak form."""
+    return ex._BINARY[op][0] >= ex._LEVEL_ADD
+
+
 def _product(factors):
     out = None
     for factor in factors:
@@ -215,7 +214,6 @@ _SPECIAL_SCALARS = {
     "dirichletValue": "special:gd",
     "neumannValue": "special:gn",
 }
-_MATH_FNS = ("sin", "cos", "exp", "sqrt", "abs")
 
 # Expansion factor tags.
 _TEST = "test"
@@ -341,7 +339,7 @@ def _call_alternatives(node, region, ctx):
         raise FormError(f"{fn}() is vector valued and must appear inside dot()")
     if fn in _SPECIAL_SCALARS:
         return [(region, [(_SCALAR, ex.Name(_SPECIAL_SCALARS[fn]))])]
-    if fn in _MATH_FNS:
+    if fn in ex._MATH_CALLS:
         return [(region, [(_SCALAR, _scalar_expr(node, ctx))])]
     raise FormError(f"unsupported call '{fn}' in a weak form")
 
@@ -407,12 +405,12 @@ def _scalar_expr(node, ctx):
     if isinstance(node, ex.Neg):
         return ex.Neg(_scalar_expr(node.arg, ctx))
     if isinstance(node, ex.Bin):
-        if node.op in ("+", "-", "*", "/"):
+        if _arithmetic(node.op):
             return ex.Bin(node.op, _scalar_expr(node.left, ctx),
                           _scalar_expr(node.right, ctx))
         raise FormError(f"operator '{node.op}' is not allowed in a weak form")
     if isinstance(node, ex.Call):
-        if node.fn in _MATH_FNS:
+        if node.fn in ex._MATH_CALLS:
             return ex.Call(node.fn, tuple(_scalar_expr(a, ctx) for a in node.args))
         if node.fn in _SPECIAL_SCALARS:
             return ex.Name(_SPECIAL_SCALARS[node.fn])

@@ -534,10 +534,6 @@ class IncompleteMesh:
             center[pick, taxes] += shift * size[pick, taxes]
         return center
 
-    def level_counts(self):
-        uniq, counts = np.unique(self.levels, return_counts=True)
-        return {int(l): int(c) for l, c in zip(uniq, counts)}
-
 
 def build_mesh(spec, base_dir="."):
     """Run the full pipeline for a problem description."""

@@ -8,8 +8,9 @@ A mesh's own text (points, cells, per-cell level and boundary-owner
 data) is formatted once and kept for the last mesh written, keyed on the
 mesh object through a weak reference: the cache never keeps a mesh alive
 and never serves one mesh's text for another, even one that reuses a
-freed mesh's ``id``. A time-stepping run thus formats only its fields on
-each step. A mesh must not be mutated after it has been written.
+freed mesh's ``id``. Once that mesh is freed, its text is dropped too. A
+time-stepping run thus formats only its fields on each step. A mesh must
+not be mutated after it has been written.
 """
 
 from __future__ import annotations
@@ -25,7 +26,16 @@ __all__ = ["write_mesh_vtk", "write_fields_vtk", "write_diagnostics_csv"]
 _CELL = {2: (9, (0, 1, 3, 2)), 3: (12, (0, 1, 3, 2, 4, 5, 7, 6))}
 
 # weak reference to the last mesh written, its points and cells, its cell data
-_cached = (lambda: None, "", "")
+_EMPTY = (lambda: None, "", "")
+_cached = _EMPTY
+
+
+def _forget(ref):
+    """Drop the kept text when its mesh is freed, unless a newer mesh's
+    text has replaced it; losing a race with a writer costs only a miss."""
+    global _cached
+    if _cached[0] is ref:
+        _cached = _EMPTY
 
 
 def _fmt(value):
@@ -56,7 +66,7 @@ def _write(path, mesh, title, point_data=""):
         cells = _rows(str(width) + " {}" * width,
                       mesh.elem_nodes[:, order].T.tolist())
         owner = np.bincount(mesh.faces.element, minlength=n) > 0
-        cached = _cached = (weakref.ref(mesh),
+        cached = _cached = (weakref.ref(mesh, _forget),
                             f"POINTS {mesh.n_nodes} double\n{points}"
                             f"CELLS {n} {n * (width + 1)}\n{cells}"
                             f"CELL_TYPES {n}\n" + f"{cell_type}\n" * n,

@@ -302,10 +302,14 @@ def test_mesh_of_outside_geometry_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_level_list_is_rejected(disk_script):
-    with pytest.raises(SystemExit) as info:
-        main(["mesh", str(disk_script), "--levels", "five"])
-    assert info.value.code == 2
+def test_bad_level_list_is_rejected(disk_script, tmp_path, capsys):
+    # an empty range is rejected inside a list as well as alone
+    for levels in ("five", "8-5", "5,8-5", "5--6", "4,5--6"):
+        with pytest.raises(SystemExit) as info:
+            main(["mesh", str(disk_script), "--levels", levels,
+                  "--out", str(tmp_path / "m.vtk")])
+        assert info.value.code == 2
+        assert f"bad level list '{levels}'" in capsys.readouterr().err
 
 
 def test_run_rejects_multiple_levels(disk_script):

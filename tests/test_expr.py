@@ -1,14 +1,17 @@
 """Expression parser, printer, and evaluator tests."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treefem import expr as ex
 from treefem.errors import EvalError, ParseError
+
+import expr_oracle as oracle
 
 
 def roundtrip(text):
@@ -158,6 +161,69 @@ def test_roundtrip_property(tree):
 def test_roundtrip_property_with_comparison(pair, op):
     tree = ex.Bin(op, pair[0], pair[1])
     assert ex.parse(ex.to_text(tree)) == tree
+
+
+# Differential test against the former lexer, parser, printer and evaluator:
+# token strings, well-formed or not, must give the same tree or the same
+# error, and the same printed text, predicate flag and values.
+_TOKENS = [
+    "0", "1", "2.5", ".5", "1e3", "1e", "7.", "x", "y", "b", "q", "pi",
+    "true", "false", "+", "-", "*", "/", "<", "<=", ">", ">=", "==", "&&",
+    "||", "(", ")", ",", "&", "|", "=", "$", "!", "sin(", "sqrt(", "exp(",
+    "abs(", "dot(", "grad(", "normal()", "sinh(",
+]
+_token_texts = st.tuples(
+    st.sampled_from(["", " "]),
+    st.lists(st.sampled_from(_TOKENS), max_size=12),
+).map(lambda t: t[0].join(t[1]))
+_ENVS = [
+    {"x": 1.0, "y": 2.5, "b": np.float64(0.0)},
+    {"x": np.array([0.5, -1.0, 7.0]), "y": np.array([2.5, 0.0, -3.0]),
+     "b": 1.0},
+    {"x": True, "y": np.array([True, False, True]), "b": False},
+]
+_Raised = namedtuple("_Raised", "type message col")
+
+
+def _run(fn, *args):
+    """``fn(*args)``, or the type, message and column of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return _Raised(type(exc), str(exc), getattr(exc, "col", None))
+
+
+def _key(value):
+    return type(value), getattr(value, "dtype", None), repr(value)
+
+
+@given(st.one_of(_token_texts, _exprs.map(oracle.to_text)))
+@example("1 < x < 2")
+@example("x <= 1 && y >= 2.5 || x - (y - b) / (b * x) == x - y - b")
+@example("(x < 1) < 2 && y")
+@example("x = 1 & b")
+@example("false && normal() == normal()")
+@example("true || q")
+@example("true && b < 1")
+@example("x < 1 && y > 0")
+@example("y && b || x && y")
+@example("(x < 1) + 1")
+@example("1e999 * x")
+@example("x / b - -y * 2 >= sin(x) || b == true")
+@settings(max_examples=300, deadline=None)
+def test_matches_the_former_expression_code(text):
+    tree = _run(ex.parse, text)
+    assert _key(tree) == _key(_run(oracle.parse, text))
+    if isinstance(tree, _Raised):
+        return
+    assert _run(ex.to_text, tree) == _run(oracle.to_text, tree)
+    sexpr = _run(ex.to_sexpr, tree)     # raises on a literal like 1e999
+    assert isinstance(sexpr, _Raised) or ex.from_sexpr(sexpr) == tree
+    assert ex.is_predicate(tree) == oracle.is_predicate(tree)
+    with np.errstate(all="ignore"):
+        for env in _ENVS:
+            assert (_key(_run(ex.eval_scalar, tree, env))
+                    == _key(_run(oracle.eval_scalar, tree, env)))
 
 
 class TestEval:

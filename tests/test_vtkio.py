@@ -255,6 +255,15 @@ def test_kept_text_is_never_served_for_another_mesh(tmp_path):
         pytest.skip("the allocator placed no new mesh at the freed address")
 
 
+def test_kept_text_is_dropped_with_its_mesh(tmp_path):
+    mesh = build_mesh(parse_problem(CIRCLE_2D))
+    write_mesh_vtk(tmp_path / "m.vtk", mesh)
+    assert vtkio._cached[1] and vtkio._cached[2]
+    del mesh
+    gc.collect()
+    assert vtkio._cached[1:] == ("", "")
+
+
 def test_threads_writing_two_meshes_get_their_own_text(disk_mesh, box_mesh,
                                                        tmp_path):
     expected = {}
