@@ -19,12 +19,13 @@ batch and broadcast. A cell batch binds the history fields. A face batch
 routes each point through the ordered boundary-region predicates,
 evaluated at the true boundary point: the first that holds claims it, and
 its condition decides which surface blocks apply and supplies the
-boundary value. When no predicate or boundary value reads ``t``, directly
-or through the coefficients they name, routing is set-up work: each face
-batch is routed once per ``Assembler`` and unknown, at its first
-assembly, and its masks and values are kept. All blocks then go through
-one scatter: one COO triplet list summed into CSR by one ``tocsr()``, and
-one ``np.bincount``.
+boundary value. When no surface linear scalar, region predicate or
+boundary value reads ``t``, directly or through the coefficients it
+names, a face batch's ``be`` is set-up work: it is kept per kernel and
+batch from the first assembly that computes it, matrix or not, and later
+right-hand-side-only assemblies skip the batch, routing included. All
+blocks go through one scatter: one COO triplet list summed into CSR by
+one ``tocsr()``, and one ``np.bincount``, which a kept ``be`` feeds too.
 
 The constrained system is reduced with the mesh's hanging-node expansion
 ``C`` (solve ``CᵀAC y = Cᵀb``, then expand ``u = Cy``) and solved with a
@@ -56,6 +57,7 @@ _ASSEMBLY_QUAD, _ERROR_QUAD = 2, 3
 # surface region and boundary-value name of each boundary-condition kind
 _SURFACE = {BCKind.DIRICHLET: (Region.DIRICHLET_SURFACE, "special:gd"),
             BCKind.NEUMANN: (Region.NEUMANN_SURFACE, "special:gn")}
+_SURFACE_REGIONS = tuple(region for region, _ in _SURFACE.values())
 
 
 @dataclass
@@ -176,7 +178,9 @@ class Assembler:
 
     Cells and faces use a 2-point Gauss rule per axis. Batches are
     assembled one after another in a fixed order, so repeated assemblies
-    give bit-identical ``A`` and ``b``.
+    give bit-identical ``A`` and ``b``. A kernel whose face right-hand
+    side cannot read ``t`` keeps each face batch's ``be`` from the first
+    assembly that computes it.
     """
 
     def __init__(self, mesh, spec):
@@ -185,12 +189,9 @@ class Assembler:
         self.cell_batches = _cell_batches(
             mesh, tensor_rule(_ASSEMBLY_QUAD, mesh.dimension))
         self.face_batches = _face_batches(mesh)
-        routing = [p for _, p in spec.boundary_regions] + [
-            bc.value for bc in spec.boundary_conditions.values()]
-        # (id(face batch), unknown) -> its routing; kept only when no
-        # region predicate or boundary value reads t
-        self._routes = None if _reads_time(
-            set().union(*map(ex.names_in, routing)), spec.coefficients) else {}
+        # id(kernel) -> (kernel, {id(face batch): be}), or (kernel, None)
+        # when its face be reads t; holding the kernel keeps its id unique
+        self._face_rhs = {}
 
     @staticmethod
     def _integrate(groups, env, weights, values, grads, h):
@@ -222,16 +223,6 @@ class Assembler:
                 total = blocks[bilinear]
                 blocks[bilinear] = block if total is None else total + block
         return blocks[True], blocks[False]
-
-    def _routed(self, batch, t, unknown):
-        """``_route_regions``, computed once per batch and unknown when
-        it cannot depend on ``t``."""
-        if self._routes is None:
-            return self._route_regions(batch, t, unknown)
-        key = (id(batch), unknown)
-        if key not in self._routes:
-            self._routes[key] = self._route_regions(batch, t, unknown)
-        return self._routes[key]
 
     def _route_regions(self, batch, t, unknown):
         """Mask and boundary value per condition kind of a face batch's
@@ -277,7 +268,7 @@ class Assembler:
         else:
             env.update(batch.surface)
             weights = {}
-            for kind, (sel, value) in self._routed(
+            for kind, (sel, value) in self._route_regions(
                     batch, t, ir.unknown).items():
                 region, data_name = _SURFACE[kind]
                 env[data_name] = value
@@ -306,8 +297,17 @@ class Assembler:
         batches = self.cell_batches
         if any(region is not Region.VOLUME for region, _, _ in groups):
             batches = batches + self.face_batches
-        results = [self._blocks(ir, groups, batch, t, dt, history)
-                   for batch in batches]
+        if id(ir) not in self._face_rhs:
+            self._face_rhs[id(ir)] = (ir, None if _blocks_read_time(
+                ir, self.spec, False, _SURFACE_REGIONS) else {})
+        kept = self._face_rhs[id(ir)][1]
+        results = []
+        for batch in batches:
+            hit = not matrix and kept is not None and id(batch) in kept
+            results.append((batch.conn, None, kept[id(batch)]) if hit else
+                           self._blocks(ir, groups, batch, t, dt, history))
+            if kept is not None and batch.surface is not None:
+                kept[id(batch)] = results[-1][2]
 
         rhs = [(conn, be) for conn, _, be in results if be is not None]
         b = np.bincount(np.concatenate([conn for conn, _ in rhs]).ravel(),
@@ -406,28 +406,19 @@ def bicgstab(A, b, x0=None, abs_tol=1e-8, rel_tol=1e-8, max_iterations=1000,
         f"(residual {history[-1]:.3e}, target {target:.3e})", history)
 
 
-def _reads_time(names, coefficients):
-    """Whether expressions naming ``names`` read ``t``, directly or
-    through the ``coefficients`` they name."""
-    # a coefficient reads only coefficients declared before it
-    names = {name.split(":")[0] for name in names}
-    for name, value in reversed(coefficients.items()):
-        if name in names:
-            for part in value if isinstance(value, tuple) else (value,):
-                names |= ex.names_in(part)
-    return "t" in names
-
-
 def _matrix_reads_time(ir, spec):
-    """Whether ``ir``'s reduced matrix can change between time steps.
+    """Whether ``ir``'s reduced matrix can change between time steps:
+    only ``t`` can change it (``dt`` is fixed; history is linear)."""
+    return _blocks_read_time(ir, spec, True, tuple(Region))
 
-    Only ``t`` can change it (``dt`` is fixed; history is linear), read
-    through bilinear scalars, the coefficients they name and, for bilinear
-    surface terms, the region predicates and the boundary values read.
-    """
+
+def _blocks_read_time(ir, spec, bilinear, regions):
+    """Whether ``t`` reaches ``ir``'s bilinear (or linear) blocks over
+    ``regions``: through their scalars, on surfaces the region predicates
+    and the boundary values read, or the coefficients any of these name."""
     names = set()
-    for region, bilinear, contributions in ir.groups():
-        if bilinear and contributions:
+    for region, is_bilinear, contributions in ir.groups():
+        if is_bilinear is bilinear and region in regions and contributions:
             names.update(*(ex.names_in(c.scalar) for c in contributions))
             if region is not Region.VOLUME:
                 names.update(*(ex.names_in(predicate)
@@ -435,7 +426,13 @@ def _matrix_reads_time(ir, spec):
     for bc in spec.boundary_conditions.values():
         if _SURFACE[bc.kind][1] in names:
             names |= ex.names_in(bc.value)
-    return _reads_time(names, spec.coefficients)
+    # a coefficient reads only coefficients declared before it
+    names = {name.split(":")[0] for name in names}
+    for name, value in reversed(spec.coefficients.items()):
+        if name in names:
+            for part in value if isinstance(value, tuple) else (value,):
+                names |= ex.names_in(part)
+    return "t" in names
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ are case sensitive.
 
 Trees are immutable dataclasses with structural equality. :func:`to_text`
 prints them back so that ``parse(to_text(e))`` reproduces every tree that
-:func:`parse` returns, save that a literal past the float range, like
-``1e999``, parses as infinity and does not print. Trees holding negative
-number literals, such as ``forms.fold`` output, do not come back:
-``Num(-2.0)`` prints as ``-2``, which parses as ``Neg(Num(2.0))``.
+:func:`parse` returns; a literal past the float range, like ``1e999``,
+is a parse error. Trees holding negative number literals, such as
+``forms.fold`` output, do not come back: ``Num(-2.0)`` prints as ``-2``,
+which parses as ``Neg(Num(2.0))``.
 """
 
 from __future__ import annotations
@@ -155,9 +155,8 @@ def _tokenize(text):
                     j = k
                     while j < n and text[j].isdigit():
                         j += 1
-            try:
-                value = float(text[i:j])
-            except ValueError:
+            value = float(text[i:j])
+            if not math.isfinite(value):
                 raise ParseError(f"bad number literal '{text[i:j]}'", col=col)
             tokens.append(("num", value, col))
             i = j

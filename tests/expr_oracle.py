@@ -4,7 +4,9 @@ reference for the tests.
 This is the code ``treefem.expr`` ran before its binary operators were
 declared in one table: the operator strings listed in the lexer, one
 parse method per precedence level, a level map for the printer, and one
-evaluator branch per operator.
+evaluator branch per operator. Its lexer has since taken the one rule
+added to ``treefem.expr``'s: a number literal past the float range, like
+``1e999``, is a parse error.
 """
 
 import math
@@ -76,9 +78,8 @@ def _tokenize(text):
                     j = k
                     while j < n and text[j].isdigit():
                         j += 1
-            try:
-                value = float(text[i:j])
-            except ValueError:
+            value = float(text[i:j])
+            if not math.isfinite(value):
                 raise ParseError(f"bad number literal '{text[i:j]}'", col=col)
             tokens.append(("num", value, col))
             i = j

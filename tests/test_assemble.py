@@ -14,7 +14,7 @@ from treefem.assemble import (
     nodal_values, reduce_system, run_problem,
 )
 from treefem.errors import AssemblyError, SolverError
-from treefem.forms import compile_kernel
+from treefem.forms import KernelIR, compile_kernel
 from treefem.geometry import write_stl
 from treefem.kernel import basis_table, face_reference_points, tensor_rule
 from treefem.mesh import KIND_GEOMETRY, build_mesh
@@ -788,6 +788,107 @@ def test_face_routing_is_kept_only_when_t_free(case, monkeypatch):
         # routed once by each Assembler
         assert np.array_equal(early, late)
         assert len(routed) == 2 * batches
+
+
+def _history(mesh):
+    coords = mesh.node_coords()
+    return {1: np.sin(3 * coords[:, 0]) + coords[:, -1],
+            2: np.cos(2 * coords[:, 1])}
+
+
+def _assert_same_system(got, expected):
+    (A, b), (A_ref, b_ref) = got, expected
+    assert np.array_equal(b, b_ref)
+    if A_ref is None:
+        assert A is None
+        return
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, part), getattr(A_ref, part))
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_kept_face_rhs_gives_the_bits_of_a_fresh_assembler(case):
+    script, with_history, matrix = ORACLE_CASES[case]
+    spec = parse_problem(script)
+    mesh = build_mesh(spec)
+    ir = compile_kernel(spec)
+    history = _history(mesh) if with_history else None
+    asm = Assembler(mesh, spec)
+    # the last call is right-hand side only, so it reads the kept blocks
+    for t, with_matrix in ((0.25, matrix), (0.75, matrix), (0.75, False)):
+        _assert_same_system(
+            asm.assemble(ir, t=t, history=history, matrix=with_matrix),
+            Assembler(mesh, spec).assemble(ir, t=t, history=history,
+                                           matrix=with_matrix))
+
+
+FACE_RHS_CASES = {
+    # name: (script, whether the face right-hand side reads t)
+    "heat": ROUTING_CASES["heat"],
+    # the routing is t-free; the Nitsche penalty reads t through alpha
+    "coefficient_scalar": (_heat_edits(("alpha = 200", "alpha = 200*(1 + t)")),
+                           True),
+    "heat_predicate": ROUTING_CASES["heat_predicate"],
+    "heat_linear_value": ROUTING_CASES["heat_linear_value"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACE_RHS_CASES))
+def test_face_rhs_is_kept_only_when_t_free(case, monkeypatch):
+    script, reads_time = FACE_RHS_CASES[case]
+    spec = parse_problem(script)
+    mesh = build_mesh(spec)
+    ir = compile_kernel(spec)
+    history = _history(mesh)
+    fresh = {t: Assembler(mesh, spec).assemble(ir, t=t, history=history,
+                                               matrix=False)[1]
+             for t in (0.25, 0.75)}
+    routed = []
+    route = Assembler._route_regions
+    monkeypatch.setattr(Assembler, "_route_regions", lambda self, *args: (
+        routed.append(args[0]) or route(self, *args)))
+    asm = Assembler(mesh, spec)
+    # the matrix assembly computes the face blocks, so it keeps them
+    _, early = asm.assemble(ir, t=0.25, history=history, matrix=True)
+    _, late = asm.assemble(ir, t=0.75, history=history, matrix=False)
+    assert np.array_equal(early, fresh[0.25])
+    assert np.array_equal(late, fresh[0.75])
+    assert np.array_equal(early, late) is not reads_time
+    assert len(routed) == (2 if reads_time else 1) * len(asm.face_batches)
+
+
+def test_face_rhs_is_kept_per_kernel():
+    script = _heat_script(base=2, glevel=3)
+    spec = parse_problem(script)
+    mesh = build_mesh(spec)
+    history = _history(mesh)
+    asm = Assembler(mesh, spec)
+
+    def check(ir, t):
+        _assert_same_system(
+            asm.assemble(ir, t=t, history=history, matrix=False),
+            Assembler(mesh, spec).assemble(ir, t=t, history=history,
+                                           matrix=False))
+
+    kernels = [compile_kernel(spec, scheme=scheme)
+               for scheme in (TimeScheme.EULER_IMPLICIT, TimeScheme.BDF2)]
+    for t in (0.25, 0.5, 0.75):
+        for ir in kernels:
+            check(ir, t)
+    # kernels with other face blocks, each dropped just before the next
+    # is made from ready field tuples: with nothing allocated in between,
+    # CPython tends to give the new kernel the dropped kernel's id
+    penalties = [tuple(getattr(ir, field.name)
+                       for field in dataclasses.fields(ir))
+                 for ir in (compile_kernel(parse_problem(_edit(
+                     script, "+ alpha /", f"+ {scale}*alpha /")))
+                     for scale in range(2, 8))]
+    for values in penalties:
+        ir = KernelIR(*values)
+        check(ir, 0.25)
+        check(ir, 0.75)
+        del ir
+    check(kernels[1], 0.75)
 
 
 def test_steady_state_is_transient_fixed_point():
