@@ -7,7 +7,9 @@ and assembling shifted boundary terms:
     Which side of the surface each point is on. With ``outer_boundary``
     (the default) the surface encloses the computational domain and the
     inside is kept; otherwise the surface bounds a void and the outside
-    is kept.
+    is kept. The answer is pointwise: a point's answer does not depend on
+    the other points in the query, so duplicate points, and the same
+    point in different queries, get the same answer.
 
 ``closest(points)``
     The nearest surface point, the unit normal there (pointing out of the

@@ -7,7 +7,8 @@ refined box. Construction runs in four stages:
    it is coarser than the base level, when a geometry surface crosses it
    and it is coarser than that geometry's target level, when it touches a
    wall selected for refinement, or when the user's refinement predicate
-   holds at its center. Depth is capped at level 30.
+   holds at its center. Depth is capped at level 30. Classes are computed
+   only for cells a geometry rule can split.
 2. **balance**: adjacent leaves are limited to one level of difference,
    across faces in 2-D and across faces *and* edges in 3-D. The edge rule
    guarantees every nonconforming node sits at an edge midpoint or face
@@ -27,8 +28,8 @@ refined box. Construction runs in four stages:
 
 Anchors are integer cell coordinates at the cell's own level; lattice
 coordinates are at the fixed normalization level 30, so all point
-identity tests are exact. Every lookup (corner dedup, balance neighbors,
-face neighbors, node numbering and midpoint probes) goes through one
+identity tests are exact. Every lookup (balance neighbors, face
+neighbors, node numbering and midpoint probes) goes through one
 ``TreeIndex`` per stage: cells ``(level, anchor...)`` or lattice points
 (shifted down to the mesh's finest level) are packed into int64 keys
 whose bit width comes from the span of each column, the keys are sorted
@@ -174,22 +175,18 @@ def _lattice_coords(lattice, spec):
 def classify_elements(levels, anchors, spec, geometries):
     """Per-element class against each geometry, one code array per geometry.
 
-    Classes: INTERIOR (all corners kept), EXTERIOR (none), INTERCEPTED.
-    Without geometries the list is empty.
+    Each cell is classified from its own corners: INTERIOR (all kept),
+    EXTERIOR (none), INTERCEPTED. Without geometries the list is empty.
     """
-    n = len(levels)
-    dim = anchors.shape[1]
     if not geometries:
         return []
-    lattice = _corner_lattice(levels, anchors)
-    index = _lattice_index(lattice, levels)
-    points = _lattice_coords(lattice[index.first], spec)
+    corners = 2 ** anchors.shape[1]
+    points = _lattice_coords(_corner_lattice(levels, anchors), spec)
     per_geom = []
     for geom in geometries:
-        kept = geom.kept(points)[index.inverse].reshape(n, 2 ** dim)
-        count = kept.sum(axis=1)
-        codes = np.full(n, INTERCEPTED, np.int8)
-        codes[count == 2 ** dim] = INTERIOR
+        count = geom.kept(points).reshape(len(levels), corners).sum(axis=1)
+        codes = np.full(len(levels), INTERCEPTED, np.int8)
+        codes[count == corners] = INTERIOR
         codes[count == 0] = EXTERIOR
         per_geom.append(codes)
     return per_geom
@@ -206,11 +203,9 @@ def build_tree(spec, geometries):
     done_levels = []
     done_anchors = []
     walls = [_WALL_AXIS[name] for name in spec.refine_walls]
+    deepest = max((gspec.refine_level for gspec in spec.geometries), default=0)
     while len(levels):
         refine = levels < spec.base_refine_level
-        per_geom = classify_elements(levels, anchors, spec, geometries)
-        for gspec, codes in zip(spec.geometries, per_geom):
-            refine |= (codes == INTERCEPTED) & (levels < gspec.refine_level)
         if walls and spec.wall_refine_level is not None:
             touch = np.zeros(len(levels), bool)
             top = (np.int64(1) << levels) - 1
@@ -226,6 +221,10 @@ def build_tree(spec, geometries):
             env["level"] = levels.astype(float)
             hold = ex.eval_scalar(spec.refine_where, env)
             refine |= np.broadcast_to(np.asarray(hold, bool), refine.shape)
+        ask = ~refine & (levels < deepest)
+        per_geom = classify_elements(levels[ask], anchors[ask], spec, geometries)
+        for gspec, codes in zip(spec.geometries, per_geom):
+            refine[ask] |= (codes == INTERCEPTED) & (levels[ask] < gspec.refine_level)
         if bool((refine & (levels >= MAX_LEVEL)).any()):
             raise MeshError(
                 f"refinement exceeded the maximum depth of {MAX_LEVEL} levels")

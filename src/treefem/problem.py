@@ -63,6 +63,7 @@ the test symbol and every coefficient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -150,18 +151,6 @@ class ProblemSpec:
     initial_conditions: dict = field(default_factory=dict)   # var -> Expr
     solver: SolverOptions = field(default_factory=SolverOptions)
 
-    def region_ids(self):
-        return tuple(rid for rid, _ in self.boundary_regions)
-
-    def coefficient_kind(self, name):
-        """'scalar', 'vector', or 'expr' for a declared coefficient."""
-        value = self.coefficients[name]
-        if isinstance(value, float):
-            return "scalar"
-        if isinstance(value, tuple):
-            return "vector"
-        return "expr"
-
     def validate(self):
         """Check the cross-field rules; raises ValidationError. Idempotent."""
         _validate(self)
@@ -180,8 +169,16 @@ def _number(convert, noun):
     return read
 
 
+def _finite(text):
+    """``float(text)``; ValueError for nan and infinities, 1e999 included."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 _parse_int = _number(int, "an integer")
-_parse_float = _number(float, "a number")
+_parse_float = _number(_finite, "a finite number")
 
 
 def _parse_bool(text, line_no, key):
@@ -370,15 +367,15 @@ def _parse_coefficient(text, line_no, key, names):
     parts = _split_top_level(text)
     if len(parts) > 1:
         try:
-            return tuple(float(p) for p in parts)
+            return tuple(_finite(p) for p in parts)
         except ValueError:
             raise ParseError(
-                f"vector coefficient '{key}' must have numeric components",
+                f"vector coefficient '{key}' must have finite numeric components",
                 line=line_no) from None
     try:
-        return float(text)
+        return _finite(text)
     except ValueError:
-        pass
+        pass  # a name or a formula, or a non-finite literal the parser rejects
     return _parse_expr(text, line_no, names, predicate=False)
 
 

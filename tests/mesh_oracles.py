@@ -3,17 +3,20 @@
 Each function is the code ``treefem.mesh`` ran before its stage was
 rewritten with arrays: the face/edge rule spelled out per dimension, the
 hanging map filled one hit at a time, the constraint resolved node by
-node through chains of midpoint averages, and the carve classes computed
-from a combined corner mask as well as per geometry.
+node through chains of midpoint averages, the carve classes computed
+from a combined corner mask as well as per geometry, and the refinement
+waves classifying every cell against every geometry through one
+deduplicated corner lattice.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
+from treefem import expr as ex
 from treefem.errors import MeshError
 from treefem.mesh import (
-    EXTERIOR, INTERCEPTED, INTERIOR, _NL, _corner_lattice, _lattice_coords,
-    _lattice_index, corner_bits,
+    _NL, _WALL_AXIS, EXTERIOR, INTERCEPTED, INTERIOR, MAX_LEVEL, _children,
+    _corner_lattice, _lattice_coords, _lattice_index, corner_bits,
 )
 
 
@@ -146,3 +149,40 @@ def classify_elements(levels, anchors, spec, geometries):
     overall[count == 2 ** dim] = INTERIOR
     overall[count == 0] = EXTERIOR
     return overall, per_geom
+
+
+def build_tree(spec, geometries):
+    """Refine from the root cell until no rule fires; every wave classifies
+    all of its cells against every geometry."""
+    dim = spec.dimension
+    levels = np.zeros(1, np.int64)
+    anchors = np.zeros((1, dim), np.int64)
+    done_levels = []
+    done_anchors = []
+    walls = [_WALL_AXIS[name] for name in spec.refine_walls]
+    while len(levels):
+        refine = levels < spec.base_refine_level
+        _, per_geom = classify_elements(levels, anchors, spec, geometries)
+        for gspec, codes in zip(spec.geometries, per_geom):
+            refine |= (codes == INTERCEPTED) & (levels < gspec.refine_level)
+        if walls and spec.wall_refine_level is not None:
+            touch = np.zeros(len(levels), bool)
+            top = (np.int64(1) << levels) - 1
+            for axis, side in walls:
+                touch |= anchors[:, axis] == (0 if side == 0 else top)
+            refine |= touch & (levels < spec.wall_refine_level)
+        if spec.refine_where is not None:
+            centers = _lattice_coords(
+                _corner_lattice(levels, anchors).reshape(len(levels), 2 ** dim, dim)
+                .mean(axis=1), spec)
+            env = ex.point_env(centers)
+            env["level"] = levels.astype(float)
+            hold = ex.eval_scalar(spec.refine_where, env)
+            refine |= np.broadcast_to(np.asarray(hold, bool), refine.shape)
+        if bool((refine & (levels >= MAX_LEVEL)).any()):
+            raise MeshError(
+                f"refinement exceeded the maximum depth of {MAX_LEVEL} levels")
+        done_levels.append(levels[~refine])
+        done_anchors.append(anchors[~refine])
+        levels, anchors = _children(levels[refine], anchors[refine])
+    return np.concatenate(done_levels), np.vstack(done_anchors)

@@ -627,11 +627,16 @@ def test_empty_stl_rejected(tmp_path):
         read_stl(path)
 
 
-@pytest.mark.parametrize("shape", ["ball", "polyline", "trisurface"])
+@pytest.mark.parametrize("shape", ["ball", "ball3d", "polyline", "trisurface",
+                                   "trisurface_void"])
 def test_queries_on_no_points(tmp_path, shape):
+    # refinement waves that split every cell classify zero points
     geom = {"ball": lambda: Ball((0.5, 0.5), 0.25),
+            "ball3d": lambda: Ball((0.5, 0.5, 0.5), 0.25, outer_boundary=False),
             "polyline": lambda: make_polyline(tmp_path, SQUARE),
-            "trisurface": lambda: TriSurface(*SURFACES["cube"])}[shape]()
+            "trisurface": lambda: TriSurface(*SURFACES["cube"]),
+            "trisurface_void": lambda: TriSurface(
+                *SURFACES["cube"], outer_boundary=False)}[shape]()
     dim = geom.dimension
     kept = geom.kept(np.empty((0, dim)))
     assert kept.shape == (0,) and kept.dtype == bool

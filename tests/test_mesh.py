@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import treefem.mesh as mesh_module
 from treefem.errors import EmptyMeshError, MeshError
-from treefem.geometry import load_geometry
+from treefem.geometry import load_geometry, write_stl
 from treefem.mesh import (
     INTERIOR, KIND_GEOMETRY, KIND_WALL, _constraint_matrix, _corner_lattice,
     _lattice_index, balance, build_mesh, build_tree, carve,
@@ -17,6 +17,8 @@ from treefem.mesh import (
 from treefem.problem import parse_problem
 
 import mesh_oracles as oracle
+from shapes import bumpy_sphere, gmsh_polygon_text, regular_polygon
+from test_acceptance import sphere_script
 from test_tree_index import box_spec
 
 BASE_2D = """
@@ -97,9 +99,14 @@ def mesh_2d(base=3, extra=""):
     return build_mesh(parse_problem(BASE_2D.format(base=base, extra=extra)))
 
 
+def circle_script(base, glevel, radius=0.45, extra="", gextra=""):
+    return CIRCLE_2D.format(base=base, glevel=glevel, radius=radius,
+                            extra=extra, gextra=gextra)
+
+
 def circle_mesh(base=4, glevel=6, radius=0.5, extra="", gextra=""):
-    return build_mesh(parse_problem(CIRCLE_2D.format(
-        base=base, glevel=glevel, radius=radius, extra=extra, gextra=gextra)))
+    return build_mesh(parse_problem(circle_script(base, glevel, radius, extra,
+                                                  gextra)))
 
 
 def face_area_normal(mesh):
@@ -496,6 +503,83 @@ def test_annulus_routes_faces_to_nearest_circle():
     kept = (per_geom[0] == INTERIOR) & (per_geom[1] == INTERIOR)
     assert np.array_equal(kept, overall == INTERIOR)
     assert len(mesh.levels) == kept.sum()
+
+
+def void_script(script):
+    return script.replace("boundary_types", "outer_boundary = false\n"
+                          "boundary_types", 1)
+
+
+def polygon_script(tmp_path):
+    (tmp_path / "polygon.msh").write_text(
+        gmsh_polygon_text(regular_polygon((0.5, 0.5), 0.4, 24)))
+    return circle_script(2, 6).replace(
+        "shape = circle\ncenter = 0.5, 0.5\nradius = 0.45",
+        "shape = mesh\nmesh_file = polygon.msh")
+
+
+def stl_script(tmp_path):
+    write_stl(tmp_path / "bumpy.stl", *bumpy_sphere((0.5, 0.5, 0.5), 0.3))
+    return sphere_script(base=2, glevel=4, shape="mesh",
+                         shape_lines="mesh_file = bumpy.stl")
+
+
+# Trees whose geometry rule meets every other rule: a uniform disk (the
+# geometry level is the base level), an adaptive and a void sphere, an
+# annulus whose circles refine to different levels, a Gmsh polygon, an STL
+# surface on either side, and wall and predicate refinement past the
+# geometry level.
+TREE_CASES = {
+    "disk_uniform": lambda tmp: circle_script(5, 5),
+    "sphere_adaptive": lambda tmp: SPHERE_3D.format(base=2, glevel=4,
+                                                    radius=0.35),
+    "annulus_two_levels": lambda tmp: circle_script(3, 5) + ANNULUS_2D[
+        ANNULUS_2D.rindex("[geometry]"):].replace(
+            "refine_level = 6", "refine_level = 7"),
+    "sphere_void": lambda tmp: void_script(SPHERE_3D.format(
+        base=2, glevel=4, radius=0.25)),
+    "gmsh_polygon": polygon_script,
+    "stl_bumpy": stl_script,
+    "stl_bumpy_void": lambda tmp: void_script(stl_script(tmp)),
+    "wall_refine": lambda tmp: circle_script(
+        2, 5, extra="wall_refine_level = 6\nrefine_walls = x-, y+"),
+    "refine_where": lambda tmp: circle_script(
+        2, 5, extra="refine_where = x < 0.3 && level < 7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TREE_CASES))
+def test_tree_and_classes_match_classify_everything_oracle(tmp_path, case):
+    spec = parse_problem(TREE_CASES[case](tmp_path))
+    dim = spec.dimension
+    geometries = [load_geometry(g, dim, tmp_path) for g in spec.geometries]
+    levels, anchors = build_tree(spec, geometries)
+    oracle_levels, oracle_anchors = oracle.build_tree(spec, geometries)
+    assert np.array_equal(levels, oracle_levels)
+    assert np.array_equal(anchors, oracle_anchors)
+    assert levels.max() > spec.base_refine_level or case == "disk_uniform"
+    per_geom = classify_elements(levels, anchors, spec, geometries)
+    _, oracle_per_geom = oracle.classify_elements(levels, anchors, spec,
+                                                  geometries)
+    assert len(per_geom) == len(geometries)
+    for codes, expected in zip(per_geom, oracle_per_geom):
+        assert codes.dtype == np.int8
+        assert np.array_equal(codes, expected)
+    # every uniform wave hands the classifier zero cells
+    empty = classify_elements(np.empty(0, np.int64),
+                              np.empty((0, dim), np.int64), spec, geometries)
+    assert [(codes.shape, codes.dtype) for codes in empty] == (
+        [((0,), np.int8)] * len(geometries))
+
+
+def test_annulus_circles_refine_to_their_own_levels():
+    spec = parse_problem(TREE_CASES["annulus_two_levels"](None))
+    geometries = [load_geometry(g, 2, ".") for g in spec.geometries]
+    levels, anchors = build_tree(spec, geometries)
+    centers = (anchors + 0.5) / (1 << levels)[:, None]
+    r = np.linalg.norm(centers - 0.5, axis=1)
+    assert levels[r > 0.325].max() == 5
+    assert levels[r < 0.325].max() == 7
 
 
 def test_sphere_carve_volume():

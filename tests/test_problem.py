@@ -155,18 +155,17 @@ class TestParse:
         script = edit(script, "u @ 1 = dirichlet, 0.01",
                       "u @ 1 = dirichlet, 1\nu @ 4 = dirichlet, 0.01")
         spec = parse_problem(script)
-        assert spec.region_ids() == (1, 4)
+        assert [rid for rid, _ in spec.boundary_regions] == [1, 4]
 
     def test_vector_coefficient(self):
         script = edit(CIRCLE_SCRIPT, "f = 1", "f = 1\nb = 1.0, 0.5")
         spec = parse_problem(script)
         assert spec.coefficients["b"] == (1.0, 0.5)
-        assert spec.coefficient_kind("b") == "vector"
 
     def test_expression_coefficient(self):
         script = edit(CIRCLE_SCRIPT, "f = 1", "f = 2*pi*pi*cos(pi*x)*y")
         spec = parse_problem(script)
-        assert spec.coefficient_kind("f") == "expr"
+        assert isinstance(spec.coefficients["f"], ex.Bin)
 
     def test_comments_and_blank_lines(self):
         script = "# leading comment\n\n" + CIRCLE_SCRIPT.replace(
@@ -296,6 +295,38 @@ class TestParseErrors:
         assert err.value.line == script.splitlines().index(
             new.splitlines()[-1]) + 1
 
+
+    @pytest.mark.parametrize("old, new, want", [
+        ("radius = 0.5", "radius = nan", "radius must be a finite number, got 'nan'"),
+        ("radius = 0.5", "radius = -inf", "radius must be a finite number"),
+        ("max = 1, 1", "max = 1, 1e999", "max must be a finite number, got '1e999'"),
+        ("min = 0, 0", "min = nan, 0", "min must be a finite number"),
+        ("center = 0.5, 0.5", "center = 0.5, inf", "center must be a finite number"),
+        ("bids = 1", "bids = 1\nposition = nan, 0", "position must be a finite number"),
+        ("f = 1\n", "f = 1\n\n[solver]\nrel_tol = nan\n", "rel_tol must be a finite"),
+        ("f = 1\n", "f = 1\n\n[solver]\nabs_tol = inf\n", "abs_tol must be a finite"),
+        ("f = 1\n", "f = 1\n\n[time]\nscheme = bdf2\nsteps = 2\ndt = nan\n",
+         "dt must be a finite number, got 'nan'"),
+        ("alpha = 400", "alpha = 1e999", "bad number literal '1e999'"),
+        ("alpha = 400", "alpha = nan", "unknown identifier 'nan'"),
+        ("alpha = 400", "alpha = -inf", "unknown identifier 'inf'"),
+        ("f = 1", "f = 1\nb = 1.0, nan", "'b' must have finite numeric components"),
+        ("f = 1", "f = 1\nb = 1e999, 0", "'b' must have finite numeric components"),
+    ], ids=["radius_nan", "radius_inf", "max_overflow", "min_nan", "center_inf",
+            "position_nan", "rel_tol_nan", "abs_tol_inf", "dt_nan",
+            "coefficient_overflow", "coefficient_nan", "coefficient_inf",
+            "vector_nan", "vector_overflow"])
+    def test_non_finite_number_names_its_line(self, old, new, want):
+        # the offending value is the last line of ``new``
+        script = edit(CIRCLE_SCRIPT, old, new)
+        with pytest.raises(ParseError, match=want) as err:
+            parse_problem(script)
+        assert err.value.line == line_of(script, new.splitlines()[-1])
+
+    def test_coefficient_may_name_a_coefficient_called_nan(self):
+        script = edit(CIRCLE_SCRIPT, "alpha = 400", "nan = 400\nalpha = nan")
+        spec = parse_problem(script)
+        assert isinstance(spec.coefficients["alpha"], ex.Name)
 
 class TestValidation:
     def test_bc_without_region(self):
