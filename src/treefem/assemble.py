@@ -11,21 +11,23 @@ the displacement to it and the true normal; for wall faces a zero
 displacement and the face normal itself.
 
 Per assembly, each batch gets one evaluation environment at its physical
-points (computed from the origins) and adds every contribution into one
-block ``ke`` of shape ``(n_e, nc, nc)`` and one ``be`` of shape
-``(n_e, nc)``, as the generated C++ kernels add all terms into one
-``Ae``/``be``; a scalar program that is constant is integrated once per
-batch and broadcast. A cell batch binds the history fields. A face batch
-routes each point through the ordered boundary-region predicates,
-evaluated at the true boundary point: the first that holds claims it, and
-its condition decides which surface blocks apply and supplies the
-boundary value. When no surface linear scalar, region predicate or
-boundary value reads ``t``, directly or through the coefficients it
-names, a face batch's ``be`` is set-up work: it is kept per kernel and
-batch from the first assembly that computes it, matrix or not, and later
-right-hand-side-only assemblies skip the batch, routing included. All
-blocks go through one scatter: one COO triplet list summed into CSR by
-one ``tocsr()``, and one ``np.bincount``, which a kept ``be`` feeds too.
+points (computed from the origins). Its weighted scalars are summed per
+(test, trial) pair of basis tables, and one matrix product of the pair
+sums gives one block ``ke`` of shape ``(n_e, nc, nc)``; the linear ones,
+summed per test table, one ``be`` of shape ``(n_e, nc)``. The generated
+C++ kernels, too, add all terms into one ``Ae``/``be``. Sums that are
+constant over the batch give one cell block, broadcast. A cell batch
+binds the history fields. A face batch routes each point through the
+ordered boundary-region predicates, evaluated at the true boundary
+point: the first that holds claims it, and its condition decides which
+surface blocks apply and supplies the boundary value. When no surface
+linear scalar, region predicate or boundary value reads ``t``, directly
+or through the coefficients it names, a face batch's ``be`` is set-up
+work: it is kept per kernel and batch from the first assembly that
+computes it, matrix or not, and later right-hand-side-only assemblies
+skip the batch, routing included. All blocks go through one scatter: one
+COO triplet list summed into CSR by one ``tocsr()``, and one
+``np.bincount``, which a kept ``be`` feeds too.
 
 The constrained system is reduced with the mesh's hanging-node expansion
 ``C`` (solve ``CᵀAC y = Cᵀb``, then expand ``u = Cy``) and solved with a
@@ -194,35 +196,42 @@ class Assembler:
         self._face_rhs = {}
 
     @staticmethod
-    def _integrate(groups, env, weights, values, grads, h):
-        """Element blocks ``(ke, be)`` of the ``groups`` whose region has
-        quadrature weights in ``weights``.
+    def _integrate(groups, env, weights, batch):
+        """Element blocks ``(ke, be)``, ``(n_e, nc, nc)`` and ``(n_e, nc)``,
+        of the ``groups`` whose region has quadrature weights, ``(nqp,)``
+        or ``(n_e, nqp)``, in ``weights``; ``None`` stands for no block.
 
-        A weight array is ``(nqp,)`` or ``(n_e, nqp)``; a scalar program
-        that evaluates to a constant against ``(nqp,)`` weights gives one
-        cell block for the batch. ``ke`` sums the bilinear blocks,
-        ``(..., nc, nc)``, ``be`` the linear ones, ``(..., nc)``; ``None``
-        stands for no block.
+        A slot is one basis table: ``N`` (key ``None``) or ``dN`` along
+        axis ``k`` (key ``k``). ``ke`` is one product of the P slot-pair
+        sums ``(n_e or 1, nqp·P)`` with the pairs' outer products
+        ``(nqp·P, nc²)``, ``be`` one contraction per test slot. Sums that
+        are all ``(nqp,)`` give one cell block for the batch, broadcast.
         """
-        def table(sel):
-            if sel.kind == "N":
-                return values
-            return grads[:, :, sel.axis] / h[sel.axis]
-
-        blocks = {True: None, False: None}
+        sums = {True: {}, False: {}}
         for region, bilinear, contributions in groups:
             if region not in weights:
                 continue
             for c in contributions:
                 w = ex.eval_scalar(c.scalar, env) * weights[region]
-                if bilinear:
-                    block = np.einsum("...q,qi,qj->...ij", w, table(c.test),
-                                      table(c.trial))
-                else:
-                    block = np.einsum("...q,qi->...i", w, table(c.test))
-                total = blocks[bilinear]
-                blocks[bilinear] = block if total is None else total + block
-        return blocks[True], blocks[False]
+                key = (c.test.axis, c.trial.axis) if bilinear else c.test.axis
+                total = sums[bilinear].get(key)
+                sums[bilinear][key] = w if total is None else total + w
+        n_e, nc = batch.conn.shape
+        tables = {k: batch.grads[:, :, k] / h for k, h in enumerate(batch.h)}
+        tables[None] = batch.values
+        ke = be = None
+        if sums[True]:
+            pairs = np.stack(np.broadcast_arrays(*sums[True].values()), -1)
+            outer = np.stack([tables[a][:, :, None] * tables[b][:, None, :]
+                              for a, b in sums[True]], 1).reshape(-1, nc * nc)
+            ke = np.broadcast_to((pairs.reshape(-1, len(outer)) @ outer
+                                  ).reshape(-1, nc, nc), (n_e, nc, nc))
+        for axis, w in sums[False].items():
+            block = np.einsum("...q,qi->...i", w, tables[axis])
+            be = block if be is None else be + block
+        if be is not None:
+            be = np.broadcast_to(be, (n_e, nc))
+        return ke, be
 
     def _route_regions(self, batch, t, unknown):
         """Mask and boundary value per condition kind of a face batch's
@@ -249,12 +258,8 @@ class Assembler:
         return masks
 
     def _blocks(self, ir, groups, batch, t, dt, history):
-        """Element blocks ``(conn, ke, be)`` of one batch.
-
-        ``ke`` of shape ``(n_e, nc, nc)`` sums the bilinear contributions
-        of ``groups``, ``be`` of shape ``(n_e, nc)`` the linear ones; either
-        is ``None`` without contributions.
-        """
+        """Element blocks ``(conn, ke, be)`` of one batch: the owners'
+        connectivity, and the ``groups``' blocks from ``_integrate``."""
         env = ex.point_env(batch.coords(), t, self.spec.coefficients, dt)
         if batch.surface is None:
             for var, back in ir.prelude:
@@ -273,14 +278,7 @@ class Assembler:
                 region, data_name = _SURFACE[kind]
                 env[data_name] = value
                 weights[region] = sel * batch.weights[None, :]
-        ke, be = self._integrate(groups, env, weights, batch.values,
-                                 batch.grads, batch.h)
-        # a batch of constant scalar programs holds one cell block
-        n_e, nc = batch.conn.shape
-        if ke is not None:
-            ke = np.broadcast_to(ke, (n_e, nc, nc))
-        if be is not None:
-            be = np.broadcast_to(be, (n_e, nc))
+        ke, be = self._integrate(groups, env, weights, batch)
         return batch.conn, ke, be
 
     def assemble(self, ir, t=0.0, history=None, matrix=True):

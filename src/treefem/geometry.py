@@ -380,6 +380,8 @@ class TriSurface(Geometry):
 
     def kept(self, points):
         points = np.asarray(points, float)
+        if len(points) == 0:    # no kd-tree is built for an empty query
+            return np.zeros(0, bool)
         inside = self._inside(points)
         return inside if self.outer_boundary else ~inside
 
@@ -391,6 +393,8 @@ class TriSurface(Geometry):
         projections = np.empty((n, 3))
         normals = np.empty((n, 3))
         distances = np.empty(n)
+        if n == 0:
+            return ClosestPoint(projections, normals, distances)
         vertex_tree, centroid_tree, radius = self._face_search
         # The nearest vertex bounds the distance to the surface, so only a
         # face whose centroid lies within that bound plus the face radius

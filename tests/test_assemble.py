@@ -144,6 +144,32 @@ max_iterations = 20000
 dot(grad(u), grad(v))
 """ + NITSCHE_BLOCK + NEUMANN_BLOCK
 
+MIXED_PATCH_3D = MIXED_PATCH.replace(
+    "dimension = 2\nmin = 0, 0\nmax = 1, 1\nbase_refine_level = 4",
+    "dimension = 3\nmin = 0, 0, 0\nmax = 1, 1, 1\nbase_refine_level = 2"
+).replace("shape = circle\ncenter = 0.5, 0.5\nradius = 0.4\nrefine_level = 5",
+          "shape = sphere\ncenter = 0.5, 0.5, 0.5\nradius = 0.4\nrefine_level = 3")
+
+# each volume pair, and the linear test slot, sums a constant scalar and a
+# point-varying one
+MIXED_SCALARS = """
+[domain]
+dimension = {dim}
+min = {low}
+max = {high}
+base_refine_level = 2
+refine_where = x > 0.5 && level < 3
+
+[variables]
+names = u
+
+[coefficients]
+k = 1 + x
+
+[weak_form]
+k*dot(grad(u), grad(v)) + dot(grad(u), grad(v)) - k*v - v
+"""
+
 DECAY = """
 [domain]
 dimension = 2
@@ -510,6 +536,11 @@ def _heat_script(base, glevel):
 ORACLE_CASES = {
     # name: (script, pass history, assemble the matrix)
     "mixed_patch": (MIXED_PATCH, False, True),
+    "mixed_patch_3d": (MIXED_PATCH_3D, False, True),
+    "mixed_scalars_2d": (MIXED_SCALARS.format(dim=2, low="0, 0", high="1, 1"),
+                         False, True),
+    "mixed_scalars_3d": (MIXED_SCALARS.format(dim=3, low="0, 0, 0",
+                                              high="1, 1, 1"), False, True),
     "sphere_hanging": (sphere_script(base=2, glevel=4), False, True),
     "constant_scalars": (DISK_POISSON.format(base=4, glevel=5), False, True),
     "bdf2_rhs_only": (_heat_script(base=2, glevel=3), True, False),
@@ -535,6 +566,13 @@ def test_single_block_assembly_matches_per_term_oracle(case):
                                       history=history, matrix=matrix)
     if case == "sphere_hanging":
         assert mesh.hanging
+    if case == "mixed_patch_3d":
+        assert mesh.dimension == 3 and ir.neumann_bilinear
+    if case.startswith("mixed_scalars"):
+        scalars = {(c.test, c.trial): set() for c in ir.volume_bilinear}
+        for c in ir.volume_bilinear:
+            scalars[c.test, c.trial].add(type(c.scalar))
+        assert all(kinds == {ex.Name, ex.Num} for kinds in scalars.values())
     if case == "one_linear_term":
         # one linear term per batch: the single bincount makes the same
         # additions in the same order as the per-term np.add.at loop

@@ -645,6 +645,18 @@ def test_queries_on_no_points(tmp_path, shape):
     assert hit.normals.shape == (0, dim)
     assert hit.distances.shape == (0,)
 
+
+def test_empty_queries_build_no_search_tree():
+    # a zero-point query answers before the kd-trees are built
+    surf = TriSurface(*SURFACES["cube"])
+    surf.kept(np.empty((0, 3)))
+    surf.closest(np.empty((0, 3)))
+    assert "_column_search" not in vars(surf)
+    assert "_face_search" not in vars(surf)
+    surf.kept(np.array([[0.5, 0.5, 0.5]]))
+    surf.closest(np.array([[0.5, 0.5, 0.5]]))
+    assert "_column_search" in vars(surf) and "_face_search" in vars(surf)
+
 # ---------------------------------------------------------------------------
 # Loader dispatch
 
