@@ -21,19 +21,20 @@ STL) classify by ray parity; points lying exactly on a facet may land on
 either side.
 
 Triangle surfaces test each query only against nearby triangles, found
-with kd-trees built on first use (``scipy.spatial`` is imported then, not
-with this module). For ``closest``, the nearest vertex bounds the
-distance, so only triangles whose centroid lies within that bound plus
-the largest centroid-to-corner distance are candidates. For ``kept``,
-each ray column meets the triangles whose projected centroid lies within
-that distance in (x, y), padded beyond the largest nudge of a retried
-ray. Both give the same results, bit for bit and with the lowest
-triangle index winning ties, as testing every triangle.
+in a uniform grid of cells over the face centroids that numpy builds on
+first use (``scipy.spatial`` is not imported). For ``closest``, the
+nearest centroid in the cells around a query, itself a surface point,
+bounds the distance, so only triangles whose centroid lies within that
+bound plus the largest centroid-to-corner distance are candidates. For
+``kept``, each ray column meets the triangles whose projected centroid
+lies within that distance in (x, y), padded beyond the largest nudge of
+a retried ray; a second grid holds the projected centroids. Both give
+the same results, bit for bit and with the lowest triangle index winning
+ties, as testing every triangle.
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -312,12 +313,9 @@ class TriSurface(Geometry):
 
     @cached_property
     def _face_search(self):
-        """kd-trees over the vertices and the face centroids, and the
-        largest distance from a centroid to a corner of its face."""
-        from scipy.spatial import cKDTree
-
-        return (cKDTree(self.vertices),) + _centroid_search(
-            self.vertices[self.faces])
+        """A cell grid over the face centroids, and the largest distance
+        from a centroid to a corner of its face."""
+        return _centroid_search(self.vertices[self.faces])
 
     @cached_property
     def _column_search(self):
@@ -335,7 +333,7 @@ class TriSurface(Geometry):
         columns = xy[fresh]
         inverse = np.empty(len(points), np.intp)
         inverse[order] = np.cumsum(fresh) - 1
-        tree, radius = self._column_search
+        grid, radius = self._column_search
         scale = self._scale
         # Faces whose projection comes this close to a column are tested
         # against it: the pad is well beyond the largest nudge below
@@ -344,7 +342,9 @@ class TriSurface(Geometry):
         corners = [self.vertices[self.faces[:, k]] for k in range(3)]
         hit_col, hit_z = [np.empty(0, np.intp)], [np.empty(0)]
         reach = np.full(len(columns), radius + pad)
-        for col, face in _ball_pairs(tree, columns, reach):
+        for col, face, d2 in grid.near(columns, reach):
+            near = d2 <= reach[col] ** 2
+            col, face = col[near], face[near]
             for attempt in range(8):
                 # A ray that grazes an edge, a vertex or an edge-on face is
                 # shot again, nudged sideways.
@@ -380,7 +380,7 @@ class TriSurface(Geometry):
 
     def kept(self, points):
         points = np.asarray(points, float)
-        if len(points) == 0:    # no kd-tree is built for an empty query
+        if len(points) == 0:    # no grid is built for an empty query
             return np.zeros(0, bool)
         inside = self._inside(points)
         return inside if self.outer_boundary else ~inside
@@ -395,16 +395,20 @@ class TriSurface(Geometry):
         distances = np.empty(n)
         if n == 0:
             return ClosestPoint(projections, normals, distances)
-        vertex_tree, centroid_tree, radius = self._face_search
-        # The nearest vertex bounds the distance to the surface, so only a
-        # face whose centroid lies within that bound plus the face radius
-        # can hold the closest point; the pad absorbs rounding.
-        bound = vertex_tree.query(points)[0]
+        grid, radius = self._face_search
+        # A centroid is a surface point, so the nearest one found bounds
+        # the distance to the surface, and only a face whose centroid lies
+        # within that bound plus the face radius can hold the closest
+        # point; the pad absorbs rounding.
+        bound = grid.bound(points)
         reach = bound + radius + 1e-9 * (self._scale + bound)
-        for row, face in _ball_pairs(centroid_tree, points, reach):
-            p = points[row]
-            cand, feature = _closest_on_triangles(
-                p, *(self.vertices[self.faces[face, k]] for k in range(3)))
+        for row, face, d2 in grid.near(points, reach):
+            near = d2 <= reach[row] ** 2
+            row, face = row[near], face[near]
+            p = np.take(points, row, axis=0)
+            cand, feature = _closest_on_triangles(p, *(
+                np.take(self.vertices, self.faces[face, k], axis=0)
+                for k in range(3)))
             d2 = ((cand - p) ** 2).sum(axis=1)
             # Least distance per point, ties to the lowest face index.
             order = np.lexsort((face, d2, row))
@@ -434,34 +438,99 @@ class TriSurface(Geometry):
 
 
 def _centroid_search(corners):
-    from scipy.spatial import cKDTree
-
     centroids = corners.mean(axis=1)
     offsets = corners - centroids[:, None]
-    return cKDTree(centroids), float(np.sqrt((offsets ** 2).sum(axis=2).max()))
+    radius = float(np.sqrt((offsets ** 2).sum(axis=2).max()))
+    return _CellGrid(centroids, 2.0 * radius), radius
 
 
-# Most (query, face) pairs tested at once; bounds the candidate arrays.
+# Most grid rows and (query, point) pairs read at once; bounds the arrays.
 _PAIR_BUDGET = 1 << 17
 
 
-def _ball_pairs(tree, queries, reach):
-    """(query, item) index pairs with ``tree`` item within ``reach`` of the
-    query, in chunks of consecutive queries holding at most
-    ``_PAIR_BUDGET`` pairs (or one query)."""
-    counts = np.asarray(tree.query_ball_point(queries, reach,
-                                              return_length=True), np.intp)
-    ends = np.cumsum(counts)
+class _CellGrid:
+    """Points filed under the cells of a uniform grid, one cell each.
+
+    The points are sorted by flat cell key, and a table holds where each
+    cell's points start. A grid row, the cells along the last axis, is
+    one run of that order, so a box of cells is read a row at a time.
+    """
+
+    def __init__(self, points, cell):
+        self.origin = points.min(axis=0)
+        span = points.max(axis=0) - self.origin
+        # At most about 4n cells in all, so that the table stays small and
+        # a flat key fits in int64.
+        cap = np.ceil((4 * len(points)) ** (1 / len(span)))
+        self.cell = max(cell, float(span.max()) / cap)
+        self.top = (span // self.cell).astype(np.int64)
+        self.stride = np.cumprod(np.r_[1, self.top[:0:-1] + 1])[::-1]
+        keys = self.cells(points) @ self.stride
+        self.order = np.argsort(keys, kind="stable")
+        self.points = points[self.order]
+        # where each cell's points start in that order, then where they end
+        cells = self.stride[0] * (self.top[0] + 1)
+        self.first = np.searchsorted(keys[self.order], np.arange(cells + 1))
+
+    def cells(self, points):
+        # clamped to the grid before the cast, so far points cannot overflow
+        return np.clip((points - self.origin) / self.cell, 0,
+                       self.top).astype(np.int64)
+
+    def near(self, queries, reach):
+        """(query, point, squared distance) for every point in the cells
+        that the cube of half-side ``reach[i]`` around query ``i`` meets,
+        in chunks of consecutive queries that read at most
+        ``_PAIR_BUDGET`` grid rows and points (or one query)."""
+        lo = self.cells(queries - reach[:, None])
+        span = self.cells(queries + reach[:, None]) - lo + 1
+        count = span[:, :-1].prod(axis=1)
+        for a, b in _runs(count):
+            first = np.r_[0, np.cumsum(count[a:b])]     # each query's rows
+            box = np.repeat(np.arange(a, b), count[a:b])
+            local = np.arange(len(box)) - first[box - a]
+            key = np.take(lo, box, axis=0) @ self.stride
+            for axis in reversed(range(len(self.top) - 1)):
+                local, step = np.divmod(local, span[box, axis])
+                key += step * self.stride[axis]
+            start, stop = self.first[key], self.first[key + span[box, -1]]
+            ends = np.r_[0, np.cumsum(stop - start)]
+            for c, d in _runs(np.diff(ends[first])):
+                r0, r1 = first[c], first[d]
+                size = stop[r0:r1] - start[r0:r1]
+                pos = np.arange(ends[r0], ends[r1]) + np.repeat(
+                    start[r0:r1] - ends[r0:r1], size)
+                row = np.repeat(box[r0:r1], size)
+                # np.take gathers rows several times faster than indexing
+                gap = (np.take(self.points, pos, axis=0)
+                       - np.take(queries, row, axis=0))
+                yield row, self.order[pos], np.einsum("ij,ij->i", gap, gap)
+
+    def bound(self, queries):
+        """An upper bound on each query's distance to the points: the
+        distance to the nearest point in the cells within ``reach`` of
+        it, ``reach`` doubling from half a cell until they hold one."""
+        best = np.full(len(queries), np.inf)
+        todo = np.arange(len(queries))
+        reach = 0.5 * self.cell
+        while len(todo) and reach < np.inf:     # inf only for non-finite queries
+            for row, _, d2 in self.near(queries[todo],
+                                        np.full(len(todo), reach)):
+                np.minimum.at(best, todo[row], d2)
+            todo = todo[np.isinf(best[todo])]
+            reach *= 2.0
+        return np.sqrt(best)
+
+
+def _runs(sizes):
+    """Runs of consecutive entries whose ``sizes`` sum to at most
+    ``_PAIR_BUDGET`` (or one entry), as ``(start, stop)``."""
+    ends = np.cumsum(sizes)
     lo = 0
-    while lo < len(queries):
+    while lo < len(sizes):
         hi = max(lo + 1, int(np.searchsorted(
-            ends, ends[lo] - counts[lo] + _PAIR_BUDGET, side="right")))
-        lists = tree.query_ball_point(queries[lo:hi], reach[lo:hi],
-                                      return_sorted=False)
-        sizes = np.fromiter(map(len, lists), np.intp, len(lists))
-        items = np.fromiter(itertools.chain.from_iterable(lists), np.intp,
-                            int(sizes.sum()))
-        yield np.repeat(np.arange(lo, hi), sizes), items
+            ends, ends[lo] - sizes[lo] + _PAIR_BUDGET, side="right")))
+        yield lo, hi
         lo = hi
 
 

@@ -50,6 +50,19 @@ def cube_tris(lo, hi):
     return v, np.asarray(faces, int)
 
 
+def fanned_cube(lo, hi, slivers=8):
+    """``cube_tris`` with its top face fanned into triangles of mixed sizes,
+    down to slivers, about points packed toward one end of its diagonal."""
+    v, faces = cube_tris(lo, hi)
+    t = (np.arange(slivers + 1) / slivers) ** 3
+    diagonal = v[4] + t[:, None] * (v[7] - v[4])
+    d = np.r_[4, len(v) + np.arange(slivers - 1), 7]
+    top = [(d[i], 5, d[i + 1]) for i in range(slivers)]
+    top += [(d[i], d[i + 1], 6) for i in range(slivers)]
+    return (np.concatenate([v, diagonal[1:-1]]),
+            np.concatenate([faces[:2], faces[4:], np.asarray(top)]))
+
+
 def icosphere(center, radius, subdivisions=2):
     """Geodesic sphere from a subdivided icosahedron."""
     phi = (1 + math.sqrt(5)) / 2

@@ -1,6 +1,10 @@
 """Geometry tests against independent winding-number and scan oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,7 +22,8 @@ from treefem.mesh import KIND_GEOMETRY, build_mesh
 from treefem.problem import GeometrySpec, parse_problem
 
 from shapes import (
-    bumpy_sphere, cube_tris, gmsh_polygon_text, icosphere, regular_polygon,
+    bumpy_sphere, cube_tris, fanned_cube, gmsh_polygon_text, icosphere,
+    regular_polygon,
 )
 from test_acceptance import sphere_script
 
@@ -502,8 +507,10 @@ SURFACES = {
     "cube": cube_tris((0.25, 0.25, 0.25), (0.75, 0.75, 0.75)),
     "icosphere": icosphere((0.5, 0.5, 0.5), 0.35, subdivisions=2),
     "bumpy": bumpy_sphere((0.5, 0.5, 0.5), 0.3, subdivisions=2),
+    "slivers": fanned_cube((0.25, 0.25, 0.25), (0.75, 0.75, 0.75)),
 }
-QUERY_KINDS = ("random", "vertices", "midpoints", "columns", "sides")
+QUERY_KINDS = ("random", "vertices", "midpoints", "columns", "sides", "far",
+               "cell_edges")
 
 
 def query_points(surf, rng, kinds, n=40):
@@ -526,6 +533,17 @@ def query_points(surf, rng, kinds, n=40):
         p = rng.uniform(0, 1, (n, 3))
         p[:, 0] = v[rng.integers(len(v), size=n), 0]
         parts.append(p)
+    if "far" in kinds:              # the distance bound widens many times
+        direction = rng.normal(size=(n, 3))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        extent = float(np.ptp(v, axis=0).max())
+        parts.append(v.mean(axis=0) + 10 * extent * direction)
+    if "cell_edges" in kinds:       # on the cell boundaries of both grids
+        for grid, _ in (surf._face_search, surf._column_search):
+            p = rng.uniform(-0.1, 1.1, (n, 3))
+            k = rng.integers(-1, grid.top + 2, size=(n, len(grid.top)))
+            p[:, :len(grid.top)] = grid.origin + k * grid.cell
+            parts.append(p)
     return np.concatenate(parts)
 
 
@@ -550,6 +568,44 @@ def test_candidate_search_matches_full_scan(shape, outer, seed, kinds, budget):
     assert np.array_equal(kept, scan_kept(surf, pts))
     assert np.array_equal(surf.edge_slot_normals,
                           scan_edge_slot_normals(surf.faces, surf.face_normals))
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e9])
+def test_extreme_coordinates_match_full_scan(factor):
+    # queries at +-1e12 and a surface scaled by 1e9 stay inside the grid's
+    # cell index range
+    vertices, faces = SURFACES["bumpy"]
+    surf = TriSurface(vertices * factor, faces)
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-0.1, 1.1, (60, 3)) * factor
+    pts[rng.random((60, 3)) < 0.4] = 1e12
+    pts[:20] *= rng.choice([-1.0, 1.0], (20, 3))
+    assert_matches_full_scan(surf, pts)
+
+
+def test_far_apart_parts_match_full_scan():
+    # two tiny cubes 1e3 apart: cells twice their face radius would number
+    # about 3e26, far past an int64 key; the capped grid stays small
+    lo, hi = np.zeros(3), np.full(3, 1e-6)
+    a, fa = cube_tris(lo, hi)
+    b, fb = cube_tris(lo + 1e3, hi + 1e3)
+    surf = TriSurface(np.concatenate([a, b]), np.concatenate([fa, fb + 8]))
+    grid, _ = surf._face_search
+    assert np.prod(grid.top + 1) <= 1000
+    rng = np.random.default_rng(4)
+    pts = np.concatenate([rng.uniform(-1e-6, 2e-6, (30, 3)),
+                          1e3 + rng.uniform(-1e-6, 2e-6, (30, 3)),
+                          rng.uniform(-10, 1e3 + 10, (30, 3))])
+    assert_matches_full_scan(surf, pts)
+
+
+def assert_matches_full_scan(surf, pts):
+    hit = surf.closest(pts)
+    projections, normals, distances = scan_closest(surf, pts)
+    assert np.array_equal(hit.points, projections)
+    assert np.array_equal(hit.normals, normals)
+    assert np.array_equal(hit.distances, distances)
+    assert np.array_equal(surf.kept(pts), scan_kept(surf, pts))
 
 
 def test_cube_side_column_takes_the_graze_path():
@@ -647,7 +703,7 @@ def test_queries_on_no_points(tmp_path, shape):
 
 
 def test_empty_queries_build_no_search_tree():
-    # a zero-point query answers before the kd-trees are built
+    # a zero-point query answers before the cell grids are built
     surf = TriSurface(*SURFACES["cube"])
     surf.kept(np.empty((0, 3)))
     surf.closest(np.empty((0, 3)))
@@ -656,6 +712,25 @@ def test_empty_queries_build_no_search_tree():
     surf.kept(np.array([[0.5, 0.5, 0.5]]))
     surf.closest(np.array([[0.5, 0.5, 0.5]]))
     assert "_column_search" in vars(surf) and "_face_search" in vars(surf)
+
+
+def test_stl_run_never_imports_scipy_spatial(tmp_path):
+    write_stl(tmp_path / "cube.stl", *SURFACES["cube"])
+    script = tmp_path / "cube.prob"
+    script.write_text(sphere_script(base=3, glevel=3, shape="mesh",
+                                    shape_lines="mesh_file = cube.stl"))
+    code = ("import sys\n"
+            "from treefem.cli import cmd_run\n"
+            f"cmd_run({str(script)!r}, {str(tmp_path / 'out')!r})\n"
+            "print('scipy.spatial' in sys.modules)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "solution.vtk").exists()
+    assert done.stdout.split()[-1] == "False"
 
 # ---------------------------------------------------------------------------
 # Loader dispatch
