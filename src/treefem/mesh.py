@@ -30,13 +30,13 @@ Anchors are integer cell coordinates at the cell's own level; lattice
 coordinates are at the fixed normalization level 30, so all point
 identity tests are exact. Every lookup (balance neighbors, face
 neighbors, node numbering and midpoint probes) goes through one
-``TreeIndex`` per stage: cells ``(level, anchor...)`` or lattice points
-(shifted down to the mesh's finest level) are packed into int64 keys
-whose bit width comes from the span of each column, the keys are sorted
-once, and each lookup is a binary search. Keys must fit in 63 bits, so
-a tree spanning the domain can reach level ``63 // dim - 1``: level 20
-in 3-D, while 2-D trees hit the depth cap of 30 first. Deeper trees are
-rejected with a ``MeshError`` when the index is built.
+``TreeIndex`` per stage. It ORs the columns of cells ``(level,
+anchor...)`` or lattice points (shifted down to the finest level) one by
+one into sorted int64 keys, range-checks each query column (the table's
+own rows skip that) and answers lookups by binary search. Keys must fit
+in 63 bits, so a tree spanning the domain can reach level ``63 // dim -
+1``: level 20 in 3-D, while 2-D trees hit the depth cap of 30 first.
+Deeper trees are rejected with a ``MeshError`` when the index is built.
 """
 
 from __future__ import annotations
@@ -82,66 +82,71 @@ class TreeIndex:
     """Distinct integer rows packed into sorted int64 keys.
 
     Each column is shifted right by ``shift`` bits, offset by its minimum
-    over the table and given as many bits as its span needs; column 0 is
-    the most significant, so key order is the rows' lexicographic order.
-    ``first`` maps each distinct key to its first table row and
-    ``inverse`` maps each table row to its key. ``dim`` and ``level`` only
-    name the tree in the error raised when the keys need more than 63 bits.
+    over the table, given as many bits as its span needs and ORed into the
+    key, column 0 highest, so key order is the rows' lexicographic order.
+    Out of range, a query column would carry into its neighbour's bits, so
+    each is checked by one unsigned compare (and, under a shift, for low
+    bits); the table's own rows skip the check. ``first`` maps each
+    distinct key to its first table row and ``inverse`` each table row to
+    its key. ``dim`` and ``level`` only name the tree in the error raised
+    when the keys need more than 63 bits.
     """
 
     def __init__(self, rows, dim, level, shift=0):
         rows = np.asarray(rows, np.int64)
         self.shift = shift
-        if len(rows):
-            coarse = rows >> shift
-            self.low = coarse.min(axis=0)
-            self.span = coarse.max(axis=0) - self.low
-        else:
-            self.low = self.span = np.zeros(rows.shape[1], np.int64)
-        widths = [int(s).bit_length() for s in self.span]
+        # shifting keeps order, so each column's ends shift with it
+        ends = [(int(col.min()) >> shift, int(col.max()) >> shift)
+                if len(col) else (0, 0) for col in rows.T]
+        self.low = [low for low, _ in ends]
+        self.span = [high - low for low, high in ends]
+        widths = [s.bit_length() for s in self.span]
         if sum(widths) > 63:
             raise MeshError(
                 f"a {dim}-D tree refined to level {level} needs "
                 f"{sum(widths)}-bit lookup keys, more than the 63 bits of an "
                 f"int64; a {dim}-D tree spanning the domain can be refined "
                 f"to level {63 // dim - 1} at most")
-        self.bit = np.array([sum(widths[c + 1:]) for c in range(len(widths))],
-                            np.int64)
-        keys, _ = self._pack(rows)
+        self.bit = [sum(widths[c + 1:]) for c in range(len(widths))]
+        keys, _ = self._pack(rows.T, check=False)   # in range by construction
         self.keys, self.first, self.inverse = np.unique(
             keys, return_index=True, return_inverse=True)
 
-    def _pack(self, rows):
-        """Keys of ``rows`` and whether each row can be in the table."""
-        rows = np.asarray(rows, np.int64)
-        coarse = (rows >> self.shift) - self.low
-        valid = ((coarse >= 0) & (coarse <= self.span)).all(axis=1)
-        if self.shift:
-            valid &= ((rows & ((1 << self.shift) - 1)) == 0).all(axis=1)
-        return (coarse << self.bit).sum(axis=1), valid
+    def _pack(self, columns, check=True):
+        """Keys of rows given one int64 array per column, and validity."""
+        keys, valid = 0, True
+        for col, low, span, bit in zip(columns, self.low, self.span, self.bit):
+            part = (col >> self.shift if self.shift else col) - low
+            if check:
+                valid &= part.view(np.uint64) <= span
+                if self.shift:
+                    valid &= (col & ((1 << self.shift) - 1)) == 0
+            part <<= bit
+            keys = np.bitwise_or(part, keys, out=part)
+        return keys, valid
 
     def find(self, rows):
         """Position of each query row among the distinct keys, or -1."""
-        keys, valid = self._pack(rows)
+        return self.find_columns(np.asarray(rows, np.int64).T)
+
+    def find_columns(self, columns):
+        """``find`` for rows given as one int64 array per column."""
         if len(self.keys) == 0:
-            return np.full(len(keys), -1, np.int64)
+            return np.full(len(columns[0]), -1, np.int64)
+        keys, valid = self._pack(columns)
         pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         return np.where(valid & (self.keys[pos] == keys), pos, -1)
 
 
 def _cell_index(levels, anchors):
-    finest = int(levels.max()) if len(levels) else 0
-    return TreeIndex(_keys(levels, anchors), anchors.shape[1], finest)
+    return TreeIndex(np.column_stack([levels, anchors]), anchors.shape[1],
+                     int(levels.max(initial=0)))
 
 
 def _lattice_index(lattice, levels):
     """Index of lattice points that are corners of cells at ``levels``."""
-    finest = int(levels.max()) if len(levels) else 0
+    finest = int(levels.max(initial=0))
     return TreeIndex(lattice, lattice.shape[1], finest, shift=_NL - finest)
-
-
-def _keys(levels, anchors):
-    return np.column_stack([levels.astype(np.int64), anchors.astype(np.int64)])
 
 
 def _children(levels, anchors):
@@ -263,8 +268,10 @@ def balance(levels, anchors, dim):
             if not rows.any():
                 continue
             coarse_level = levels[rows] - gap
+            near = np.ascontiguousarray(anchors[rows].T)
             for v in dirs:
-                found = index.find(_keys(coarse_level, (anchors[rows] + v) >> gap))
+                found = index.find_columns(
+                    [coarse_level] + [(a + s) >> gap for a, s in zip(near, v)])
                 mark[index.first[found[found >= 0]]] = True
         if not mark.any():
             return levels, anchors
@@ -331,24 +338,24 @@ def surrogate_faces(levels, anchors, dim):
     index = _cell_index(levels, anchors)
     groups = []     # (element rows, axis, orient, kind, slice codes)
     top = np.int64(1) << levels
+    columns = list(np.ascontiguousarray(anchors.T))
     for axis in range(dim):
         for orient in (0, 1):
-            v = np.zeros(dim, np.int64)
-            v[axis] = 1 if orient else -1
-            na = anchors + v
-            oob = (na[:, axis] < 0) | (na[:, axis] >= top)
+            na = columns.copy()
+            na[axis] = columns[axis] + (1 if orient else -1)
+            oob = (na[axis] < 0) | (na[axis] >= top)
             # a neighbor outside the domain is never in the index
-            covered = index.find(_keys(levels, na)) >= 0
+            covered = index.find_columns([levels] + na) >= 0
             parent = ~oob & ~covered
-            covered[parent] = index.find(
-                _keys(levels[parent] - 1, na[parent] >> 1)) >= 0
+            covered[parent] = index.find_columns(
+                [levels[parent] - 1] + [col[parent] >> 1 for col in na]) >= 0
             offsets, combos = _face_child_offsets(dim, axis, orient)
             open_rows = np.nonzero(~oob & ~covered)[0]
+            child_level = levels[open_rows] + 1
             child_kept = np.zeros((len(open_rows), len(offsets)), bool)
-            for c, offset in enumerate(offsets):
-                child = na[open_rows] * 2 + offset
-                child_kept[:, c] = index.find(
-                    _keys(levels[open_rows] + 1, child)) >= 0
+            for c, offset in enumerate(offsets.tolist()):
+                child_kept[:, c] = index.find_columns([child_level] + [
+                    col[open_rows] * 2 + o for col, o in zip(na, offset)]) >= 0
             any_child = child_kept.any(axis=1)
             # wall faces and faces with no kept neighbor fragment: full face
             whole = np.zeros(dim - 1, np.int8)
@@ -422,18 +429,18 @@ def number_nodes(levels, anchors, dim):
     hanging = {}
     size = np.int64(1) << (_NL - levels)
     rows = np.nonzero(size >= 2)[0]
-    origins = anchors[rows] * size[rows, None]
-    half = size[rows, None] >> 1
+    origins = anchors[rows].T * size[rows]
+    half = size[rows] >> 1
     for pos, corners in _probe_table(dim):
-        found = index.find(origins + half * pos)
+        found = index.find_columns(
+            [origin + half * p for origin, p in zip(origins, pos.tolist())])
         # every cell that finds a node on this probe names the same corners
         hit = np.nonzero(found >= 0)[0]
         nodes, first = np.unique(found[hit], return_index=True)
         parents = elem_nodes[rows[hit[first]]][:, corners].tolist()
-        weight = 1.0 / len(corners)
-        hanging.update(
-            (node, tuple((parent, weight) for parent in row))
-            for node, row in zip(nodes.tolist(), parents))
+        weights = (1.0 / len(corners),) * len(corners)
+        hanging.update(zip(nodes.tolist(), map(
+            tuple, map(zip, parents, itertools.repeat(weights)))))
     return node_lattice, elem_nodes, hanging
 
 

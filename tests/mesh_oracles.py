@@ -4,9 +4,10 @@ Each function is the code ``treefem.mesh`` ran before its stage was
 rewritten with arrays: the face/edge rule spelled out per dimension, the
 hanging map filled one hit at a time, the constraint resolved node by
 node through chains of midpoint averages, the carve classes computed
-from a combined corner mask as well as per geometry, and the refinement
+from a combined corner mask as well as per geometry, the refinement
 waves classifying every cell against every geometry through one
-deduplicated corner lattice.
+deduplicated corner lattice, and the tree-index keys packed from stacked
+rows with two axis reductions.
 """
 
 import numpy as np
@@ -186,3 +187,14 @@ def build_tree(spec, geometries):
         done_anchors.append(anchors[~refine])
         levels, anchors = _children(levels[refine], anchors[refine])
     return np.concatenate(done_levels), np.vstack(done_anchors)
+
+
+def pack(index, rows):
+    """Keys of ``rows`` in ``index`` and whether each row can be in its
+    table, from one ``(N, k)`` temporary: ``TreeIndex._pack`` row-wise."""
+    rows = np.asarray(rows, np.int64)
+    coarse = (rows >> index.shift) - np.asarray(index.low, np.int64)
+    valid = ((coarse >= 0) & (coarse <= index.span)).all(axis=1)
+    if index.shift:
+        valid &= ((rows & ((1 << index.shift) - 1)) == 0).all(axis=1)
+    return (coarse << np.asarray(index.bit, np.int64)).sum(axis=1), valid

@@ -13,13 +13,18 @@ from hypothesis import given, settings, strategies as st
 
 from treefem.errors import MeshError
 from treefem.mesh import (
-    TreeIndex, _NL, _cell_index, _corner_lattice, _keys, _lattice_index,
+    TreeIndex, _NL, _cell_index, _corner_lattice, _lattice_index,
     balance, build_mesh, build_tree, corner_bits,
 )
 from treefem.problem import parse_problem
 
 from mesh_digests import GOLDEN, case_meshes, mesh_digests
-from mesh_oracles import fill_hanging
+from mesh_oracles import fill_hanging, pack
+
+
+def _keys(levels, anchors):
+    """Cell rows ``(level, anchor...)``, as ``_cell_index`` stacks them."""
+    return np.column_stack([levels, anchors]).astype(np.int64)
 
 
 def _match(table, queries):
@@ -160,6 +165,58 @@ def test_index_edge_cases():
     assert np.array_equal(single.find([[4, 3, 9], [4, 3, 8], [-4, 3, 9]]),
                           [0, -1, -1])
     assert len(single.find(np.empty((0, 3), np.int64))) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([0, 0, 1, 5, 20]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 40), st.integers(0, 300))
+def test_column_packing_matches_row_oracle(dim, shift, seed, n_table,
+                                           n_query):
+    """Cell tables (a level column, no shift) and lattice tables (shifted)
+    against the row-wise packing: equal validity everywhere, equal keys
+    wherever a row is valid. Queries include negative values, values past
+    a column's span and, under a shift, values with low bits set."""
+    rng = np.random.default_rng(seed)
+    k = dim + (shift == 0)
+    low = rng.integers(0, 50, k)
+    span = rng.integers(0, 2 ** rng.integers(0, 12, k))
+    table = (low + rng.integers(0, span + 1, (n_table, k))) << shift
+    index = TreeIndex(table, dim, 4, shift=shift)
+    assert np.array_equal(index.keys, np.unique(pack(index, table)[0]))
+
+    base = (low + rng.integers(-2, span + 3, (n_query, k))) << shift
+    noise = rng.integers(0, 2, (n_query, k)) * rng.integers(
+        -(1 << shift), 1 << shift, (n_query, k))
+    wild = rng.integers(-(1 << 40), 1 << 40, (n_query, k))
+    queries = np.vstack([table, base, base + noise, -base, wild])
+    keys, valid = index._pack(queries.T)
+    oracle_keys, oracle_valid = pack(index, queries)
+    assert np.array_equal(valid, oracle_valid)
+    assert np.array_equal(keys[valid], oracle_keys[valid])
+    unique = np.unique(table, axis=0) if n_table else table
+    assert np.array_equal(index.find(queries), _match(unique, queries))
+
+
+def test_out_of_range_rows_never_match_through_key_collisions():
+    """Rows whose packed key equals a stored key, found only because each
+    column is range-checked: a column past its span carries into the next
+    column's bits, a column far below its range wraps round to a small
+    key, and under a shift low bits are dropped. An anchor of -1 sets
+    every bit from its column up, so its key is negative."""
+    cells = [[2, x, y] for x in range(2) for y in range(4)]
+    index = TreeIndex(cells, 2, 2)
+    past, below, minus = [2, 0, 4], [2, -(1 << 62), 0], [2, 1, -1]
+    keys, _ = index._pack(np.array([past, below, minus]).T)
+    assert index.keys[index.find([[2, 1, 0], [2, 0, 0]])].tolist() \
+        == keys[:2].tolist()
+    assert keys[2] < 0
+    assert index.find([past, below, minus]).tolist() == [-1, -1, -1]
+
+    lattice = TreeIndex([[0, 0], [8, 0], [0, 8], [8, 8]], 2, 3, shift=3)
+    keys, _ = lattice._pack(np.array([[1, 0], [8, 12]]).T)
+    assert lattice.keys[lattice.find([[0, 0], [8, 8]])].tolist() \
+        == keys.tolist()
+    assert lattice.find([[1, 0], [8, 12]]).tolist() == [-1, -1]
 
 
 def test_mesh_arrays_match_golden_digests():
