@@ -21,13 +21,13 @@ binds the history fields. A face batch routes each point through the
 ordered boundary-region predicates, evaluated at the true boundary
 point: the first that holds claims it, and its condition decides which
 surface blocks apply and supplies the boundary value. When no surface
-linear scalar, region predicate or boundary value reads ``t``, directly
-or through the coefficients it names, a face batch's ``be`` is set-up
-work: it is kept per kernel and batch from the first assembly that
-computes it, matrix or not, and later right-hand-side-only assemblies
-skip the batch, routing included. All blocks go through one scatter: one
-COO triplet list summed into CSR by one ``tocsr()``, and one
-``np.bincount``, which a kept ``be`` feeds too.
+scalar, region predicate or boundary value reads ``t``, directly or
+through the coefficients it names, a face batch's blocks are set-up
+work, kept from the first assembly that visits the batch under all that
+they read of a kernel: its surface groups, unknown and steadiness. Later
+assemblies of any kernel with that key skip the batch, routing included.
+All blocks go through one scatter: one COO triplet list summed into CSR
+by one ``tocsr()``, and one ``np.bincount``.
 
 The constrained system is reduced with the mesh's hanging-node expansion
 ``C`` (solve ``CᵀAC y = Cᵀb``, then expand ``u = Cy``) and solved with a
@@ -59,7 +59,6 @@ _ASSEMBLY_QUAD, _ERROR_QUAD = 2, 3
 # surface region and boundary-value name of each boundary-condition kind
 _SURFACE = {BCKind.DIRICHLET: (Region.DIRICHLET_SURFACE, "special:gd"),
             BCKind.NEUMANN: (Region.NEUMANN_SURFACE, "special:gn")}
-_SURFACE_REGIONS = tuple(region for region, _ in _SURFACE.values())
 
 
 @dataclass
@@ -180,9 +179,9 @@ class Assembler:
 
     Cells and faces use a 2-point Gauss rule per axis. Batches are
     assembled one after another in a fixed order, so repeated assemblies
-    give bit-identical ``A`` and ``b``. A kernel whose face right-hand
-    side cannot read ``t`` keeps each face batch's ``be`` from the first
-    assembly that computes it.
+    give bit-identical ``A`` and ``b``. Face blocks that cannot read ``t``
+    are kept from the first assembly that visits them, and kernels with
+    equal surface groups, unknown and steadiness share them.
     """
 
     def __init__(self, mesh, spec):
@@ -191,9 +190,9 @@ class Assembler:
         self.cell_batches = _cell_batches(
             mesh, tensor_rule(_ASSEMBLY_QUAD, mesh.dimension))
         self.face_batches = _face_batches(mesh)
-        # id(kernel) -> (kernel, {id(face batch): be}), or (kernel, None)
-        # when its face be reads t; holding the kernel keeps its id unique
-        self._face_rhs = {}
+        # kernel -> its kept face blocks, {face batch index: (conn, ke, be)},
+        # shared through _kept by the kernels of one key; None if they read t
+        self._faces, self._kept = {}, {}
 
     @staticmethod
     def _integrate(groups, env, weights, batch):
@@ -289,23 +288,22 @@ class Assembler:
         """
         n = self.mesh.n_nodes
         dt = None if ir.steady else self.spec.time.dt
-        groups = [(region, bilinear, contributions)
-                  for region, bilinear, contributions in ir.groups()
-                  if contributions and (matrix or not bilinear)]
-        batches = self.cell_batches
+        if ir not in self._faces:
+            surface = tuple(g for g in ir.groups() if g[0] is not Region.VOLUME)
+            self._faces[ir] = None if _reads_time(surface, self.spec) else \
+                self._kept.setdefault((surface, ir.unknown, ir.steady), {})
+        kept = self._faces[ir]
+        groups = [g for g in ir.groups() if g[2] and (matrix or not g[1])]
+        results = [self._blocks(ir, groups, batch, t, dt, history)
+                   for batch in self.cell_batches]
         if any(region is not Region.VOLUME for region, _, _ in groups):
-            batches = batches + self.face_batches
-        if id(ir) not in self._face_rhs:
-            self._face_rhs[id(ir)] = (ir, None if _blocks_read_time(
-                ir, self.spec, False, _SURFACE_REGIONS) else {})
-        kept = self._face_rhs[id(ir)][1]
-        results = []
-        for batch in batches:
-            hit = not matrix and kept is not None and id(batch) in kept
-            results.append((batch.conn, None, kept[id(batch)]) if hit else
-                           self._blocks(ir, groups, batch, t, dt, history))
-            if kept is not None and batch.surface is not None:
-                kept[id(batch)] = results[-1][2]
+            for i, batch in enumerate(self.face_batches):
+                if kept is not None and i not in kept:
+                    # all groups, so that a later matrix assembly finds ke
+                    kept[i] = self._blocks(ir, ir.groups(), batch, t, dt,
+                                           history)
+                results.append(kept[i] if kept is not None else
+                               self._blocks(ir, groups, batch, t, dt, history))
 
         rhs = [(conn, be) for conn, _, be in results if be is not None]
         b = np.bincount(np.concatenate([conn for conn, _ in rhs]).ravel(),
@@ -407,16 +405,16 @@ def bicgstab(A, b, x0=None, abs_tol=1e-8, rel_tol=1e-8, max_iterations=1000,
 def _matrix_reads_time(ir, spec):
     """Whether ``ir``'s reduced matrix can change between time steps:
     only ``t`` can change it (``dt`` is fixed; history is linear)."""
-    return _blocks_read_time(ir, spec, True, tuple(Region))
+    return _reads_time([g for g in ir.groups() if g[1]], spec)
 
 
-def _blocks_read_time(ir, spec, bilinear, regions):
-    """Whether ``t`` reaches ``ir``'s bilinear (or linear) blocks over
-    ``regions``: through their scalars, on surfaces the region predicates
+def _reads_time(groups, spec):
+    """Whether ``t`` reaches the blocks of ``groups``, as ``KernelIR.groups``
+    gives them: through their scalars, on surfaces the region predicates
     and the boundary values read, or the coefficients any of these name."""
     names = set()
-    for region, is_bilinear, contributions in ir.groups():
-        if is_bilinear is bilinear and region in regions and contributions:
+    for region, _, contributions in groups:
+        if contributions:
             names.update(*(ex.names_in(c.scalar) for c in contributions))
             if region is not Region.VOLUME:
                 names.update(*(ex.names_in(predicate)
@@ -479,24 +477,24 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None, on_step=None):
         # make the start state consistent with the constraints
         state = constraint @ initial[mesh.free_nodes]
     previous = state
-    # a kernel's reduced matrix is kept when no step can change it
-    keep = not _matrix_reads_time(ir, spec)
+    # kernel -> kept reduced matrix, for each kernel no step can change
+    kept = {kernel: None for kernel in {kernel for _, _, kernel in schedule}
+            if not _matrix_reads_time(kernel, spec)}
     timings["assemble"] = time.perf_counter() - tick
 
-    kept = {}                   # id(kernel) -> its kept reduced matrix
     steps = []
     solution = None
     options = spec.solver
     for k, t_k, kernel in schedule:
         tick = time.perf_counter()
-        reduced = kept.get(id(kernel))
+        reduced = kept.get(kernel)
         A, b = assembler.assemble(kernel, t=t_k,
                                   history={1: state, 2: previous},
                                   matrix=reduced is None)
         if reduced is None:
             reduced, rhs = reduce_system(A, b, constraint)
-            if keep:
-                kept[id(kernel)] = reduced
+            if kernel in kept:
+                kept[kernel] = reduced
         else:
             rhs = constraint.T @ b
         timings["assemble"] += time.perf_counter() - tick

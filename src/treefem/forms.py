@@ -103,6 +103,11 @@ class KernelIR:
         return tuple((region, bilinear, getattr(self, field))
                      for field, region, bilinear in GROUPS)
 
+    def __hash__(self):  # once per kernel: it walks every expression tree
+        if "_hash" not in vars(self):
+            object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))
+        return self._hash
+
 
 # The six contribution groups, (KernelIR field, region, bilinear), in
 # canonical kernel order.

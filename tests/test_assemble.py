@@ -929,6 +929,82 @@ def test_face_rhs_is_kept_per_kernel():
     check(kernels[1], 0.75)
 
 
+@pytest.mark.parametrize("case", ["euler_then_bdf2", "two_compiles",
+                                  "rhs_then_matrix"])
+def test_kernels_with_equal_surface_groups_share_kept_face_blocks(
+        case, monkeypatch):
+    spec = parse_problem(_heat_script(base=2, glevel=3))
+    mesh = build_mesh(spec)
+    history = _history(mesh)
+    if case == "euler_then_bdf2":
+        first, second = (compile_kernel(spec, scheme=scheme) for scheme in
+                         (TimeScheme.EULER_IMPLICIT, TimeScheme.BDF2))
+        # the time scheme reaches only the volume groups
+        assert first.volume_bilinear != second.volume_bilinear
+        assert first.groups()[2:] == second.groups()[2:]
+    elif case == "two_compiles":
+        first, second = compile_kernel(spec), compile_kernel(spec)
+        assert first is not second and first == second
+    else:
+        # blocks first made by a right-hand-side-only assembly hold ke too
+        first = second = compile_kernel(spec)
+    routed = []
+    route = Assembler._route_regions
+    monkeypatch.setattr(Assembler, "_route_regions", lambda self, *args: (
+        routed.append(args[0]) or route(self, *args)))
+    asm = Assembler(mesh, spec)
+    asm.assemble(first, t=0.25, history=history,
+                 matrix=case != "rhs_then_matrix")
+    assert len(routed) == len(asm.face_batches) > 0
+    got = asm.assemble(second, t=0.5, history=history)
+    assert len(routed) == len(asm.face_batches)
+    _assert_same_system(got, Assembler(mesh, spec).assemble(
+        second, t=0.5, history=history))
+
+
+def test_kept_face_blocks_are_not_shared_across_unknowns():
+    spec = parse_problem(_heat_script(base=2, glevel=3))
+    [((unknown, rid), bc)] = spec.boundary_conditions.items()
+    # a second unknown "w" with its own boundary value on the same region
+    spec = dataclasses.replace(spec, boundary_conditions={
+        (unknown, rid): bc,
+        ("w", rid): dataclasses.replace(bc, value=ex.parse("1 + x*y"))})
+    mesh = build_mesh(spec)
+    history = _history(mesh)
+    ir = compile_kernel(spec)
+    kernels = (ir, dataclasses.replace(ir, unknown="w"))
+    asm = Assembler(mesh, spec)
+    rhs = []
+    for kernel in kernels:
+        got = asm.assemble(kernel, t=0.25, history=history)
+        _assert_same_system(got, Assembler(mesh, spec).assemble(
+            kernel, t=0.25, history=history))
+        rhs.append(got[1])
+    assert not np.array_equal(*rhs)
+
+
+def test_later_assemblies_derive_nothing_from_the_kernel(monkeypatch):
+    spec = parse_problem(_heat_script(base=2, glevel=3))
+    mesh = build_mesh(spec)
+    history = _history(mesh)
+    ir = compile_kernel(spec)
+    asm = Assembler(mesh, spec)
+    asm.assemble(ir, t=0.25, history=history)
+    calls = []
+    names_in = ex.names_in
+    monkeypatch.setattr(ex, "names_in", lambda expr: (
+        calls.append("names_in") or names_in(expr)))
+    for node in (ex.Num, ex.Bool, ex.Name, ex.Neg, ex.Bin, ex.Call):
+        monkeypatch.setattr(node, "__hash__", lambda self, hash_=node.__hash__: (
+            calls.append(type(self).__name__) or hash_(self)))
+    hash(ex.parse("-sin(x) < 1 || true"))
+    assert set(calls) == {"Num", "Bool", "Name", "Neg", "Bin", "Call"}
+    calls.clear()
+    for t, matrix in ((0.5, True), (0.75, False), (1.0, True)):
+        asm.assemble(ir, t=t, history=history, matrix=matrix)
+    assert calls == []
+
+
 def test_steady_state_is_transient_fixed_point():
     steady = solve(DISK_POISSON, base=4, glevel=5)
     transient_script = DISK_POISSON.format(base=4, glevel=5).replace(
