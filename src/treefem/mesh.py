@@ -163,11 +163,17 @@ def _children(levels, anchors):
 # Classification against the geometries
 
 def _corner_lattice(levels, anchors):
-    dim = anchors.shape[1]
-    bits = corner_bits(dim)
+    n, dim = anchors.shape
     scale = (np.int64(1) << (_NL - levels)).astype(np.int64)
-    corners = (anchors[:, None, :] + bits[None, :, :]) * scale[:, None, None]
-    return corners.reshape(len(levels) * 2 ** dim, dim)
+    # one (corner, axis) column at a time, each a long loop over the cells;
+    # broadcasting over a last axis of length dim runs many short loops
+    corners = np.empty((n, 2 ** dim, dim), np.int64)
+    for axis in range(dim):
+        low = anchors[:, axis] * scale
+        ends = (low, low + scale)
+        for k, bit in enumerate(corner_bits(dim)[:, axis]):
+            corners[:, k, axis] = ends[bit]
+    return corners.reshape(n * 2 ** dim, dim)
 
 
 def _lattice_coords(lattice, spec):

@@ -5,14 +5,17 @@ import gc
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treefem import vtkio
-from treefem.assemble import StepRecord
+from treefem.assemble import StepRecord, run_problem
+from treefem.cli import cmd_run
 from treefem.mesh import build_mesh
-from treefem.problem import parse_problem
+from treefem.problem import parse_problem, with_levels
 from treefem.vtkio import write_diagnostics_csv, write_fields_vtk, write_mesh_vtk
 
 import vtk_oracle as oracle
@@ -257,11 +260,67 @@ def test_kept_text_is_never_served_for_another_mesh(tmp_path):
 
 def test_kept_text_is_dropped_with_its_mesh(tmp_path):
     mesh = build_mesh(parse_problem(CIRCLE_2D))
-    write_mesh_vtk(tmp_path / "m.vtk", mesh)
-    assert vtkio._cached[1] and vtkio._cached[2]
+    write_fields_vtk(tmp_path / "m.vtk", mesh, awkward_fields(mesh))
+    assert vtkio._cached[1] and vtkio._cached[2] and vtkio._cached[3]
     del mesh
     gc.collect()
-    assert vtkio._cached[1:] == ("", "")
+    assert vtkio._cached[1:] == ((), (), {})
+
+
+def write_both(tmp_path, mesh, fields, title="fields"):
+    """The bytes both writers give for ``fields``; they must agree."""
+    new, ref = tmp_path / "new.vtk", tmp_path / "ref.vtk"
+    write_fields_vtk(new, mesh, fields, title=title)
+    oracle.write_fields_vtk(ref, mesh, fields, title=title)
+    assert new.read_bytes() == ref.read_bytes()
+    return new.read_bytes()
+
+
+def test_kept_field_text_follows_an_array_changed_in_place(disk_mesh,
+                                                           tmp_path):
+    u = np.linspace(0.0, 1.0, disk_mesh.n_nodes)
+    first = write_both(tmp_path, disk_mesh, {"u": u})
+    assert write_both(tmp_path, disk_mesh, {"u": u}) == first
+    u[5] += 1.0
+    assert write_both(tmp_path, disk_mesh, {"u": u}) != first
+
+
+def test_kept_field_text_tells_signed_zeros_apart(disk_mesh, tmp_path):
+    u = np.zeros(disk_mesh.n_nodes)
+    first = write_both(tmp_path, disk_mesh, {"u": u})
+    u = u.copy()
+    u[3] = -0.0
+    assert write_both(tmp_path, disk_mesh, {"u": u}) != first
+
+
+def test_kept_field_text_is_keyed_on_the_name(disk_mesh, tmp_path):
+    u = np.linspace(-1.0, 1.0, disk_mesh.n_nodes)
+    first = write_both(tmp_path, disk_mesh, {"u": u, "w": u})
+    renamed = write_both(tmp_path, disk_mesh, {"v": u, "w": u})
+    assert renamed == first.replace(b"SCALARS u ", b"SCALARS v ")
+    assert write_both(tmp_path, disk_mesh, {"w": u}) != first
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                     -5e-324, 2.2250738585072e-308, 1e300, -1e300, 0.1]),
+    st.floats()), min_size=1, max_size=40),
+    st.lists(st.integers(0, 100), max_size=80))
+def test_column_strings_equal_per_value_format(pool, picks):
+    values = np.array(pool + [pool[k % len(pool)] for k in picks])
+    got = vtkio._strings(values, "%.17g").tolist()
+    assert got == ["{:.17g}".format(v) for v in values.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 62, 2 ** 62), max_size=40),
+       st.lists(st.integers(0, 100), max_size=80))
+def test_int_column_strings_equal_per_value_format(pool, picks):
+    values = np.array(pool + [pool[k % len(pool)] for k in picks if pool],
+                      np.int64)
+    got = vtkio._strings(values, "%d\n").tolist()
+    assert got == ["{:d}\n".format(v) for v in values.tolist()]
 
 
 def test_threads_writing_two_meshes_get_their_own_text(disk_mesh, box_mesh,
@@ -292,6 +351,62 @@ def test_threads_writing_two_meshes_get_their_own_text(disk_mesh, box_mesh,
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not wrong
+
+
+def test_threads_writing_fields_on_one_mesh_get_their_own_bytes(disk_mesh,
+                                                                tmp_path):
+    fields = [{"u": np.full(disk_mesh.n_nodes, float(k))} for k in range(3)]
+    fields.append({"u": fields[0]["u"].copy()})    # differs only by -0.0
+    fields[3]["u"][0] = -0.0
+    fields.append({"w": fields[1]["u"]})           # same values, new name
+    expected = []
+    for k, field in enumerate(fields):
+        oracle.write_fields_vtk(tmp_path / "ref.vtk", disk_mesh, field)
+        expected.append((tmp_path / "ref.vtk").read_bytes())
+    assert len(set(expected)) == len(fields)
+    wrong = []
+
+    def work(k):
+        path = tmp_path / f"t{k}.vtk"
+        for _ in range(15):
+            write_fields_vtk(path, disk_mesh, fields[k])
+            if path.read_bytes() != expected[k]:
+                wrong.append(k)
+
+    threads = [threading.Thread(target=work, args=(k,))
+               for k in range(len(fields))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+
+
+HEAT = (Path(__file__).resolve().parent / "golden" / "heat_bdf2_script.prob")
+
+
+def test_transient_run_writes_the_former_bytes_every_step(tmp_path):
+    # at level 3 the heat run is bit-stationary from its 17th step on, so
+    # most steps are written from the kept field text
+    script = tmp_path / "heat.prob"
+    script.write_text(HEAT.read_text().replace("steps = 100", "steps = 30"))
+    cmd_run(script, tmp_path / "out", level=3)
+    steps = []
+    result = run_problem(with_levels(parse_problem(script.read_text()), 3),
+                         on_step=lambda k, _t, u: steps.append((k, u.copy())))
+    assert len(steps) == 30
+    assert any(a.tobytes() == b.tobytes()
+               for (_, a), (_, b) in zip(steps, steps[1:]))
+    for k, u in steps:
+        oracle.write_fields_vtk(tmp_path / "ref.vtk", result.mesh, {"u": u})
+        assert ((tmp_path / "out" / f"solution_{k:06d}.vtk").read_bytes()
+                == (tmp_path / "ref.vtk").read_bytes()), k
 
 
 def test_diagnostics_csv(tmp_path):
