@@ -326,13 +326,14 @@ class TriSurface(Geometry):
 
     def _inside(self, points):
         """Ray parity along +z, one shared ray per (x, y) column."""
-        order = np.lexsort((points[:, 1], points[:, 0]))
-        xy = points[order, :2]
-        fresh = np.ones(len(xy), bool)
-        fresh[1:] = np.any(xy[1:] != xy[:-1], axis=1)
-        columns = xy[fresh]
-        inverse = np.empty(len(points), np.intp)
-        inverse[order] = np.cumsum(fresh) - 1
+        order = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
+        x, y, z = (np.take(points[:, k], order) for k in range(3))
+        # sorted, a column is one run and a distinct point one run inside it
+        fresh = np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1])]
+        first = np.flatnonzero(fresh | np.r_[True, z[1:] != z[:-1]])
+        columns = np.column_stack([x[fresh], y[fresh]])
+        column_of = np.cumsum(fresh[first]) - 1     # of each distinct point
+        heights = z[first]
         grid, radius = self._column_search
         scale = self._scale
         # Faces whose projection comes this close to a column are tested
@@ -368,15 +369,17 @@ class TriSurface(Geometry):
         # Sort crossings and points together by column, then from the top
         # down, a crossing level with a point ahead of it; the crossings
         # passed so far in the column are those at or above the point.
-        kind = np.r_[np.zeros(len(hit_col), bool), np.ones(len(points), bool)]
-        order = np.lexsort((kind, -np.r_[hit_z, points[:, 2]],
-                            np.r_[hit_col, inverse]))
-        passed = np.cumsum(~kind[order])[kind[order]]
-        at = order[kind[order]] - len(hit_col)
+        kind = np.r_[np.zeros(len(hit_col), bool), np.ones(len(heights), bool)]
+        ranked = np.lexsort((kind, -np.r_[hit_z, heights],
+                             np.r_[hit_col, column_of]))
+        passed = np.cumsum(~kind[ranked])[kind[ranked]]
+        at = ranked[kind[ranked]] - len(hit_col)
         per_column = np.bincount(hit_col, minlength=len(columns))
-        above = np.empty(len(points), np.intp)
-        above[at] = passed - (np.cumsum(per_column) - per_column)[inverse[at]]
-        return above % 2 == 1
+        above = np.empty(len(heights), np.intp)
+        above[at] = passed - (np.cumsum(per_column) - per_column)[column_of[at]]
+        inside = np.empty(len(points), bool)
+        inside[order] = (above % 2 == 1).repeat(np.diff(first, append=len(x)))
+        return inside
 
     def kept(self, points):
         points = np.asarray(points, float)
@@ -410,11 +413,13 @@ class TriSurface(Geometry):
                 np.take(self.vertices, self.faces[face, k], axis=0)
                 for k in range(3)))
             d2 = ((cand - p) ** 2).sum(axis=1)
-            # Least distance per point, ties to the lowest face index.
-            order = np.lexsort((face, d2, row))
-            first = np.ones(len(order), bool)
-            first[1:] = row[order[1:]] != row[order[:-1]]
-            best = order[first]
+            # per point: least distance (NaN last, as sorted), then lowest face
+            start = np.flatnonzero(np.diff(row, prepend=-1))
+            size = np.diff(start, append=len(row))
+            least = np.repeat(np.fmin.reduceat(d2, start), size)
+            tie = (d2 == least) | np.isnan(least)
+            low = np.minimum.reduceat(np.where(tie, face, len(self.faces)), start)
+            best = np.flatnonzero(tie & (face == np.repeat(low, size)))
             projections[row[best]] = cand[best]
             distances[row[best]] = np.sqrt(d2[best])
             normals[row[best]] = self._feature_normal(face[best], feature[best])

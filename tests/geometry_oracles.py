@@ -1,0 +1,97 @@
+"""Former ``TriSurface`` query implementations, kept as references for the
+tests.
+
+Each function is the code ``treefem.geometry`` ran before its query was
+rewritten: the side test that counted crossings once per query point,
+with one lexsort over the (x, y) columns and one over crossings plus
+every point, and the closest-point selection that sorted each chunk's
+pairs by (point, distance, face) and kept the first pair per point.
+"""
+
+import numpy as np
+
+from treefem import geometry
+from treefem.errors import GeometryError
+from treefem.geometry import ClosestPoint
+
+
+def column_sort_kept(surf, points):
+    """``TriSurface.kept``: ray parity along +z, one shared ray per (x, y)
+    column, crossings counted for every point."""
+    points = np.asarray(points, float)
+    if len(points) == 0:
+        return np.zeros(0, bool)
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    xy = points[order, :2]
+    fresh = np.ones(len(xy), bool)
+    fresh[1:] = np.any(xy[1:] != xy[:-1], axis=1)
+    columns = xy[fresh]
+    inverse = np.empty(len(points), np.intp)
+    inverse[order] = np.cumsum(fresh) - 1
+    grid, radius = surf._column_search
+    scale = surf._scale
+    pad = 1e-5 * scale
+    corners = [surf.vertices[surf.faces[:, k]] for k in range(3)]
+    hit_col, hit_z = [np.empty(0, np.intp)], [np.empty(0)]
+    reach = np.full(len(columns), radius + pad)
+    for col, face, d2 in grid.near(columns, reach):
+        near = d2 <= reach[col] ** 2
+        col, face = col[near], face[near]
+        for attempt in range(8):
+            delta = scale * 1e-9 * 3.0 ** (attempt - 1) if attempt else 0.0
+            ambiguous, strict, z = geometry._ray_crossings(
+                columns[col] + [delta, 0.7 * delta],
+                *(corner[face] for corner in corners), scale)
+            retry = np.zeros(len(columns), bool)
+            retry[col[ambiguous]] = True
+            again = retry[col]
+            hit_col.append(col[strict & ~again])
+            hit_z.append(z[strict & ~again])
+            col, face = col[again], face[again]
+            if len(col) == 0:
+                break
+        else:
+            raise GeometryError("side classification failed: ray through "
+                                "the triangle surface keeps hitting edges")
+    hit_col = np.concatenate(hit_col)
+    hit_z = np.concatenate(hit_z)
+    kind = np.r_[np.zeros(len(hit_col), bool), np.ones(len(points), bool)]
+    order = np.lexsort((kind, -np.r_[hit_z, points[:, 2]],
+                        np.r_[hit_col, inverse]))
+    passed = np.cumsum(~kind[order])[kind[order]]
+    at = order[kind[order]] - len(hit_col)
+    per_column = np.bincount(hit_col, minlength=len(columns))
+    above = np.empty(len(points), np.intp)
+    above[at] = passed - (np.cumsum(per_column) - per_column)[inverse[at]]
+    inside = above % 2 == 1
+    return inside if surf.outer_boundary else ~inside
+
+
+def lexsort_closest(surf, points):
+    """``TriSurface.closest``, each point's pair chosen by a lexsort."""
+    points = np.asarray(points, float)
+    n = len(points)
+    projections = np.empty((n, 3))
+    normals = np.empty((n, 3))
+    distances = np.empty(n)
+    if n == 0:
+        return ClosestPoint(projections, normals, distances)
+    grid, radius = surf._face_search
+    bound = grid.bound(points)
+    reach = bound + radius + 1e-9 * (surf._scale + bound)
+    for row, face, d2 in grid.near(points, reach):
+        near = d2 <= reach[row] ** 2
+        row, face = row[near], face[near]
+        p = np.take(points, row, axis=0)
+        cand, feature = geometry._closest_on_triangles(p, *(
+            np.take(surf.vertices, surf.faces[face, k], axis=0)
+            for k in range(3)))
+        d2 = ((cand - p) ** 2).sum(axis=1)
+        order = np.lexsort((face, d2, row))
+        first = np.ones(len(order), bool)
+        first[1:] = row[order[1:]] != row[order[:-1]]
+        best = order[first]
+        projections[row[best]] = cand[best]
+        distances[row[best]] = np.sqrt(d2[best])
+        normals[row[best]] = surf._feature_normal(face[best], feature[best])
+    return ClosestPoint(projections, normals, distances)

@@ -25,6 +25,7 @@ from shapes import (
     bumpy_sphere, cube_tris, fanned_cube, gmsh_polygon_text, icosphere,
     regular_polygon,
 )
+from geometry_oracles import column_sort_kept, lexsort_closest
 from test_acceptance import sphere_script
 
 
@@ -510,7 +511,7 @@ SURFACES = {
     "slivers": fanned_cube((0.25, 0.25, 0.25), (0.75, 0.75, 0.75)),
 }
 QUERY_KINDS = ("random", "vertices", "midpoints", "columns", "sides", "far",
-               "cell_edges")
+               "cell_edges", "duplicates")
 
 
 def query_points(surf, rng, kinds, n=40):
@@ -544,6 +545,17 @@ def query_points(surf, rng, kinds, n=40):
             k = rng.integers(-1, grid.top + 2, size=(n, len(grid.top)))
             p[:, :len(grid.top)] = grid.origin + k * grid.cell
             parts.append(p)
+    if "duplicates" in kinds:       # each distinct point is counted once
+        rows = np.concatenate([rng.uniform(-0.1, 1.1, (n // 4, 3)),
+                               v[rng.integers(len(v), size=n // 4)]])
+        column = np.empty((n, 3))   # one (x, y) column, some heights equal
+        column[:, :2] = v[rng.integers(len(v)), :2]
+        column[:, 2] = rng.choice(rng.uniform(-0.1, 1.1, n // 4), n)
+        zeros = rng.uniform(-0.1, 1.1, (n // 2, 3))
+        zeros[rng.random(zeros.shape) < 0.5] = 0.0
+        signed = np.where(zeros == 0.0, -0.0, zeros)    # differ by sign only
+        parts.append(rng.permutation(np.concatenate(
+            [np.repeat(rows, 3, axis=0), column, zeros, signed])))
     return np.concatenate(parts)
 
 
@@ -568,6 +580,65 @@ def test_candidate_search_matches_full_scan(shape, outer, seed, kinds, budget):
     assert np.array_equal(kept, scan_kept(surf, pts))
     assert np.array_equal(surf.edge_slot_normals,
                           scan_edge_slot_normals(surf.faces, surf.face_normals))
+
+
+def same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from(sorted(SURFACES)), outer=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.sets(st.sampled_from(QUERY_KINDS), min_size=1),
+       budget=st.sampled_from([geometry._PAIR_BUDGET, 7]))
+@example(shape="slivers", outer=False, seed=2, kinds=set(QUERY_KINDS), budget=7)
+@example(shape="icosphere", outer=True, seed=3, kinds=set(QUERY_KINDS),
+         budget=geometry._PAIR_BUDGET)
+def test_queries_match_the_sorting_oracles(shape, outer, seed, kinds, budget):
+    # the side test counted crossings for every point and closest sorted
+    # each chunk's pairs; the answers must not change in a single bit
+    surf = TriSurface(*SURFACES[shape], outer_boundary=outer)
+    pts = query_points(surf, np.random.default_rng(seed), kinds)
+    with mock.patch.object(geometry, "_PAIR_BUDGET", budget):
+        hit, want = surf.closest(pts), lexsort_closest(surf, pts)
+        assert same_bits(surf.kept(pts), column_sort_kept(surf, pts))
+    for field in ("points", "normals", "distances"):
+        assert same_bits(getattr(hit, field), getattr(want, field))
+
+
+def test_nan_distances_rank_last_as_in_the_sort():
+    # no finite query is known to give a nan distance, so some are put in:
+    # a sort ranked nan after every number and inf, then took the lowest face
+    surf = TriSurface(*SURFACES["bumpy"])
+    pts = query_points(surf, np.random.default_rng(6), {"random", "vertices"})
+    closest_on = geometry._closest_on_triangles
+
+    def poisoned(p, a, b, c):
+        cand, feature = closest_on(p, a, b, c)
+        slot = np.arange(len(p)) % 5
+        cand[slot == 0] = np.nan
+        cand[slot == 1] = np.inf
+        cand[(p[:, None] == pts[None, :5]).all(axis=2).any(axis=1)] = np.nan
+        return cand, feature
+
+    with mock.patch.object(geometry, "_closest_on_triangles", poisoned), \
+            np.errstate(invalid="ignore"):
+        hit, want = surf.closest(pts), lexsort_closest(surf, pts)
+    assert np.isnan(hit.distances[:5]).all()
+    assert np.isfinite(hit.distances[5:]).any()
+    for field in ("points", "normals", "distances"):
+        assert same_bits(getattr(hit, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("shape", sorted(SURFACES))
+def test_repeated_points_get_the_answer_of_one(shape):
+    surf = TriSurface(*SURFACES[shape])
+    rng = np.random.default_rng(5)
+    p = query_points(surf, rng, set(QUERY_KINDS) - {"duplicates"})
+    perm = rng.permutation(8 * len(p))
+    got = surf.kept(np.repeat(p, 8, axis=0)[perm])
+    assert np.array_equal(got, np.repeat(surf.kept(p), 8)[perm])
 
 
 @pytest.mark.parametrize("factor", [1.0, 1e9])
