@@ -26,12 +26,16 @@ through the coefficients it names, a face batch's blocks are set-up
 work, kept from the first assembly that visits the batch under all that
 they read of a kernel: its surface groups, unknown and steadiness. Later
 assemblies of any kernel with that key skip the batch, routing included.
-All blocks go through one scatter: one COO triplet list summed into CSR
-by one ``tocsr()``, and one ``np.bincount``.
+All blocks go through one scatter: one ``np.bincount`` for ``b``, and
+``tocsr()`` one slab of rows (about 2^17 triplets) at a time for ``A``.
+A slab's triplets come in the order of one triplet list over all blocks,
+so ``A`` has that list's bits, while the scatter holds one slab's
+triplets at a time, never the whole list.
 
 The constrained system is reduced with the mesh's hanging-node expansion
 ``C`` (solve ``CᵀAC y = Cᵀb``, then expand ``u = Cy``) and solved with a
-Jacobi-preconditioned BiCGStab.
+Jacobi-preconditioned BiCGStab. Without hanging nodes ``C`` is the
+identity, and ``CᵀAC`` is ``A`` less its explicit zeros.
 """
 
 from __future__ import annotations
@@ -55,6 +59,10 @@ __all__ = ["Assembler", "SolveInfo", "StepRecord", "RunResult",
 
 # Gauss points per axis: assembly (cells and faces), and l2_error
 _ASSEMBLY_QUAD, _ERROR_QUAD = 2, 3
+
+# triplets per slab of rows in the matrix scatter; a slab's working
+# arrays take about 28 bytes per triplet
+_SLAB_TRIPLETS = 1 << 17
 
 # surface region and boundary-value name of each boundary-condition kind
 _SURFACE = {BCKind.DIRICHLET: (Region.DIRICHLET_SURFACE, "special:gd"),
@@ -181,7 +189,9 @@ class Assembler:
     assembled one after another in a fixed order, so repeated assemblies
     give bit-identical ``A`` and ``b``. Face blocks that cannot read ``t``
     are kept from the first assembly that visits them, and kernels with
-    equal surface groups, unknown and steadiness share them.
+    equal surface groups, unknown and steadiness share them. The matrix
+    is scattered one slab of rows at a time, so the triplets in flight
+    are one slab's, whatever the size of the mesh.
     """
 
     def __init__(self, mesh, spec):
@@ -314,22 +324,104 @@ class Assembler:
         blocks = [(conn, ke) for conn, ke, _ in results if ke is not None]
         if not blocks:
             return sp.csr_matrix((n, n)), b
-        # scipy stores int32 indices whenever they fit; building them so
-        # spares it a checked conversion of every triplet
-        conn = np.concatenate([conn for conn, _ in blocks]).astype(
-            np.int32 if n <= np.iinfo(np.int32).max else np.int64)
-        ke = np.concatenate([ke for _, ke in blocks])
-        rows = np.broadcast_to(conn[:, :, None], ke.shape).ravel()
-        cols = np.broadcast_to(conn[:, None, :], ke.shape).ravel()
-        return sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr(), b
+        return _scatter(blocks, n), b
+
+
+def _scatter(blocks, n):
+    """CSR sum over all nodes of the element blocks ``(conn, ke)``.
+
+    It sums the triplets of all blocks, in batch, element, row and column
+    order, one slab of rows at a time; a slab holds about
+    ``_SLAB_TRIPLETS`` of them. Each row's triplets meet scipy's per-row
+    sort and sum in the order of one triplet list over all blocks, so
+    ``A`` has the bits of that list's ``tocsr()``.
+    """
+    triplets = sum(ke.size for _, ke in blocks)
+    # scipy stores int32 indices whenever they fit; building them so
+    # spares it a checked conversion of every triplet
+    index = (np.int32 if max(n, triplets) <= np.iinfo(np.int32).max
+             else np.int64)
+    conn = np.concatenate([conn for conn, _ in blocks]).astype(index)
+    nc = conn.shape[1]
+    # a pair is an (element, local row), numbered by its flat index in conn
+    first = np.cumsum([0] + [conn.size for conn, _ in blocks])
+    # a row's slab counts the triplets before it; one stable sort puts the
+    # pairs slab by slab, each slab's in their own order
+    count = np.bincount(conn.ravel(), minlength=n) * nc
+    before = np.append(0, np.cumsum(count))
+    slab_of_row = before[:-1] // _SLAB_TRIPLETS
+    slabs = int(slab_of_row[-1]) + 1
+    # a stable sort of 16-bit keys is a radix sort
+    order = np.argsort(np.take(slab_of_row.astype(
+        np.uint16 if slabs <= 1 << 16 else np.int64), conn.ravel()),
+        kind="stable")
+    bound = np.append(np.searchsorted(slab_of_row, np.arange(slabs)), n)
+    cut = before[bound] // nc
+    counts, indices, data = zip(*(
+        _slab(blocks, conn, first, order[cut[s]:cut[s + 1]],
+              bound[s], bound[s + 1], n) for s in range(slabs)))
+    indptr = np.append(0, np.cumsum(np.concatenate(counts))).astype(index)
+    indices = np.concatenate(indices)   # the parts go as they are joined
+    A = sp.csr_matrix((np.concatenate(data), indices, indptr), shape=(n, n))
+    A.has_canonical_format = True   # each slab's tocsr() sorted and summed
+    return A
+
+
+def _slab(blocks, conn, first, pairs, lo, hi, n):
+    """Row counts, column indices and values of the CSR sum over rows
+    ``lo:hi``, whose pairs are ``pairs`` in their order.
+
+    Values are gathered by pair index: a block that is one broadcast
+    cell is read in place, never reshaped (that copies it whole).
+    """
+    nc = conn.shape[1]
+    at = np.searchsorted(pairs, first)
+    values = np.empty((len(pairs), nc))
+    for k, (_, ke) in enumerate(blocks):
+        mine = pairs[at[k]:at[k + 1]]
+        if ke.strides[0] == 0:
+            values[at[k]:at[k + 1]] = np.take(ke[0], mine % nc, axis=0)
+        else:
+            values[at[k]:at[k + 1]] = np.take(ke.reshape(-1, nc),
+                                              mine - first[k], axis=0)
+    part = sp.coo_matrix(
+        (values.ravel(), (np.repeat(np.take(conn, pairs) - lo, nc),
+                          np.take(conn, pairs // nc, axis=0).ravel())),
+        shape=(hi - lo, n)).tocsr()
+    # tocsr's arrays hold every triplet of the slab, and a part that keeps
+    # over half of them is a view into them: copy it out alone
+    return np.diff(part.indptr), part.indices.copy(), part.data.copy()
 
 
 # ---------------------------------------------------------------------------
 # constrained reduction and linear solver
 
 def reduce_system(A, b, constraint):
+    """The reduced system ``(CᵀAC, Cᵀb)`` of the expansion ``C``.
+
+    Without hanging nodes ``C`` is the identity, and ``CᵀAC`` is ``A``
+    less its explicit zeros, to the bit: each product adds one term to
+    zero and drops the sums that are zero. So a canonical CSR ``A`` is
+    returned as it is, or as a copy without its zeros. ``Cᵀb`` stays a
+    product, which turns ``-0.0`` into ``+0.0``.
+    """
+    if (_is_identity(constraint) and sp.issparse(A) and A.format == "csr"
+            and A.has_canonical_format):
+        if not A.data.all():
+            A = A.copy()
+            A.eliminate_zeros()
+        return A, constraint.T @ b
     reduced = (constraint.T @ (A @ constraint)).tocsr()
     return reduced, constraint.T @ b
+
+
+def _is_identity(matrix):
+    n = matrix.shape[0]
+    return (sp.issparse(matrix) and matrix.format == "csr"
+            and matrix.shape == (n, n)
+            and np.array_equal(matrix.indptr, np.arange(n + 1))
+            and np.array_equal(matrix.indices, np.arange(n))
+            and bool((matrix.data == 1).all()))
 
 
 def bicgstab(A, b, x0=None, abs_tol=1e-8, rel_tol=1e-8, max_iterations=1000,
@@ -491,12 +583,15 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None, on_step=None):
         A, b = assembler.assemble(kernel, t=t_k,
                                   history={1: state, 2: previous},
                                   matrix=reduced is None)
+        if k == schedule[-1][0]:
+            assembler = None    # its kept face blocks go before the solve
         if reduced is None:
             reduced, rhs = reduce_system(A, b, constraint)
             if kernel in kept:
                 kept[kernel] = reduced
         else:
             rhs = constraint.T @ b
+        A = None                # the full-space matrix goes once reduced
         timings["assemble"] += time.perf_counter() - tick
         tick = time.perf_counter()
         solution, info = bicgstab(reduced, rhs, x0=solution,

@@ -69,6 +69,15 @@ class Geometry:
         raise NotImplementedError
 
 
+def _query_points(points):
+    """The ``points`` of a ``kept`` or ``closest`` query, as floats."""
+    points = np.asarray(points, float)
+    if not np.isfinite(points).all():
+        raise GeometryError("argument 'points' holds a NaN or infinite "
+                            "coordinate")
+    return points
+
+
 # ---------------------------------------------------------------------------
 # Analytic ball (circle in 2-D, sphere in 3-D)
 
@@ -85,14 +94,14 @@ class Ball(Geometry):
         self.outer_boundary = bool(outer_boundary)
 
     def kept(self, points):
-        points = np.asarray(points, float)
+        points = _query_points(points)
         dist = np.linalg.norm(points - self.center, axis=-1)
         if self.outer_boundary:
             return dist <= self.radius
         return dist >= self.radius
 
     def closest(self, points):
-        points = np.asarray(points, float)
+        points = _query_points(points)
         offset = points - self.center
         dist = np.linalg.norm(offset, axis=-1)
         direction = np.zeros_like(offset)
@@ -156,12 +165,12 @@ class Polyline(Geometry):
         return inside
 
     def kept(self, points):
-        points = np.asarray(points, float)
+        points = _query_points(points)
         inside = self._inside(points)
         return inside if self.outer_boundary else ~inside
 
     def closest(self, points):
-        points = np.asarray(points, float)
+        points = _query_points(points)
         n = len(points)
         a = self.points[self.segments[:, 0]]
         b = self.points[self.segments[:, 1]]
@@ -382,7 +391,7 @@ class TriSurface(Geometry):
         return inside
 
     def kept(self, points):
-        points = np.asarray(points, float)
+        points = _query_points(points)
         if len(points) == 0:    # no grid is built for an empty query
             return np.zeros(0, bool)
         inside = self._inside(points)
@@ -391,7 +400,7 @@ class TriSurface(Geometry):
     # -- closest point -------------------------------------------------------
 
     def closest(self, points):
-        points = np.asarray(points, float)
+        points = _query_points(points)
         n = len(points)
         projections = np.empty((n, 3))
         normals = np.empty((n, 3))

@@ -1,17 +1,21 @@
 """Assembly, constrained reduction, solver, and time stepping."""
 
 import time
+import tracemalloc
+import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import dataclasses
 
 from treefem.assemble import (
-    Assembler, RunResult, StepRecord, _matrix_reads_time, bicgstab, l2_error,
-    nodal_values, reduce_system, run_problem,
+    _SLAB_TRIPLETS, Assembler, RunResult, StepRecord, _matrix_reads_time,
+    _scatter, bicgstab, l2_error, nodal_values, reduce_system, run_problem,
 )
 from treefem.errors import AssemblyError, SolverError
 from treefem.forms import KernelIR, compile_kernel
@@ -527,6 +531,17 @@ def reference_assemble(mesh, spec, ir, t=0.0, history=None, matrix=True):
     return A, b
 
 
+def oneshot_scatter(blocks, n):
+    """The element blocks ``(conn, ke)`` as one COO triplet list, in batch,
+    element, row and column order, summed into CSR by one ``tocsr()``."""
+    conn = np.concatenate([conn for conn, _ in blocks]).astype(
+        np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    ke = np.concatenate([ke for _, ke in blocks])
+    rows = np.broadcast_to(conn[:, :, None], ke.shape).ravel()
+    cols = np.broadcast_to(conn[:, None, :], ke.shape).ravel()
+    return sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
 def _heat_script(base, glevel):
     return (GOLDEN / "heat_bdf2_script.prob").read_text().replace(
         "base_refine_level = 4", f"base_refine_level = {base}").replace(
@@ -588,6 +603,157 @@ def test_single_block_assembly_matches_per_term_oracle(case):
     assert np.array_equal(A.indptr, A_ref.indptr)
     assert np.array_equal(A.indices, A_ref.indices)
     assert np.abs(A.data - A_ref.data).max() <= 1e-13 * np.abs(A_ref.data).max()
+
+
+def _assert_same_bits(got, expected):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def block_lists(draw):
+    """Element blocks over a few nodes, so that rows repeat; some are one
+    cell broadcast over the batch. Values span 16 decades and hold 0.0 and
+    -0.0, so a sum's bits show its order. The slab budget runs from one
+    triplet (many slabs, some of them empty) to more than all of them."""
+    n = draw(st.integers(1, 30))
+    nc = draw(st.sampled_from([4, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_e = draw(st.integers(1, 10))
+        shape = (1 if draw(st.booleans()) else n_e, nc, nc)
+        ke = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        zeros = rng.random(shape)
+        ke[zeros < 0.3] = 0.0
+        ke[zeros < 0.15] = -0.0
+        blocks.append((rng.integers(0, n, (n_e, nc)),
+                       np.broadcast_to(ke, (n_e, nc, nc))))
+    triplets = sum(ke.size for _, ke in blocks)
+    return blocks, n, draw(st.integers(1, triplets + nc * nc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_lists())
+def test_slab_scatter_gives_the_bits_of_one_triplet_list(case):
+    blocks, n, budget = case
+    with mock.patch("treefem.assemble._SLAB_TRIPLETS", budget):
+        got = _scatter(blocks, n)
+    _assert_same_bits(got, oneshot_scatter(blocks, n))
+
+
+@pytest.mark.parametrize("case", ["mixed_patch_3d", "sphere_hanging"])
+def test_slab_scatter_of_a_mesh_gives_the_bits_of_one_triplet_list(case):
+    script, _, _ = ORACLE_CASES[case]
+    spec = parse_problem(script)
+    asm = Assembler(build_mesh(spec), spec)
+    seen = []
+
+    def scatter(blocks, n):
+        seen.append((blocks, n))
+        return _scatter(blocks, n)
+
+    with mock.patch("treefem.assemble._scatter", scatter), \
+            mock.patch("treefem.assemble._SLAB_TRIPLETS", 1000):
+        A, _ = asm.assemble(compile_kernel(spec))
+    (blocks, n), = seen
+    assert sum(ke.size for _, ke in blocks) > 8 * 1000
+    _assert_same_bits(A, oneshot_scatter(blocks, n))
+
+
+def test_scatter_working_memory_is_bounded_by_the_slab_budget():
+    # 32,768 cells and 6,144 wall faces: 2.5M triplets in 19 slabs. At
+    # 28 bytes per triplet in flight one triplet list takes 70 MB here.
+    spec = parse_problem(BOX_PATCH.format(base=5, extra="", value="x").replace(
+        "dimension = 2\nmin = 0, 0\nmax = 1, 1",
+        "dimension = 3\nmin = 0, 0, 0\nmax = 1, 1, 1"))
+    mesh = build_mesh(spec)
+    asm = Assembler(mesh, spec)
+    tracemalloc.start()
+    try:
+        A, _ = asm.assemble(compile_kernel(spec))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 64 * (mesh.n_elements + len(mesh.faces)) >= 8 * _SLAB_TRIPLETS
+    kept = sum(ke.nbytes + be.nbytes for blocks in asm._kept.values()
+               for _, ke, be in blocks.values())
+    result = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    # joining the slabs holds the values twice for a moment
+    assert peak < result + A.data.nbytes + kept + 2 * 28 * _SLAB_TRIPLETS
+
+
+def _reduce_fixture(script):
+    spec = parse_problem(script)
+    mesh = build_mesh(spec)
+    A, b = Assembler(mesh, spec).assemble(compile_kernel(spec))
+    return mesh, A, b
+
+
+def test_identity_reduction_is_the_product_without_touching_A():
+    mesh, A, b = _reduce_fixture(BOX_PATCH.format(base=3, extra="",
+                                                  value="x"))
+    assert not mesh.hanging
+    zeros = np.flatnonzero(A.data == 0)
+    assert len(zeros) >= 4
+    A.data[zeros[::2]] = -0.0
+    b[:3] = -0.0
+    given_A = A.copy()
+    C = mesh.constraint
+    reduced, rhs = reduce_system(A, b, C)
+    _assert_same_bits(reduced, (C.T @ (A @ C)).tocsr())
+    assert reduced.nnz == A.nnz - len(zeros)
+    assert rhs.tobytes() == (C.T @ b).tobytes()
+    assert not np.signbit(rhs[:3]).any()
+    _assert_same_bits(A, given_A)
+
+
+def test_identity_reduction_of_A_without_zeros_is_A():
+    mesh, A, b = _reduce_fixture(DISK_POISSON.format(base=4, glevel=4))
+    assert not mesh.hanging and A.data.all()
+    reduced, _ = reduce_system(A, b, mesh.constraint)
+    assert reduced is A
+
+
+def test_reduction_with_hanging_nodes_is_the_product():
+    mesh, A, b = _reduce_fixture(BOX_PATCH.format(
+        base=2, extra="refine_where = x < 0.5 && level < 3", value="x"))
+    assert mesh.hanging
+    C = mesh.constraint
+    reduced, rhs = reduce_system(A, b, C)
+    _assert_same_bits(reduced, (C.T @ (A @ C)).tocsr())
+    assert rhs.tobytes() == (C.T @ b).tobytes()
+
+
+@pytest.mark.parametrize("script", [DISK_POISSON.format(base=4, glevel=5),
+                                    DECAY.format(scheme="bdf2", steps=3)],
+                         ids=["steady_disk", "decay_bdf2"])
+def test_run_frees_assembly_work_before_the_last_solve(script, monkeypatch):
+    assemblers, matrices, alive = [], [], []
+
+    class Tracked(Assembler):
+        def __init__(self, mesh, spec):
+            super().__init__(mesh, spec)
+            assemblers.append(weakref.ref(self))
+
+    def reduce(A, b, constraint):
+        matrices.append(weakref.ref(A))
+        return reduce_system(A, b, constraint)
+
+    def solve(A, b, **options):
+        full = matrices[-1]()
+        alive.append((assemblers[0]() is not None,
+                      full is not None and full is not A))
+        return bicgstab(A, b, **options)
+
+    monkeypatch.setattr("treefem.assemble.Assembler", Tracked)
+    monkeypatch.setattr("treefem.assemble.reduce_system", reduce)
+    monkeypatch.setattr("treefem.assemble.bicgstab", solve)
+    result = run_problem(parse_problem(script))
+    assert len(assemblers) == 1 and len(alive) == len(result.steps)
+    assert [held for held, _ in alive] == [True] * (len(alive) - 1) + [False]
+    assert not any(full for _, full in alive)
 
 
 def test_patch_3d():
@@ -840,8 +1006,7 @@ def _assert_same_system(got, expected):
     if A_ref is None:
         assert A is None
         return
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(A, part), getattr(A_ref, part))
+    _assert_same_bits(A, A_ref)
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))

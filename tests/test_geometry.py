@@ -272,6 +272,27 @@ def test_ball_validation():
         Ball((0.0, 0.0), -1.0)
 
 
+QUERY_SHAPES = {
+    "ball": lambda: Ball((0.5, 0.5, 0.5), 0.3),
+    "polyline": lambda: Polyline(np.array(SQUARE),
+                                 np.array([(0, 1), (1, 2), (2, 3), (3, 0)])),
+    "trisurface": lambda: TriSurface(*SURFACES["cube"]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(QUERY_SHAPES))
+@pytest.mark.parametrize("query", ["kept", "closest"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, -1])
+def test_non_finite_query_points_raise_geometry_error(shape, query, bad,
+                                                      axis):
+    geom = QUERY_SHAPES[shape]()
+    points = np.full((3, geom.dimension), 0.5)
+    points[1, axis] = bad
+    with pytest.raises(GeometryError, match="'points'"):
+        getattr(geom, query)(points)
+
+
 # ---------------------------------------------------------------------------
 # Polyline from Gmsh files
 
