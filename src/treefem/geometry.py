@@ -17,24 +17,25 @@ and assembling shifted boundary terms:
 
 Analytic shapes resolve both exactly, ties on the surface counting as
 kept. Faceted shapes (polylines from Gmsh meshes, triangle surfaces from
-STL) classify by ray parity; points lying exactly on a facet may land on
-either side.
-
-Triangle surfaces test each query only against nearby triangles, found
-in a uniform grid of cells over the face centroids that numpy builds on
-first use (``scipy.spatial`` is not imported). For ``closest``, the
-nearest centroid in the cells around a query, itself a surface point,
-bounds the distance, so only triangles whose centroid lies within that
-bound plus the largest centroid-to-corner distance are candidates. For
-``kept``, each ray column meets the triangles whose projected centroid
-lies within that distance in (x, y), padded beyond the largest nudge of
-a retried ray; a second grid holds the projected centroids. Both give
-the same results, bit for bit and with the lowest triangle index winning
-ties, as testing every triangle.
+STL) classify by ray parity: exact along +x for a polyline, along +z for
+a triangle surface with a nudged retry of a ray that grazes an edge, a
+vertex or an edge-on face. Points lying exactly on a facet may land on
+either side. Each polyline loop is oriented by its nesting depth, so the
+normals of a hole point into it. Both test a query only against the
+facets filed near it in uniform grids of cells over the facet centroids,
+which numpy builds on first use (``scipy.spatial`` is not imported). For
+``closest``, the nearest centroid, itself a surface point, bounds the
+distance, so the candidates are the facets whose centroid lies within
+that bound plus the largest centroid-to-corner distance. For ``kept``,
+a grid of the centroids projected across the rays gives the facets a
+ray can meet. The results are bit for bit those of testing every facet,
+the lowest facet index winning ties. A NaN or infinite coordinate in a
+constructor, a file or a query fails with a ``GeometryError``.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -69,13 +70,17 @@ class Geometry:
         raise NotImplementedError
 
 
+def _finite(values, where):
+    """``values`` as floats; a NaN or infinite one fails, naming ``where``."""
+    values = np.asarray(values, float)
+    if not np.isfinite(values).all():
+        raise GeometryError(f"{where} holds a NaN or infinite coordinate")
+    return values
+
+
 def _query_points(points):
     """The ``points`` of a ``kept`` or ``closest`` query, as floats."""
-    points = np.asarray(points, float)
-    if not np.isfinite(points).all():
-        raise GeometryError("argument 'points' holds a NaN or infinite "
-                            "coordinate")
-    return points
+    return _finite(points, "argument 'points'")
 
 
 # ---------------------------------------------------------------------------
@@ -114,28 +119,96 @@ class Ball(Geometry):
 
 
 # ---------------------------------------------------------------------------
+# Faceted shapes: segments in 2-D, triangles in 3-D
+
+class _Faceted(Geometry):
+    """A closed surface of flat facets, whose (facet, corner, axis)
+    coordinates a subclass sets as ``_corners``; ``_columns`` are the axes
+    across its side-test rays. For ``_closest`` it supplies ``_project(p,
+    facet)``, the closest point of ``facet[i]`` to ``p[i]`` and the feature
+    that holds it, and ``_feature_normal(facet, feature)``."""
+
+    @cached_property
+    def _scale(self):
+        return max(1.0, float(np.abs(self._corners).max()))
+
+    @cached_property
+    def _face_search(self):
+        """A cell grid over the facet centroids, and the largest distance
+        from a centroid to a corner of its facet."""
+        return _centroid_search(self._corners)
+
+    @cached_property
+    def _column_search(self):
+        """The same over the facets projected across the side-test rays."""
+        return _centroid_search(self._corners[:, :, self._columns])
+
+    def _closest(self, points):
+        n = len(points)
+        projections = np.empty((n, self.dimension))
+        normals = np.empty((n, self.dimension))
+        distances = np.empty(n)
+        if n == 0:      # no grid is built for an empty query
+            return ClosestPoint(projections, normals, distances)
+        grid, radius = self._face_search
+        # A centroid is a surface point, so the nearest one bounds the
+        # distance; only a facet whose centroid lies within that bound plus
+        # its radius can hold the closest point (the pad absorbs rounding).
+        bound = grid.bound(points)
+        reach = bound + radius + 1e-9 * (self._scale + bound)
+        for row, facet, d2 in grid.near(points, reach):
+            near = d2 <= reach[row] ** 2
+            row, facet = row[near], facet[near]
+            p = np.take(points, row, axis=0)
+            cand, feature = self._project(p, facet)
+            d2 = ((cand - p) ** 2).sum(axis=1)
+            # per point: the least distance (NaN last), then the lowest facet
+            start = np.flatnonzero(np.diff(row, prepend=-1))
+            size = np.diff(start, append=len(row))
+            least = np.repeat(np.fmin.reduceat(d2, start), size)
+            tie = (d2 == least) | np.isnan(least)
+            low = np.minimum.reduceat(
+                np.where(tie, facet, len(self._corners)), start)
+            best = np.flatnonzero(tie & (facet == np.repeat(low, size)))
+            at = row[best]
+            projections[at] = cand[best]
+            distances[at] = np.sqrt(d2[best])
+            normals[at] = self._feature_normal(facet[best], feature[best])
+        return ClosestPoint(projections, normals, distances)
+
+
+def _centroid_search(corners):
+    centroids = corners.mean(axis=1)
+    offsets = corners - centroids[:, None]
+    radius = float(np.sqrt((offsets ** 2).sum(axis=2).max()))
+    return _CellGrid(centroids, 2.0 * radius), radius
+
+
+# ---------------------------------------------------------------------------
 # Polyline boundary in 2-D
 
-class Polyline(Geometry):
-    """Closed polygonal chains, counterclockwise, outward edge normals."""
+class Polyline(_Faceted):
+    """Closed polygonal loops, each counterclockwise when an even number of
+    the others encloses it and clockwise when odd, so that the kept side
+    of an outer boundary is on the left, with edge and vertex normals."""
 
     dimension = 2
+    _columns = slice(1, 2)      # side-test rays run along +x
 
     def __init__(self, points, segments, outer_boundary=True):
-        points = np.asarray(points, float)
+        points = _finite(points, "argument 'points'")
         segments = np.asarray(segments, int)
         if len(segments) == 0:
             raise GeometryError("polyline has no segments")
         self.points, self.segments = _chain_loops(points, segments)
         self.outer_boundary = bool(outer_boundary)
-        a = self.points[self.segments[:, 0]]
-        b = self.points[self.segments[:, 1]]
-        tangents = b - a
+        self._corners = self.points[self.segments]
+        tangents = self._corners[:, 1] - self._corners[:, 0]
         lengths = np.linalg.norm(tangents, axis=1)
         if np.any(lengths == 0):
             raise GeometryError("polyline has a zero-length segment")
         tangents /= lengths[:, None]
-        # CCW loop: outward normal is the tangent rotated clockwise.
+        # enclosed side on the left: the tangent turned clockwise points out
         self.edge_normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
         if not self.outer_boundary:
             self.edge_normals = -self.edge_normals
@@ -147,108 +220,106 @@ class Polyline(Geometry):
         norms[norms == 0] = 1.0
         self.vertex_normals = accum / norms[:, None]
 
-    def _inside(self, points):
-        a = self.points[self.segments[:, 0]]
-        b = self.points[self.segments[:, 1]]
-        inside = np.zeros(len(points), bool)
-        chunk = max(1, int(4e6 / len(a)))
-        for start in range(0, len(points), chunk):
-            p = points[start:start + chunk]
-            py = p[:, 1, None]
-            px = p[:, 0, None]
-            straddles = (a[None, :, 1] > py) != (b[None, :, 1] > py)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tcross = (py - a[None, :, 1]) / (b[None, :, 1] - a[None, :, 1])
-                xcross = a[None, :, 0] + tcross * (b[None, :, 0] - a[None, :, 0])
-            hits = straddles & (px < xcross)
-            inside[start:start + chunk] = hits.sum(axis=1) % 2 == 1
-        return inside
-
     def kept(self, points):
         points = _query_points(points)
-        inside = self._inside(points)
+        if len(points) == 0:    # no grid is built for an empty query
+            return np.zeros(0, bool)
+        row, _ = _crossings(points, self._corners, self._column_search,
+                            self._scale)
+        inside = np.bincount(row, minlength=len(points)) % 2 == 1
         return inside if self.outer_boundary else ~inside
 
     def closest(self, points):
-        points = _query_points(points)
-        n = len(points)
-        a = self.points[self.segments[:, 0]]
-        b = self.points[self.segments[:, 1]]
-        ab = b - a
-        ab2 = np.einsum("ij,ij->i", ab, ab)
-        projections = np.empty((n, 2))
-        normals = np.empty((n, 2))
-        distances = np.empty(n)
-        chunk = max(1, int(2e6 / max(len(a), 1)))
-        for start in range(0, n, chunk):
-            p = points[start:start + chunk]
-            t = np.einsum("pj,sj->ps", p, ab) - np.einsum("sj,sj->s", a, ab)
-            t = np.clip(t / ab2, 0.0, 1.0)
-            cand = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-            d2 = ((cand - p[:, None, :]) ** 2).sum(axis=2)
-            best = np.argmin(d2, axis=1)
-            rows = np.arange(len(p))
-            tb = t[rows, best]
-            projections[start:start + chunk] = cand[rows, best]
-            distances[start:start + chunk] = np.sqrt(d2[rows, best])
-            nrm = self.edge_normals[best].copy()
-            at_a = tb <= 1e-12
-            at_b = tb >= 1.0 - 1e-12
-            nrm[at_a] = self.vertex_normals[self.segments[best[at_a], 0]]
-            nrm[at_b] = self.vertex_normals[self.segments[best[at_b], 1]]
-            normals[start:start + chunk] = nrm
-        return ClosestPoint(projections, normals, distances)
+        return self._closest(_query_points(points))
+
+    def _project(self, p, segment):
+        """The closest point of ``segment[i]`` to ``p[i]``, and its
+        parameter along the segment."""
+        a = np.take(self._corners[:, 0], segment, axis=0)
+        ab = np.take(self._corners[:, 1], segment, axis=0) - a
+        t = np.einsum("ij,ij->i", p, ab) - np.einsum("ij,ij->i", a, ab)
+        t = np.clip(t / np.einsum("ij,ij->i", ab, ab), 0.0, 1.0)
+        return a + t[:, None] * ab, t
+
+    def _feature_normal(self, segment, t):
+        """The edge normal, or the vertex normal at either end."""
+        normals = self.edge_normals[segment]
+        for end, at in ((0, t <= 1e-12), (1, t >= 1.0 - 1e-12)):
+            normals[at] = self.vertex_normals[self.segments[segment[at], end]]
+        return normals
+
+
+def _crossings(points, corners, search, scale):
+    """``(point, segment)`` for each ray along +x from ``points`` that
+    crosses a segment with ends ``corners``: exactly one end lies above
+    the ray, and the crossing lies past the point. Only the segments that
+    ``search`` files near a point's y are tested."""
+    grid, radius = search
+    reach = np.full(len(points), radius + 1e-9 * scale)
+    x, y = points[:, 0], points[:, 1]
+    a, b = corners[:, 0], corners[:, 1]
+    rows, segments = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for row, seg, _ in grid.near(points[:, 1:], reach):
+        py, ay, by = y[row], a[seg, 1], b[seg, 1]
+        cut = (ay > py) != (by > py)
+        row, seg, py, ay, by = row[cut], seg[cut], py[cut], ay[cut], by[cut]
+        tcross = (py - ay) / (by - ay)
+        hit = x[row] < a[seg, 0] + tcross * (b[seg, 0] - a[seg, 0])
+        rows.append(row[hit])
+        segments.append(seg[hit])
+    return np.concatenate(rows), np.concatenate(segments)
 
 
 def _chain_loops(points, segments):
-    """Weld coincident endpoints, chain segments into loops, orient CCW."""
-    unique, inverse = np.unique(points, axis=0, return_inverse=True)
-    segments = inverse[segments]
-    if np.any(segments[:, 0] == segments[:, 1]):
-        raise GeometryError("polyline has a degenerate segment")
-    # successor map: each vertex must have exactly one outgoing and one
-    # incoming segment once directions are fixed; treat segments as
-    # undirected while chaining.
-    adjacency = {}
-    for index, (i, j) in enumerate(segments):
-        adjacency.setdefault(int(i), []).append((index, int(j)))
-        adjacency.setdefault(int(j), []).append((index, int(i)))
-    for vertex, links in adjacency.items():
-        if len(links) != 2:
-            raise GeometryError(
-                f"polyline vertex {vertex} joins {len(links)} segments; loops "
-                "must be closed and non-branching")
+    """Weld coincident endpoints, chain segments into loops, and orient
+    each loop by its nesting depth: counterclockwise when even,
+    clockwise when odd."""
+    unique, segments = _weld(points, segments,
+                             "polyline has a degenerate segment")
+    joins = np.bincount(segments.ravel(), minlength=len(unique))
+    bad = np.flatnonzero((joins != 0) & (joins != 2))
+    if len(bad):
+        raise GeometryError(
+            f"polyline vertex {bad[0]} joins {joins[bad[0]]} segments; loops "
+            "must be closed and non-branching")
+    # the two segments at each vertex that has any
+    pair = (np.argsort(segments.ravel(), kind="stable") // 2).reshape(-1, 2)
+    pair = pair[np.cumsum(joins > 0) - 1]
     used = np.zeros(len(segments), bool)
-    loops = []
-    for seed in range(len(segments)):
-        if used[seed]:
+    loops, clockwise = [], []
+    for seg in range(len(segments)):
+        if used[seg]:
             continue
-        loop = [int(segments[seed, 0]), int(segments[seed, 1])]
-        used[seed] = True
-        while True:
-            here = loop[-1]
-            step = next(((idx, other) for idx, other in adjacency[here]
-                         if not used[idx]), None)
-            if step is None:
-                break
-            used[step[0]] = True
-            loop.append(step[1])
-        if loop[0] != loop[-1]:
-            raise GeometryError("polyline contains an open chain")
+        loop, here = [int(segments[seg, 0])], int(segments[seg, 1])
+        while not used[seg]:
+            used[seg] = True
+            loop.append(here)
+            seg = int(pair[here].sum()) - seg      # the other one
+            here = int(segments[seg].sum()) - here
         loop.pop()
-        coords = unique[loop]
-        nxt = np.roll(coords, -1, axis=0)
-        area2 = (coords[:, 0] * nxt[:, 1] - coords[:, 1] * nxt[:, 0]).sum()
+        x, y = unique[loop].T
+        area2 = (x * np.roll(y, -1) - y * np.roll(x, -1)).sum()
         if area2 == 0:
             raise GeometryError("polyline loop has zero area")
-        if area2 < 0:
-            loop.reverse()
         loops.append(loop)
-    out_segments = []
-    for loop in loops:
-        for k in range(len(loop)):
-            out_segments.append((loop[k], loop[(k + 1) % len(loop)]))
-    return unique, np.asarray(out_segments, int)
+        clockwise.append(area2 < 0)
+
+    def chained():
+        return np.concatenate([np.column_stack([loop, np.roll(loop, -1)])
+                               for loop in loops])
+
+    # a loop's depth is the parity of one of its vertices against the
+    # other loops
+    corners = unique[chained()]
+    owner = np.repeat(np.arange(len(loops)), [len(loop) for loop in loops])
+    row, seg = _crossings(unique[[loop[0] for loop in loops]], corners,
+                          _centroid_search(corners[:, :, 1:]),
+                          max(1.0, float(np.abs(corners).max())))
+    odd = np.bincount(row[owner[seg] != row], minlength=len(loops)) % 2 == 1
+    for loop, turn, flip in zip(loops, clockwise, odd):
+        if turn != flip:
+            loop.reverse()
+    return unique, chained()
 
 
 def read_gmsh_lines(path):
@@ -261,48 +332,45 @@ def read_gmsh_lines(path):
             raise GeometryError(f"{path}: unsupported Gmsh format {lines[fmt + 1]!r}")
         nstart = lines.index("$Nodes")
         count = int(lines[nstart + 1])
-        ids = {}
-        coords = []
-        for row in lines[nstart + 2:nstart + 2 + count]:
-            parts = row.split()
-            ids[int(parts[0])] = len(coords)
-            coords.append((float(parts[1]), float(parts[2])))
+        nodes = [row.split() for row in lines[nstart + 2:nstart + 2 + count]]
+        ids = {int(parts[0]): k for k, parts in enumerate(nodes)}
+        coords = [(float(parts[1]), float(parts[2])) for parts in nodes]
         estart = lines.index("$Elements")
         ecount = int(lines[estart + 1])
         segments = []
         for row in lines[estart + 2:estart + 2 + ecount]:
             parts = [int(p) for p in row.split()]
-            etype, ntags = parts[1], parts[2]
-            if etype == 1:
-                n0, n1 = parts[3 + ntags], parts[4 + ntags]
-                segments.append((ids[n0], ids[n1]))
+            if parts[1] == 1:   # a 2-node line; its nodes follow the tags
+                ntags = parts[2]
+                segments.append((ids[parts[3 + ntags]], ids[parts[4 + ntags]]))
     except (ValueError, IndexError, KeyError) as err:
         raise GeometryError(f"{path}: malformed Gmsh file ({err})") from None
     if not segments:
         raise GeometryError(f"{path}: no line elements found")
-    return np.asarray(coords, float), np.asarray(segments, int)
+    return _finite(coords, f"Gmsh file {path}"), np.asarray(segments, int)
 
 
 # ---------------------------------------------------------------------------
 # Triangle surface in 3-D
 
-class TriSurface(Geometry):
+class TriSurface(_Faceted):
     """Closed triangle mesh, outward-oriented, with feature pseudo-normals."""
 
     dimension = 3
+    _columns = slice(0, 2)      # side-test rays run along +z
 
     def __init__(self, vertices, faces, outer_boundary=True):
-        vertices = np.asarray(vertices, float)
+        vertices = _finite(vertices, "argument 'vertices'")
         faces = np.asarray(faces, int)
         if len(faces) == 0:
             raise GeometryError("triangle surface has no faces")
-        vertices, faces = _weld(vertices, faces)
+        vertices, faces = _weld(vertices, faces,
+                                "triangle surface has a degenerate face")
         faces = _orient_outward(vertices, faces)
-        self.vertices = vertices
-        self.faces = faces
+        self.vertices, self.faces = vertices, faces
         self.outer_boundary = bool(outer_boundary)
-
-        a, b, c = (vertices[faces[:, k]] for k in range(3))
+        self._corners = vertices[faces]
+        a, b, c = (self._corners[:, k] for k in range(3))
         cross = np.cross(b - a, c - a)
         area2 = np.linalg.norm(cross, axis=1)
         if np.any(area2 == 0):
@@ -315,21 +383,6 @@ class TriSurface(Geometry):
             self.face_normals = -self.face_normals
             self.vertex_normals = -self.vertex_normals
             self.edge_slot_normals = -self.edge_slot_normals
-
-    @property
-    def _scale(self):
-        return max(1.0, float(np.abs(self.vertices).max()))
-
-    @cached_property
-    def _face_search(self):
-        """A cell grid over the face centroids, and the largest distance
-        from a centroid to a corner of its face."""
-        return _centroid_search(self.vertices[self.faces])
-
-    @cached_property
-    def _column_search(self):
-        """The same over the faces projected to (x, y)."""
-        return _centroid_search(self.vertices[self.faces][:, :, :2])
 
     # -- side classification ------------------------------------------------
 
@@ -397,42 +450,13 @@ class TriSurface(Geometry):
         inside = self._inside(points)
         return inside if self.outer_boundary else ~inside
 
-    # -- closest point -------------------------------------------------------
-
     def closest(self, points):
-        points = _query_points(points)
-        n = len(points)
-        projections = np.empty((n, 3))
-        normals = np.empty((n, 3))
-        distances = np.empty(n)
-        if n == 0:
-            return ClosestPoint(projections, normals, distances)
-        grid, radius = self._face_search
-        # A centroid is a surface point, so the nearest one found bounds
-        # the distance to the surface, and only a face whose centroid lies
-        # within that bound plus the face radius can hold the closest
-        # point; the pad absorbs rounding.
-        bound = grid.bound(points)
-        reach = bound + radius + 1e-9 * (self._scale + bound)
-        for row, face, d2 in grid.near(points, reach):
-            near = d2 <= reach[row] ** 2
-            row, face = row[near], face[near]
-            p = np.take(points, row, axis=0)
-            cand, feature = _closest_on_triangles(p, *(
-                np.take(self.vertices, self.faces[face, k], axis=0)
-                for k in range(3)))
-            d2 = ((cand - p) ** 2).sum(axis=1)
-            # per point: least distance (NaN last, as sorted), then lowest face
-            start = np.flatnonzero(np.diff(row, prepend=-1))
-            size = np.diff(start, append=len(row))
-            least = np.repeat(np.fmin.reduceat(d2, start), size)
-            tie = (d2 == least) | np.isnan(least)
-            low = np.minimum.reduceat(np.where(tie, face, len(self.faces)), start)
-            best = np.flatnonzero(tie & (face == np.repeat(low, size)))
-            projections[row[best]] = cand[best]
-            distances[row[best]] = np.sqrt(d2[best])
-            normals[row[best]] = self._feature_normal(face[best], feature[best])
-        return ClosestPoint(projections, normals, distances)
+        return self._closest(_query_points(points))
+
+    def _project(self, p, face):
+        return _closest_on_triangles(p, *(
+            np.take(self.vertices, self.faces[face, k], axis=0)
+            for k in range(3)))
 
     def _feature_normal(self, face_index, feature):
         out = np.empty((len(face_index), 3))
@@ -449,13 +473,6 @@ class TriSurface(Geometry):
                 out[rows] = self.edge_slot_normals[faces, code - 3]
         norms = np.linalg.norm(out, axis=1)
         return out / norms[:, None]
-
-
-def _centroid_search(corners):
-    centroids = corners.mean(axis=1)
-    offsets = corners - centroids[:, None]
-    radius = float(np.sqrt((offsets ** 2).sum(axis=2).max()))
-    return _CellGrid(centroids, 2.0 * radius), radius
 
 
 # Most grid rows and (query, point) pairs read at once; bounds the arrays.
@@ -611,20 +628,16 @@ def _closest_on_triangles(p, a, b, c):
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
 
+    # the first region in this list that holds p[i] names its feature
     feature = np.full(len(p), 6, dtype=np.int8)
-    done = np.zeros(len(p), bool)
-
-    def claim(mask, code):
-        take = mask & ~done
-        feature[take] = code
-        done[take] = True
-
-    claim((d1 <= 0) & (d2 <= 0), 0)
-    claim((d3 >= 0) & (d4 <= d3), 1)
-    claim((vc <= 0) & (d1 >= 0) & (d3 <= 0), 3)
-    claim((d6 >= 0) & (d5 <= d6), 2)
-    claim((vb <= 0) & (d2 >= 0) & (d6 <= 0), 4)
-    claim((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0), 5)
+    for mask, code in reversed((
+            ((d1 <= 0) & (d2 <= 0), 0),
+            ((d3 >= 0) & (d4 <= d3), 1),
+            ((vc <= 0) & (d1 >= 0) & (d3 <= 0), 3),
+            ((d6 >= 0) & (d5 <= d6), 2),
+            ((vb <= 0) & (d2 >= 0) & (d6 <= 0), 4),
+            ((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0), 5))):
+        feature[mask] = code
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t_ab = np.where(d1 - d3 != 0, d1 / (d1 - d3), 0.0)
@@ -646,13 +659,14 @@ def _closest_on_triangles(p, a, b, c):
     return cand, feature
 
 
-def _weld(vertices, faces):
+def _weld(vertices, facets, degenerate):
+    """Merge coincident vertices; a facet with a repeated corner fails."""
     unique, inverse = np.unique(vertices, axis=0, return_inverse=True)
-    faces = inverse[faces]
-    if np.any((faces[:, 0] == faces[:, 1]) | (faces[:, 1] == faces[:, 2])
-              | (faces[:, 0] == faces[:, 2])):
-        raise GeometryError("triangle surface has a degenerate face")
-    return unique, faces
+    facets = inverse[facets]
+    ordered = np.sort(facets, axis=1)
+    if np.any(ordered[:, 1:] == ordered[:, :-1]):
+        raise GeometryError(degenerate)
+    return unique, facets
 
 
 def _orient_outward(vertices, faces):
@@ -717,37 +731,28 @@ def read_stl(path):
     """Vertices and faces from a binary or ASCII STL file."""
     with open(path, "rb") as handle:
         blob = handle.read()
-    if len(blob) >= 84:
-        (count,) = struct.unpack_from("<I", blob, 80)
-        if len(blob) == 84 + 50 * count:
-            data = np.frombuffer(blob, dtype=np.uint8, offset=84)
-            records = data.reshape(count, 50)[:, :48]
-            floats = records.copy().view("<f4").reshape(count, 12).astype(float)
-            tris = floats[:, 3:].reshape(count, 3, 3)
-            return _stl_arrays(tris, path)
-    try:
-        text = blob.decode("ascii")
-    except UnicodeDecodeError:
-        raise GeometryError(f"{path}: not a valid STL file") from None
-    coords = []
-    for line in text.splitlines():
-        parts = line.split()
-        if parts[:1] == ["vertex"]:
-            if len(parts) != 4:
-                raise GeometryError(f"{path}: malformed vertex line")
-            coords.append([float(p) for p in parts[1:]])
-    if not coords or len(coords) % 3 != 0:
-        raise GeometryError(f"{path}: not a valid STL file")
-    tris = np.asarray(coords, float).reshape(-1, 3, 3)
-    return _stl_arrays(tris, path)
-
-
-def _stl_arrays(tris, path):
+    if len(blob) >= 84 and len(blob) == 84 + 50 * struct.unpack_from(
+            "<I", blob, 80)[0]:
+        records = np.frombuffer(blob, np.uint8, offset=84).reshape(-1, 50)
+        tris = records[:, 12:48].copy().view("<f4").astype(float)
+    else:
+        try:
+            text = blob.decode("ascii")
+        except UnicodeDecodeError:
+            raise GeometryError(f"{path}: not a valid STL file") from None
+        tris = []
+        for line in text.splitlines():
+            parts = line.split()
+            if parts[:1] == ["vertex"]:
+                if len(parts) != 4:
+                    raise GeometryError(f"{path}: malformed vertex line")
+                tris.append([float(p) for p in parts[1:]])
+        if not tris or len(tris) % 3 != 0:
+            raise GeometryError(f"{path}: not a valid STL file")
     if len(tris) == 0:
         raise GeometryError(f"{path}: STL file contains no triangles")
-    vertices = tris.reshape(-1, 3)
-    faces = np.arange(len(vertices)).reshape(-1, 3)
-    return vertices, faces
+    vertices = _finite(np.reshape(tris, (-1, 3)), f"STL file {path}")
+    return vertices, np.arange(len(vertices)).reshape(-1, 3)
 
 
 def write_stl(path, vertices, faces):
@@ -762,9 +767,7 @@ def write_stl(path, vertices, faces):
     records = np.zeros(len(faces), dtype=[("n", "<f4", 3), ("v", "<f4", (3, 3)),
                                           ("attr", "<u2")])
     records["n"] = normals
-    records["v"][:, 0] = a
-    records["v"][:, 1] = b
-    records["v"][:, 2] = c
+    records["v"] = vertices[faces]
     with open(path, "wb") as handle:
         handle.write(b"\0" * 80)
         handle.write(struct.pack("<I", len(faces)))
@@ -775,19 +778,14 @@ def write_stl(path, vertices, faces):
 
 def load_geometry(spec, dimension, base_dir="."):
     """Build the runtime geometry for one script ``[geometry]`` block."""
-    import os
-
     offset = np.asarray(spec.position if spec.position is not None
                         else (0.0,) * dimension, float)
     if spec.kind in ("circle", "sphere"):
         return Ball(np.asarray(spec.center, float) + offset, spec.radius,
                     spec.outer_boundary)
     assert spec.kind == "mesh"
-    path = spec.mesh_file
-    if not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
-    if dimension == 2:
-        points, segments = read_gmsh_lines(path)
-        return Polyline(points + offset, segments, spec.outer_boundary)
-    vertices, faces = read_stl(path)
-    return TriSurface(vertices + offset, faces, spec.outer_boundary)
+    shape, read = ((Polyline, read_gmsh_lines) if dimension == 2
+                   else (TriSurface, read_stl))
+    # an absolute mesh_file replaces base_dir in the join
+    nodes, facets = read(os.path.join(base_dir, spec.mesh_file))
+    return shape(nodes + offset, facets, spec.outer_boundary)

@@ -1,11 +1,13 @@
-"""Former ``TriSurface`` query implementations, kept as references for the
-tests.
+"""Former ``TriSurface`` and ``Polyline`` query implementations, kept as
+references for the tests.
 
 Each function is the code ``treefem.geometry`` ran before its query was
-rewritten: the side test that counted crossings once per query point,
-with one lexsort over the (x, y) columns and one over crossings plus
-every point, and the closest-point selection that sorted each chunk's
-pairs by (point, distance, face) and kept the first pair per point.
+rewritten: the triangle side test that counted crossings once per query
+point, with one lexsort over the (x, y) columns and one over crossings
+plus every point; the triangle closest-point selection that sorted each
+chunk's pairs by (point, distance, face) and kept the first pair per
+point; and the polyline queries that tested every point against every
+segment in fixed-size chunks.
 """
 
 import numpy as np
@@ -94,4 +96,58 @@ def lexsort_closest(surf, points):
         projections[row[best]] = cand[best]
         distances[row[best]] = np.sqrt(d2[best])
         normals[row[best]] = surf._feature_normal(face[best], feature[best])
+    return ClosestPoint(projections, normals, distances)
+
+
+def scan_polyline_kept(poly, points):
+    """``Polyline.kept``: half-open ray parity along +x, every point against
+    every segment."""
+    points = np.asarray(points, float)
+    a = poly.points[poly.segments[:, 0]]
+    b = poly.points[poly.segments[:, 1]]
+    inside = np.zeros(len(points), bool)
+    chunk = max(1, int(4e6 / len(a)))
+    for start in range(0, len(points), chunk):
+        p = points[start:start + chunk]
+        py = p[:, 1, None]
+        px = p[:, 0, None]
+        straddles = (a[None, :, 1] > py) != (b[None, :, 1] > py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tcross = (py - a[None, :, 1]) / (b[None, :, 1] - a[None, :, 1])
+            xcross = a[None, :, 0] + tcross * (b[None, :, 0] - a[None, :, 0])
+        hits = straddles & (px < xcross)
+        inside[start:start + chunk] = hits.sum(axis=1) % 2 == 1
+    return inside if poly.outer_boundary else ~inside
+
+
+def scan_polyline_closest(poly, points):
+    """``Polyline.closest``: every point against every segment, the lowest
+    segment index winning ties."""
+    points = np.asarray(points, float)
+    n = len(points)
+    a = poly.points[poly.segments[:, 0]]
+    b = poly.points[poly.segments[:, 1]]
+    ab = b - a
+    ab2 = np.einsum("ij,ij->i", ab, ab)
+    projections = np.empty((n, 2))
+    normals = np.empty((n, 2))
+    distances = np.empty(n)
+    chunk = max(1, int(2e6 / max(len(a), 1)))
+    for start in range(0, n, chunk):
+        p = points[start:start + chunk]
+        t = np.einsum("pj,sj->ps", p, ab) - np.einsum("sj,sj->s", a, ab)
+        t = np.clip(t / ab2, 0.0, 1.0)
+        cand = a[None, :, :] + t[:, :, None] * ab[None, :, :]
+        d2 = ((cand - p[:, None, :]) ** 2).sum(axis=2)
+        best = np.argmin(d2, axis=1)
+        rows = np.arange(len(p))
+        tb = t[rows, best]
+        projections[start:start + chunk] = cand[rows, best]
+        distances[start:start + chunk] = np.sqrt(d2[rows, best])
+        nrm = poly.edge_normals[best].copy()
+        at_a = tb <= 1e-12
+        at_b = tb >= 1.0 - 1e-12
+        nrm[at_a] = poly.vertex_normals[poly.segments[best[at_a], 0]]
+        nrm[at_b] = poly.vertex_normals[poly.segments[best[at_b], 1]]
+        normals[start:start + chunk] = nrm
     return ClosestPoint(projections, normals, distances)

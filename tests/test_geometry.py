@@ -2,14 +2,16 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from treefem import geometry
 from treefem.assemble import Assembler
@@ -25,7 +27,10 @@ from shapes import (
     bumpy_sphere, cube_tris, fanned_cube, gmsh_polygon_text, icosphere,
     regular_polygon,
 )
-from geometry_oracles import column_sort_kept, lexsort_closest
+from geometry_oracles import (
+    column_sort_kept, lexsort_closest, scan_polyline_closest,
+    scan_polyline_kept,
+)
 from test_acceptance import sphere_script
 
 
@@ -376,6 +381,197 @@ def test_polyline_branch_rejected():
     segments = np.array([(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 2)])
     with pytest.raises(GeometryError, match="joins"):
         Polyline(points, segments)
+
+
+def square_loop(lo, hi, clockwise=False):
+    loop = [(lo, lo), (hi, lo), (hi, hi), (lo, hi)]
+    return loop[::-1] if clockwise else loop
+
+
+def loops_polyline(loops, outer_boundary=True):
+    points = np.concatenate([np.asarray(loop, float) for loop in loops])
+    sizes = [len(loop) for loop in loops]
+    starts = np.cumsum([0] + sizes[:-1])
+    segments = np.concatenate([
+        np.column_stack([s + np.arange(n), s + (np.arange(n) + 1) % n])
+        for s, n in zip(starts, sizes)])
+    return Polyline(points, segments, outer_boundary)
+
+
+@pytest.mark.parametrize("outer", [True, False])
+@pytest.mark.parametrize("winding", [(False, False), (False, True),
+                                     (True, False), (True, True)],
+                         ids=["ccw-ccw", "ccw-cw", "cw-ccw", "cw-cw"])
+def test_hole_normals_point_into_the_hole(outer, winding):
+    poly = loops_polyline([square_loop(0.0, 1.0, winding[0]),
+                           square_loop(0.25, 0.75, winding[1])], outer)
+    sign = 1.0 if outer else -1.0
+    hit = poly.closest(np.array([[0.5, 0.3]]))      # in the hole
+    assert np.array_equal(hit.points, [[0.5, 0.25]])
+    assert np.array_equal(hit.normals, [[0.0, sign]])
+    # every edge midpoint: the outer loop's normals point away from the
+    # centre, the hole's toward it
+    mid = poly.points[poly.segments].mean(axis=1)
+    hit = poly.closest(mid)
+    toward = np.einsum("ij,ij->i", hit.normals, 0.5 - mid)
+    hole = np.abs(mid - 0.5).max(axis=1) < 0.3
+    assert np.all(np.sign(toward) == np.where(hole, sign, -sign))
+    kept = poly.kept(np.array([[0.1, 0.5], [0.5, 0.5], [1.5, 0.5]]))
+    assert kept.tolist() == [outer, not outer, not outer]
+
+
+def test_island_in_a_hole_turns_counterclockwise():
+    poly = loops_polyline([square_loop(0.0, 1.0, True),
+                           square_loop(0.2, 0.8),
+                           square_loop(0.4, 0.6, True)])
+    mid = poly.points[poly.segments].mean(axis=1)
+    hit = poly.closest(mid)
+    away = np.einsum("ij,ij->i", hit.normals, mid - 0.5)
+    ring = np.abs(mid - 0.5).max(axis=1)   # 0.5 outer, 0.3 hole, 0.1 island
+    assert np.all(np.sign(away) == np.where(np.isclose(ring, 0.3), -1.0, 1.0))
+    kept = poly.kept(np.array([[0.1, 0.5], [0.3, 0.5], [0.5, 0.5]]))
+    assert kept.tolist() == [True, False, True]
+
+
+def star_polygon(rng, n, dyadic, axis_aligned):
+    """A star polygon of up to ``n`` distinct vertices about (0.5, 0.5)."""
+    angle = np.sort(rng.uniform(0, 2 * np.pi, n))
+    radius = rng.uniform(0.05, 0.45, n)
+    pts = 0.5 + radius[:, None] * np.column_stack([np.cos(angle),
+                                                   np.sin(angle)])
+    if axis_aligned:                # some edges horizontal, some vertical
+        k = rng.integers(n, size=n // 3)
+        axis = rng.integers(2, size=n // 3)
+        pts[(k + 1) % n, axis] = pts[k, axis]
+    if dyadic:
+        pts = np.round(pts * 64) / 64
+    _, first = np.unique(pts, axis=0, return_index=True)
+    return pts[np.sort(first)]
+
+
+def polyline_queries(poly, rng, n=100):
+    """Random points plus points placed to tie or to pass through vertices."""
+    v = poly.points
+    lattice = rng.integers(-8, 73, (2 * n, 2)) / 64
+    through = np.column_stack([rng.choice(v[:, 0], n), rng.choice(v[:, 1], n)])
+    direction = rng.normal(size=(n // 4, 2))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    return np.concatenate([
+        rng.uniform(-0.1, 1.1, (n, 2)), lattice, through,
+        v, v[poly.segments].mean(axis=1),
+        v[rng.integers(len(v), size=n)]
+        + rng.choice([-1, 1], (n, 2)) * rng.choice([0.0, 2.0 ** -40], (n, 2)),
+        0.5 + 1e3 * direction,
+    ])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 300), seed=st.integers(0, 2 ** 32 - 1),
+       dyadic=st.booleans(), axis_aligned=st.booleans(), outer=st.booleans(),
+       budget=st.sampled_from([geometry._PAIR_BUDGET, 7]))
+@example(n=3, seed=0, dyadic=True, axis_aligned=True, outer=True, budget=7)
+@example(n=300, seed=1, dyadic=True, axis_aligned=True, outer=False,
+         budget=geometry._PAIR_BUDGET)
+def test_polyline_queries_match_the_scan_oracles(n, seed, dyadic,
+                                                 axis_aligned, outer, budget):
+    # the queries tested every point against every segment; through the
+    # cell grids the answers must not change in a single bit
+    rng = np.random.default_rng(seed)
+    pts = star_polygon(rng, n, dyadic, axis_aligned)
+    assume(len(pts) >= 3)
+    loop = np.arange(len(pts))
+    try:
+        poly = Polyline(pts, np.column_stack([loop, np.roll(loop, -1)]),
+                        outer)
+    except GeometryError:           # rounded onto a line
+        assume(False)
+    queries = polyline_queries(poly, rng)
+    with mock.patch.object(geometry, "_PAIR_BUDGET", budget):
+        hit, want = poly.closest(queries), scan_polyline_closest(poly, queries)
+        assert same_bits(poly.kept(queries), scan_polyline_kept(poly, queries))
+    for field in ("points", "normals", "distances"):
+        assert same_bits(getattr(hit, field), getattr(want, field))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 200),
+       dyadic=st.booleans(),
+       budget=st.sampled_from([geometry._PAIR_BUDGET, 7]))
+def test_one_axis_cell_grid_finds_every_point_in_reach(seed, n, dyadic,
+                                                       budget):
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1, 2, (n, 1))
+    queries = rng.uniform(-2, 3, (50, 1))
+    if dyadic:                      # queries and points on cell boundaries
+        points, queries = np.round(points * 8) / 8, np.round(queries * 8) / 8
+    grid = geometry._CellGrid(points, float(rng.uniform(0.01, 1.0)))
+    reach = rng.choice([0.0, 0.1, 0.5, 4.0], len(queries))
+    with mock.patch.object(geometry, "_PAIR_BUDGET", budget):
+        found = [np.column_stack([row, point, d2])
+                 for row, point, d2 in grid.near(queries, reach)]
+    found = np.concatenate(found) if found else np.empty((0, 3))
+    row, point = found[:, 0].astype(int), found[:, 1].astype(int)
+    assert np.all(np.diff(row) >= 0)            # grouped by query
+    pairs = row * n + point
+    assert len(np.unique(pairs)) == len(pairs)  # each pair once
+    gap = points[point, 0] - queries[row, 0]
+    assert same_bits(found[:, 2], gap * gap)
+    # a brute-force scan: each point within reach is found, and each found
+    # point lies in a cell that the query's interval meets
+    within = np.abs(points[None, :, 0] - queries[:, None, 0]) <= reach[:, None]
+    assert np.isin(np.flatnonzero(within.ravel()), pairs).all()
+    cell = grid.cells(points[point])[:, 0]
+    assert np.all(cell >= grid.cells(queries[row] - reach[row, None])[:, 0])
+    assert np.all(cell <= grid.cells(queries[row] + reach[row, None])[:, 0])
+
+
+def test_polyline_side_test_memory_stays_within_the_grid():
+    # testing every point against every segment peaked at 136 MB; through
+    # the cell grid the peak is about 17 MB
+    polygon = np.asarray(regular_polygon((0.5, 0.5), 0.3, 4096))
+    loop = np.arange(len(polygon))
+    poly = Polyline(polygon, np.column_stack([loop, np.roll(loop, -1)]))
+    pts = np.random.default_rng(8).uniform(0, 1, (1 << 16, 2))
+    tracemalloc.start()
+    try:
+        poly.kept(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", ["gmsh", "stl_binary", "stl_ascii",
+                                   "polyline", "trisurface"])
+def test_non_finite_geometry_input_raises_geometry_error(tmp_path, entry, bad):
+    square = np.array(SQUARE)
+    square[2, 1] = bad
+    cube, faces = cube_tris((0.25, 0.25, 0.25), (0.75, 0.75, 0.75))
+    cube[5, 2] = bad
+    path = tmp_path / "shape"
+    if entry == "gmsh":
+        path.write_text(gmsh_polygon_text(square.tolist()))
+        call, match = lambda: read_gmsh_lines(path), re.escape(str(path))
+    elif entry == "stl_binary":
+        with np.errstate(invalid="ignore"):
+            write_stl(path, cube, faces)
+        call, match = lambda: read_stl(path), re.escape(str(path))
+    elif entry == "stl_ascii":
+        path.write_text("solid s\n" + "".join(
+            "facet normal 0 0 0\nouter loop\n"
+            + "".join(f"vertex {x!r} {y!r} {z!r}\n"
+                      for x, y, z in cube[face].tolist())
+            + "endloop\nendfacet\n" for face in faces) + "endsolid s\n")
+        call, match = lambda: read_stl(path), re.escape(str(path))
+    elif entry == "polyline":
+        call, match = lambda: Polyline(square, [(0, 1), (1, 2), (2, 3),
+                                                (3, 0)]), "'points'"
+    else:
+        call, match = lambda: TriSurface(cube, faces), "'vertices'"
+    with pytest.raises(GeometryError, match=match) as caught:
+        call()
+    assert "NaN or infinite" in str(caught.value)
 
 
 def test_polygon_approximates_circle(tmp_path):
@@ -794,15 +990,17 @@ def test_queries_on_no_points(tmp_path, shape):
     assert hit.distances.shape == (0,)
 
 
-def test_empty_queries_build_no_search_tree():
+@pytest.mark.parametrize("shape", ["polyline", "trisurface"])
+def test_empty_queries_build_no_search_tree(shape):
     # a zero-point query answers before the cell grids are built
-    surf = TriSurface(*SURFACES["cube"])
-    surf.kept(np.empty((0, 3)))
-    surf.closest(np.empty((0, 3)))
+    surf = QUERY_SHAPES[shape]()
+    dim = surf.dimension
+    surf.kept(np.empty((0, dim)))
+    surf.closest(np.empty((0, dim)))
     assert "_column_search" not in vars(surf)
     assert "_face_search" not in vars(surf)
-    surf.kept(np.array([[0.5, 0.5, 0.5]]))
-    surf.closest(np.array([[0.5, 0.5, 0.5]]))
+    surf.kept(np.full((1, dim), 0.5))
+    surf.closest(np.full((1, dim), 0.5))
     assert "_column_search" in vars(surf) and "_face_search" in vars(surf)
 
 
