@@ -36,6 +36,10 @@ The constrained system is reduced with the mesh's hanging-node expansion
 ``C`` (solve ``CᵀAC y = Cᵀb``, then expand ``u = Cy``) and solved with a
 Jacobi-preconditioned BiCGStab. Without hanging nodes ``C`` is the
 identity, and ``CᵀAC`` is ``A`` less its explicit zeros.
+
+A NaN or infinite nodal value (``nodal_values``' result, ``run_problem``'s
+``initial``) or exact value (a callable ``exact`` of ``l2_error``) fails
+with a ``ValidationError`` naming the argument.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import expr as ex
-from .errors import AssemblyError, SolverError
+from .errors import AssemblyError, SolverError, ValidationError
 from .forms import Region, compile_kernel
 from .kernel import basis_table, face_reference_points, tensor_rule
 from .mesh import KIND_GEOMETRY, build_mesh
@@ -98,12 +102,20 @@ class RunResult:
         return self.mesh.n_free
 
 
+def _finite(values, what):
+    """``values``; a NaN or infinite one fails, naming ``what``."""
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{what} holds a NaN or infinite value")
+    return values
+
+
 def nodal_values(mesh, value, t=0.0, coefficients=None):
     """Evaluate a number or expression at every mesh node."""
-    if isinstance(value, (int, float)):
-        return np.full(mesh.n_nodes, float(value))
-    out = ex.eval_scalar(value, ex.point_env(mesh.node_coords(), t, coefficients))
-    return np.broadcast_to(np.asarray(out, float), (mesh.n_nodes,)).copy()
+    if not isinstance(value, (int, float)):
+        value = ex.eval_scalar(value, ex.point_env(mesh.node_coords(), t,
+                                                   coefficients))
+    out = _finite(np.asarray(value, float), "argument 'value'")
+    return np.broadcast_to(out, (mesh.n_nodes,)).copy()
 
 
 @dataclass
@@ -566,6 +578,7 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None, on_step=None):
         if initial.shape != (mesh.n_nodes,):
             raise ValueError(f"initial has shape {initial.shape}, expected "
                              f"({mesh.n_nodes},)")
+        _finite(initial, "argument 'initial'")
         # make the start state consistent with the constraints
         state = constraint @ initial[mesh.free_nodes]
     previous = state
@@ -622,7 +635,8 @@ def l2_error(mesh, values, exact, t=0.0, coefficients=None):
         coords = batch.coords()
         numeric = np.einsum("qc,ec->eq", batch.values, values[batch.conn])
         if callable(exact):
-            reference = exact(coords.reshape(-1, mesh.dimension)).reshape(
+            reference = _finite(exact(coords.reshape(-1, mesh.dimension)),
+                                "the output of argument 'exact'").reshape(
                 numeric.shape)
         else:
             env = ex.point_env(coords, t, coefficients)

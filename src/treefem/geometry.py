@@ -88,14 +88,15 @@ def _query_points(points):
 
 class Ball(Geometry):
     def __init__(self, center, radius, outer_boundary=True):
-        center = tuple(float(c) for c in center)
+        center = tuple(float(c) for c in _finite(center, "argument 'center'"))
         if len(center) not in (2, 3):
             raise GeometryError("ball center must have 2 or 3 components")
+        radius = float(_finite(radius, "argument 'radius'"))
         if radius <= 0:
             raise GeometryError("ball radius must be positive")
         self.dimension = len(center)
         self.center = np.asarray(center, float)
-        self.radius = float(radius)
+        self.radius = radius
         self.outer_boundary = bool(outer_boundary)
 
     def kept(self, points):

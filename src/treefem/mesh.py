@@ -8,41 +8,50 @@ refined box. Construction runs in four stages:
    and it is coarser than that geometry's target level, when it touches a
    wall selected for refinement, or when the user's refinement predicate
    holds at its center. Depth is capped at level 30. Classes are computed
-   only for cells a geometry rule can split.
+   only for cells a geometry rule can split, from their distinct corners.
 2. **balance**: adjacent leaves are limited to one level of difference,
    across faces in 2-D and across faces *and* edges in 3-D. The edge rule
    guarantees every nonconforming node sits at an edge midpoint or face
    center of its coarse neighbor.
-3. **carve**: only elements whose corners all lie on the kept side of
-   every geometry survive. Their outward-facing sides form the surrogate
-   boundary; where a kept element borders finer discarded cells the face
-   splits into half- or quarter-face slices.
-4. **number**: corner nodes are numbered on the shared integer lattice
-   (the domain spans 2**30 lattice units per axis), hanging nodes are
-   detected by probing the face centres (and edge midpoints in 3-D) of
-   every element, and the constraint matrix mapping free node values to
-   all node values is built in one sparse step: an identity row per free
-   node and a row of midpoint weights per hanging node. The balance of
-   stage 2 keeps every parent of a hanging node free, so no constraint
-   refers to another hanging node.
+3. **carve**: one index of the balanced leaves' distinct corners is
+   built, and each geometry's ``kept`` answers once per distinct corner.
+   Only elements whose corners all lie on the kept side of every geometry
+   survive. Their outward-facing sides form the surrogate boundary; where
+   a kept element borders finer discarded cells the face splits into
+   half- or quarter-face slices.
+4. **number**: the kept elements' corners, read from the same index, are
+   the nodes, numbered in the index's key order on the shared integer
+   lattice (the domain spans 2**30 lattice units per axis); hanging nodes
+   are detected by probing that index at the face centres (and edge
+   midpoints in 3-D) of every element, and the constraint matrix mapping
+   free node values to all node values is built in one sparse step: an
+   identity row per free node and a row of midpoint weights per hanging
+   node. The balance of stage 2 keeps every parent of a hanging node
+   free, so no constraint refers to another hanging node.
 
 Anchors are integer cell coordinates at the cell's own level; lattice
 coordinates are at the fixed normalization level 30, so all point
-identity tests are exact. Every lookup (balance neighbors, face
-neighbors, node numbering and midpoint probes) goes through one
-``TreeIndex`` per stage. It ORs the columns of cells ``(level,
-anchor...)`` or lattice points (shifted down to the finest level) one by
-one into sorted int64 keys, range-checks each query column (the table's
-own rows skip that) and answers lookups by binary search. Keys must fit
-in 63 bits, so a tree spanning the domain can reach level ``63 // dim -
-1``: level 20 in 3-D, while 2-D trees hit the depth cap of 30 first.
-Deeper trees are rejected with a ``MeshError`` when the index is built.
+identity tests are exact. Every lookup goes through a ``TreeIndex``:
+one of cells ``(level, anchor...)`` per balance sweep and for the face
+neighbors, and the corner index of carve and numbering. It ORs the
+columns of cells or of lattice points (shifted down to the finest level)
+one by one into sorted int64 keys, range-checks each query column (the
+table's own rows skip that) and answers lookups by binary search. The
+corner index never builds the ``(n * 2**dim, dim)`` corner array: along
+each axis a leaf's corners take its low or high side, and these pairs
+broadcast into the keys. Keys must fit in 63 bits, so a tree spanning
+the domain can reach level ``63 // dim - 1``: level 20 in 3-D, while 2-D
+trees hit the depth cap of 30 first. The corner index of every leaf spans
+the domain, so past that level carve asks ``kept`` for each leaf's own
+corners and indexes the kept elements' corners alone. Trees whose lookups
+still need wider keys are rejected with a ``MeshError`` when the index is
+built.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,23 +90,24 @@ def corner_bits(dim):
 class TreeIndex:
     """Distinct integer rows packed into sorted int64 keys.
 
+    The table is given by its int64 columns; they may broadcast, and the
+    table's rows are then their elements broadcast together, in C order.
     Each column is shifted right by ``shift`` bits, offset by its minimum
     over the table, given as many bits as its span needs and ORed into the
     key, column 0 highest, so key order is the rows' lexicographic order.
     Out of range, a query column would carry into its neighbour's bits, so
     each is checked by one unsigned compare (and, under a shift, for low
     bits); the table's own rows skip the check. ``first`` maps each
-    distinct key to its first table row and ``inverse`` each table row to
-    its key. ``dim`` and ``level`` only name the tree in the error raised
+    distinct key to one of its table rows and ``inverse`` each table row
+    to its key. ``dim`` and ``level`` only name the tree in the error raised
     when the keys need more than 63 bits.
     """
 
-    def __init__(self, rows, dim, level, shift=0):
-        rows = np.asarray(rows, np.int64)
+    def __init__(self, columns, dim, level, shift=0):
         self.shift = shift
         # shifting keeps order, so each column's ends shift with it
         ends = [(int(col.min()) >> shift, int(col.max()) >> shift)
-                if len(col) else (0, 0) for col in rows.T]
+                if col.size else (0, 0) for col in columns]
         self.low = [low for low, _ in ends]
         self.span = [high - low for low, high in ends]
         widths = [s.bit_length() for s in self.span]
@@ -108,13 +118,29 @@ class TreeIndex:
                 f"int64; a {dim}-D tree spanning the domain can be refined "
                 f"to level {63 // dim - 1} at most")
         self.bit = [sum(widths[c + 1:]) for c in range(len(widths))]
-        keys, _ = self._pack(rows.T, check=False)   # in range by construction
-        self.keys, self.first, self.inverse = np.unique(
-            keys, return_index=True, return_inverse=True)
+        keys, _ = self._pack(columns, check=False)  # in range by construction
+        # np.unique's steps, letting each array go once used (three
+        # table-length arrays at a time rather than five; 4 MB of stl3d's
+        # peak RSS), with numpy's default sort, three times faster than
+        # its stable one on these keys
+        order = np.argsort(keys.ravel())
+        keys = keys.ravel()[order]
+        new = np.empty(len(keys), bool)
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        self.keys = keys[new]
+        self.first = order[new]
+        del keys
+        rank = np.cumsum(new)
+        rank -= 1
+        self.inverse = np.empty_like(order)
+        self.inverse[order] = rank
 
     def _pack(self, columns, check=True):
         """Keys of rows given one int64 array per column, and validity."""
-        keys, valid = 0, True
+        keys = np.zeros(np.broadcast_shapes(*(col.shape for col in columns)),
+                        np.int64)
+        valid = True
         for col, low, span, bit in zip(columns, self.low, self.span, self.bit):
             part = (col >> self.shift if self.shift else col) - low
             if check:
@@ -122,7 +148,7 @@ class TreeIndex:
                 if self.shift:
                     valid &= (col & ((1 << self.shift) - 1)) == 0
             part <<= bit
-            keys = np.bitwise_or(part, keys, out=part)
+            keys |= part
         return keys, valid
 
     def find(self, rows):
@@ -139,14 +165,59 @@ class TreeIndex:
 
 
 def _cell_index(levels, anchors):
-    return TreeIndex(np.column_stack([levels, anchors]), anchors.shape[1],
+    return TreeIndex([levels, *anchors.T], anchors.shape[1],
                      int(levels.max(initial=0)))
 
 
-def _lattice_index(lattice, levels):
-    """Index of lattice points that are corners of cells at ``levels``."""
+@dataclass
+class Corners:
+    """The distinct corners of a leaf set and each leaf's corners.
+
+    ``index`` holds the corners' lattice points, shifted down to the finest
+    leaf level, and ``lattice`` those points in key order, which is their
+    lexicographic order. ``cells`` gives each leaf's ``2**dim`` corners in
+    corner-bit order as positions in that order. Without ``index``, every
+    leaf's corners are listed apart, leaf by leaf.
+    """
+    index: TreeIndex | None
+    lattice: np.ndarray     # (n_c, dim) at normalization level 30
+    cells: np.ndarray       # (n, 2**dim)
+
+
+def _corner_index(levels, anchors):
+    """``Corners`` of the leaves ``(levels, anchors)``.
+
+    Along axis ``d`` a leaf's corners take one of two lattice values, its
+    low and high side. The index packs each axis's pair, broadcast over
+    the other axes' corner bits, so of the ``n * 2**dim`` corners only
+    their keys are built; the keys' C order is corner-bit order.
+    """
+    n, dim = anchors.shape
     finest = int(levels.max(initial=0))
-    return TreeIndex(lattice, lattice.shape[1], finest, shift=_NL - finest)
+    scale = np.int64(1) << (_NL - levels)
+    columns = []
+    for axis in range(dim):
+        low = anchors[:, axis] * scale
+        shape = [n] + [1] * dim
+        shape[dim - axis] = 2       # bit ``axis`` of the corner number
+        columns.append(np.stack([low, low + scale], axis=1).reshape(shape))
+    index = TreeIndex(columns, dim, finest, shift=_NL - finest)
+    cell, corner = np.divmod(index.first, 2 ** dim)
+    lattice = (anchors[cell] + corner_bits(dim)[corner]) * scale[cell, None]
+    return Corners(index, lattice, index.inverse.reshape(n, 2 ** dim))
+
+
+def _leaf_corners(levels, anchors):
+    """The leaves' ``_corner_index`` or, when its keys would need more
+    than 63 bits, ``Corners`` listing every leaf's corners apart."""
+    try:
+        return _corner_index(levels, anchors)
+    except MeshError:
+        n, dim = anchors.shape
+        scale = np.int64(1) << (_NL - levels)
+        lattice = (anchors[:, None] + corner_bits(dim)) * scale[:, None, None]
+        return Corners(None, lattice.reshape(n * 2 ** dim, dim),
+                       np.arange(n * 2 ** dim).reshape(n, 2 ** dim))
 
 
 def _children(levels, anchors):
@@ -162,20 +233,6 @@ def _children(levels, anchors):
 # ---------------------------------------------------------------------------
 # Classification against the geometries
 
-def _corner_lattice(levels, anchors):
-    n, dim = anchors.shape
-    scale = (np.int64(1) << (_NL - levels)).astype(np.int64)
-    # one (corner, axis) column at a time, each a long loop over the cells;
-    # broadcasting over a last axis of length dim runs many short loops
-    corners = np.empty((n, 2 ** dim, dim), np.int64)
-    for axis in range(dim):
-        low = anchors[:, axis] * scale
-        ends = (low, low + scale)
-        for k, bit in enumerate(corner_bits(dim)[:, axis]):
-            corners[:, k, axis] = ends[bit]
-    return corners.reshape(n * 2 ** dim, dim)
-
-
 def _lattice_coords(lattice, spec):
     lo = np.asarray(spec.domain_min, float)
     hi = np.asarray(spec.domain_max, float)
@@ -183,21 +240,25 @@ def _lattice_coords(lattice, spec):
     return lo + lattice * step
 
 
-def classify_elements(levels, anchors, spec, geometries):
+def classify_elements(levels, anchors, spec, geometries, corners):
     """Per-element class against each geometry, one code array per geometry.
 
     Each cell is classified from its own corners: INTERIOR (all kept),
-    EXTERIOR (none), INTERCEPTED. Without geometries the list is empty.
+    EXTERIOR (none), INTERCEPTED. Each geometry's ``kept`` runs once, on
+    the corners of ``corners`` (the leaves' ``_leaf_corners``, distinct
+    ones unless the leaves span too much for packed keys), and each cell
+    counts its kept corners through ``corners.cells``; ``kept`` is
+    pointwise, so the counts are those of asking it for every cell's
+    corners. Without geometries the list is empty.
     """
     if not geometries:
         return []
-    corners = 2 ** anchors.shape[1]
-    points = _lattice_coords(_corner_lattice(levels, anchors), spec)
+    points = _lattice_coords(corners.lattice, spec)
     per_geom = []
     for geom in geometries:
-        count = geom.kept(points).reshape(len(levels), corners).sum(axis=1)
+        count = geom.kept(points)[corners.cells].sum(axis=1)
         codes = np.full(len(levels), INTERCEPTED, np.int8)
-        codes[count == corners] = INTERIOR
+        codes[count == corners.cells.shape[1]] = INTERIOR
         codes[count == 0] = EXTERIOR
         per_geom.append(codes)
     return per_geom
@@ -224,16 +285,17 @@ def build_tree(spec, geometries):
                 touch |= anchors[:, axis] == (0 if side == 0 else top)
             refine |= touch & (levels < spec.wall_refine_level)
         if spec.refine_where is not None:
-            centers = _lattice_coords(
-                _corner_lattice(levels, anchors).reshape(len(levels), 2 ** dim, dim)
-                .mean(axis=1), spec)
+            scale = np.int64(1) << (_NL - levels)
+            centers = _lattice_coords((anchors + 0.5) * scale[:, None], spec)
             # the mesh is built once, at t = 0
             env = ex.point_env(centers)
             env["level"] = levels.astype(float)
             hold = ex.eval_scalar(spec.refine_where, env)
             refine |= np.broadcast_to(np.asarray(hold, bool), refine.shape)
         ask = ~refine & (levels < deepest)
-        per_geom = classify_elements(levels[ask], anchors[ask], spec, geometries)
+        per_geom = classify_elements(levels[ask], anchors[ask], spec,
+                                     geometries,
+                                     _leaf_corners(levels[ask], anchors[ask]))
         for gspec, codes in zip(spec.geometries, per_geom):
             refine[ask] |= (codes == INTERCEPTED) & (levels[ask] < gspec.refine_level)
         if bool((refine & (levels >= MAX_LEVEL)).any()):
@@ -291,19 +353,31 @@ def balance(levels, anchors, dim):
 
 def carve(levels, anchors, spec, geometries):
     """Keep elements every geometry calls INTERIOR, sorted canonically;
-    error if none."""
+    error if none.
+
+    Returns the kept ``levels`` and ``anchors`` and, for ``number_nodes``,
+    the ``Corners`` of all the given leaves, whose distinct corners each
+    geometry classified once, with ``cells`` cut to the kept elements.
+    When the leaves' corner keys would need more than 63 bits, every
+    leaf's corners are classified apart and the ``Corners`` index only
+    the kept elements, whose keys may fit (else a ``MeshError``).
+    """
+    corners = _leaf_corners(levels, anchors)
     kept = np.ones(len(levels), bool)
-    for codes in classify_elements(levels, anchors, spec, geometries):
+    for codes in classify_elements(levels, anchors, spec, geometries,
+                                   corners):
         kept &= codes == INTERIOR
     if not kept.any():
         raise EmptyMeshError(
             "carving left no interior elements; the domain may be thinner "
             "than the base cell size")
-    levels = levels[kept]
-    anchors = anchors[kept]
-    order = np.lexsort(tuple(anchors[:, d] for d in reversed(range(
-        anchors.shape[1]))) + (levels,))
-    return levels[order], anchors[order]
+    rows = np.nonzero(kept)[0]
+    rows = rows[np.lexsort(tuple(anchors[rows, d] for d in reversed(range(
+        anchors.shape[1]))) + (levels[rows],))]
+    levels, anchors = levels[rows], anchors[rows]
+    if corners.index is None:
+        return levels, anchors, _corner_index(levels, anchors)
+    return levels, anchors, replace(corners, cells=corners.cells[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -420,31 +494,36 @@ def _probe_table(dim):
     return probes
 
 
-def number_nodes(levels, anchors, dim):
+def number_nodes(levels, anchors, dim, corners):
     """Node lattice, element connectivity, and the hanging constraint map.
 
-    Returns (node_lattice, elem_nodes, hanging) where hanging maps a node
-    index to a tuple of (node index, weight) pairs averaging the corners
-    of the face or edge it sits on.
+    The nodes are the corners of ``corners.cells``, one row per element
+    (``carve``'s ``Corners``, or the ``_corner_index`` of the elements),
+    numbered in key order. Returns (node_lattice, elem_nodes, hanging)
+    where hanging maps a node index to a tuple of (node index, weight)
+    pairs averaging the corners of the face or edge it sits on.
     """
-    lattice = _corner_lattice(levels, anchors)
-    index = _lattice_index(lattice, levels)
-    node_lattice = lattice[index.first]
-    elem_nodes = index.inverse.reshape(len(levels), 2 ** dim)
+    # node number of each corner position, -1 for a corner of no element;
+    # the extra last entry maps a missed probe's -1 to -1
+    used = np.zeros(len(corners.lattice) + 1, bool)
+    used[corners.cells] = True
+    number = np.where(used, np.cumsum(used) - 1, -1)
+    node_lattice = corners.lattice[used[:-1]]
+    elem_nodes = number[corners.cells]
 
     hanging = {}
     size = np.int64(1) << (_NL - levels)
     rows = np.nonzero(size >= 2)[0]
     origins = anchors[rows].T * size[rows]
     half = size[rows] >> 1
-    for pos, corners in _probe_table(dim):
-        found = index.find_columns(
-            [origin + half * p for origin, p in zip(origins, pos.tolist())])
+    for pos, parent_corners in _probe_table(dim):
+        found = number[corners.index.find_columns(
+            [origin + half * p for origin, p in zip(origins, pos.tolist())])]
         # every cell that finds a node on this probe names the same corners
         hit = np.nonzero(found >= 0)[0]
         nodes, first = np.unique(found[hit], return_index=True)
-        parents = elem_nodes[rows[hit[first]]][:, corners].tolist()
-        weights = (1.0 / len(corners),) * len(corners)
+        parents = elem_nodes[rows[hit[first]]][:, parent_corners].tolist()
+        weights = (1.0 / len(parent_corners),) * len(parent_corners)
         hanging.update(zip(nodes.tolist(), map(
             tuple, map(zip, parents, itertools.repeat(weights)))))
     return node_lattice, elem_nodes, hanging
@@ -553,10 +632,10 @@ def build_mesh(spec, base_dir="."):
                   for g in spec.geometries]
     levels, anchors = build_tree(spec, geometries)
     levels, anchors = balance(levels, anchors, spec.dimension)
-    levels, anchors = carve(levels, anchors, spec, geometries)
+    levels, anchors, corners = carve(levels, anchors, spec, geometries)
     faces = surrogate_faces(levels, anchors, spec.dimension)
     node_lattice, elem_nodes, hanging = number_nodes(levels, anchors,
-                                                     spec.dimension)
+                                                     spec.dimension, corners)
     free_nodes, constraint = _constraint_matrix(len(node_lattice), hanging)
     mesh = IncompleteMesh(
         dimension=spec.dimension,

@@ -6,9 +6,14 @@ hanging map filled one hit at a time, the constraint resolved node by
 node through chains of midpoint averages, the carve classes computed
 from a combined corner mask as well as per geometry, the refinement
 waves classifying every cell against every geometry through one
-deduplicated corner lattice, and the tree-index keys packed from stacked
-rows with two axis reductions.
+deduplicated corner lattice, the tree-index keys packed from stacked
+rows with two axis reductions, and the carve and node numbering that
+each expanded every cell into its ``2**dim`` corner rows: the carve
+asked ``kept`` for every cell's corners, and the numbering built a
+second index over the kept cells' rows.
 """
+
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,9 +21,84 @@ import scipy.sparse as sp
 from treefem import expr as ex
 from treefem.errors import MeshError
 from treefem.mesh import (
-    _NL, _WALL_AXIS, EXTERIOR, INTERCEPTED, INTERIOR, MAX_LEVEL, _children,
-    _corner_lattice, _lattice_coords, _lattice_index, corner_bits,
+    _NL, _WALL_AXIS, EXTERIOR, INTERCEPTED, INTERIOR, MAX_LEVEL, TreeIndex,
+    _children, _lattice_coords, _probe_table, corner_bits,
 )
+
+
+def corner_lattice(levels, anchors):
+    """Every cell's ``2**dim`` corners, ``(n * 2**dim, dim)`` lattice rows."""
+    n, dim = anchors.shape
+    scale = (np.int64(1) << (_NL - levels)).astype(np.int64)
+    # one (corner, axis) column at a time, each a long loop over the cells;
+    # broadcasting over a last axis of length dim runs many short loops
+    corners = np.empty((n, 2 ** dim, dim), np.int64)
+    for axis in range(dim):
+        low = anchors[:, axis] * scale
+        ends = (low, low + scale)
+        for k, bit in enumerate(corner_bits(dim)[:, axis]):
+            corners[:, k, axis] = ends[bit]
+    return corners.reshape(n * 2 ** dim, dim)
+
+
+def lattice_index(lattice, levels):
+    """Index of lattice points that are corners of cells at ``levels``."""
+    finest = int(levels.max(initial=0))
+    return TreeIndex(lattice.T, lattice.shape[1], finest, shift=_NL - finest)
+
+
+def classify_each_corner(levels, anchors, spec, geometries):
+    """Per-element class against each geometry, asking ``kept`` for every
+    cell's own corners, shared ones once per cell."""
+    if not geometries:
+        return []
+    corners = 2 ** anchors.shape[1]
+    points = _lattice_coords(corner_lattice(levels, anchors), spec)
+    per_geom = []
+    for geom in geometries:
+        count = geom.kept(points).reshape(len(levels), corners).sum(axis=1)
+        codes = np.full(len(levels), INTERCEPTED, np.int8)
+        codes[count == corners] = INTERIOR
+        codes[count == 0] = EXTERIOR
+        per_geom.append(codes)
+    return per_geom
+
+
+def carve(levels, anchors, spec, geometries):
+    """The carve through ``classify_each_corner``: kept cells, sorted."""
+    kept = np.ones(len(levels), bool)
+    for codes in classify_each_corner(levels, anchors, spec, geometries):
+        kept &= codes == INTERIOR
+    levels, anchors = levels[kept], anchors[kept]
+    order = np.lexsort(tuple(anchors[:, d] for d in reversed(range(
+        anchors.shape[1]))) + (levels,))
+    return levels[order], anchors[order]
+
+
+def number_nodes(levels, anchors, dim):
+    """Node numbering from a lattice index built over the kept cells'
+    expanded corner rows."""
+    lattice = corner_lattice(levels, anchors)
+    index = lattice_index(lattice, levels)
+    node_lattice = lattice[index.first]
+    elem_nodes = index.inverse.reshape(len(levels), 2 ** dim)
+
+    hanging = {}
+    size = np.int64(1) << (_NL - levels)
+    rows = np.nonzero(size >= 2)[0]
+    origins = anchors[rows].T * size[rows]
+    half = size[rows] >> 1
+    for pos, corners in _probe_table(dim):
+        found = index.find_columns(
+            [origin + half * p for origin, p in zip(origins, pos.tolist())])
+        # every cell that finds a node on this probe names the same corners
+        hit = np.nonzero(found >= 0)[0]
+        nodes, first = np.unique(found[hit], return_index=True)
+        parents = elem_nodes[rows[hit[first]]][:, corners].tolist()
+        weights = (1.0 / len(corners),) * len(corners)
+        hanging.update(zip(nodes.tolist(), map(
+            tuple, map(zip, parents, itertools.repeat(weights)))))
+    return node_lattice, elem_nodes, hanging
 
 
 def balance_directions(dim):
@@ -132,8 +212,8 @@ def classify_elements(levels, anchors, spec, geometries):
     dim = anchors.shape[1]
     if not geometries:
         return np.full(n, INTERIOR, np.int8), []
-    lattice = _corner_lattice(levels, anchors)
-    index = _lattice_index(lattice, levels)
+    lattice = corner_lattice(levels, anchors)
+    index = lattice_index(lattice, levels)
     points = _lattice_coords(lattice[index.first], spec)
     combined = np.ones((n, 2 ** dim), bool)
     per_geom = []
@@ -174,7 +254,7 @@ def build_tree(spec, geometries):
             refine |= touch & (levels < spec.wall_refine_level)
         if spec.refine_where is not None:
             centers = _lattice_coords(
-                _corner_lattice(levels, anchors).reshape(len(levels), 2 ** dim, dim)
+                corner_lattice(levels, anchors).reshape(len(levels), 2 ** dim, dim)
                 .mean(axis=1), spec)
             env = ex.point_env(centers)
             env["level"] = levels.astype(float)

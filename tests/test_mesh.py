@@ -1,5 +1,6 @@
 """Tree mesh construction: refinement, balance, carving, constraints."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,9 +11,9 @@ import treefem.mesh as mesh_module
 from treefem.errors import EmptyMeshError, MeshError
 from treefem.geometry import load_geometry, write_stl
 from treefem.mesh import (
-    INTERIOR, KIND_GEOMETRY, KIND_WALL, _constraint_matrix, _corner_lattice,
-    _lattice_index, balance, build_mesh, build_tree, carve,
-    classify_elements, corner_bits, number_nodes,
+    INTERIOR, KIND_GEOMETRY, KIND_WALL, _constraint_matrix, _leaf_corners,
+    balance, build_mesh, build_tree, carve, classify_elements, corner_bits,
+    number_nodes,
 )
 from treefem.problem import parse_problem
 
@@ -350,8 +351,10 @@ def test_numbering_and_constraint_match_oracles(dim, seed):
     assert np.array_equal(levels, oracle_levels)
     assert np.array_equal(anchors, oracle_anchors)
 
-    node_lattice, elem_nodes, hanging = number_nodes(levels, anchors, dim)
-    index = _lattice_index(_corner_lattice(levels, anchors), levels)
+    node_lattice, elem_nodes, hanging = number_nodes(
+        levels, anchors, dim, mesh_module._corner_index(levels, anchors))
+    index = oracle.lattice_index(oracle.corner_lattice(levels, anchors),
+                                 levels)
     assert hanging == oracle.fill_hanging(levels, anchors, elem_nodes,
                                           index.find, dim)
     free, constraint = _constraint_matrix(len(node_lattice), hanging)
@@ -494,7 +497,8 @@ def test_annulus_routes_faces_to_nearest_circle():
     # with the combined-mask oracle
     geometries = [load_geometry(g, 2, ".") for g in spec.geometries]
     levels, anchors = balance(*build_tree(spec, geometries), 2)
-    per_geom = classify_elements(levels, anchors, spec, geometries)
+    per_geom = classify_elements(levels, anchors, spec, geometries,
+                                 _leaf_corners(levels, anchors))
     overall, oracle_per_geom = oracle.classify_elements(
         levels, anchors, spec, geometries)
     assert len(per_geom) == 2
@@ -558,7 +562,8 @@ def test_tree_and_classes_match_classify_everything_oracle(tmp_path, case):
     assert np.array_equal(levels, oracle_levels)
     assert np.array_equal(anchors, oracle_anchors)
     assert levels.max() > spec.base_refine_level or case == "disk_uniform"
-    per_geom = classify_elements(levels, anchors, spec, geometries)
+    per_geom = classify_elements(levels, anchors, spec, geometries,
+                                 _leaf_corners(levels, anchors))
     _, oracle_per_geom = oracle.classify_elements(levels, anchors, spec,
                                                   geometries)
     assert len(per_geom) == len(geometries)
@@ -566,10 +571,115 @@ def test_tree_and_classes_match_classify_everything_oracle(tmp_path, case):
         assert codes.dtype == np.int8
         assert np.array_equal(codes, expected)
     # every uniform wave hands the classifier zero cells
-    empty = classify_elements(np.empty(0, np.int64),
-                              np.empty((0, dim), np.int64), spec, geometries)
+    none = np.empty(0, np.int64), np.empty((0, dim), np.int64)
+    empty = classify_elements(*none, spec, geometries, _leaf_corners(*none))
     assert [(codes.shape, codes.dtype) for codes in empty] == (
         [((0,), np.int8)] * len(geometries))
+
+
+def assert_carve_and_numbering_match_oracles(spec, base_dir):
+    """Carve and number through ``carve``'s ``Corners``, a fresh corner
+    index of the kept cells and ``build_mesh``; all must give the oracle
+    pipeline's arrays. Returns the oracle's hanging map."""
+    dim = spec.dimension
+    geometries = [load_geometry(g, dim, base_dir) for g in spec.geometries]
+    levels, anchors = balance(*build_tree(spec, geometries), dim)
+    oracle_levels, oracle_anchors = oracle.carve(levels, anchors, spec,
+                                                 geometries)
+    node_lattice, elem_nodes, hanging = oracle.number_nodes(
+        oracle_levels, oracle_anchors, dim)
+    free, constraint = oracle.constraint_matrix(len(node_lattice), hanging)
+    kept_levels, kept_anchors, corners = carve(levels, anchors, spec,
+                                               geometries)
+    mesh = build_mesh(spec, base_dir)
+    assert len(kept_levels) < len(levels) or not geometries
+    for numbered in (number_nodes(kept_levels, kept_anchors, dim, corners),
+                     number_nodes(kept_levels, kept_anchors, dim,
+                                  mesh_module._corner_index(kept_levels,
+                                                            kept_anchors)),
+                     (mesh.node_lattice, mesh.elem_nodes, mesh.hanging)):
+        for got, expected in zip(numbered[:2], (node_lattice, elem_nodes)):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+        assert numbered[2] == hanging
+    for got, expected in ((kept_levels, oracle_levels),
+                          (kept_anchors, oracle_anchors),
+                          (mesh.levels, oracle_levels),
+                          (mesh.anchors, oracle_anchors),
+                          (mesh.free_nodes, free)):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(mesh.constraint, part),
+                              getattr(constraint, part))
+    return hanging
+
+
+@pytest.mark.parametrize("case", sorted(TREE_CASES))
+def test_carve_and_numbering_match_the_per_corner_oracles(tmp_path, case):
+    """One corner index per balanced leaf set, classified once and reused
+    to number the kept cells, gives the arrays of asking ``kept`` for
+    every cell's own corners and indexing the kept cells' corners again."""
+    hanging = assert_carve_and_numbering_match_oracles(
+        parse_problem(TREE_CASES[case](tmp_path)), tmp_path)
+    assert len(hanging) > 0 or case == "disk_uniform"
+
+
+def test_small_kept_region_past_key_width_limit_matches_oracles():
+    """A 3-D tree refined to level 21 spans too much for packed keys over
+    every leaf's corners, but its kept cells, a sphere of radius 4e-6, do
+    not: carve asks ``kept`` for each leaf's own corners, numbering
+    indexes the kept cells alone, and the mesh is the oracle's."""
+    near = " && ".join(
+        f"{a} > 0.0100001 - 0.75 * exp(-0.6931 * level) && "
+        f"{a} < 0.0100001 + 0.75 * exp(-0.6931 * level)" for a in "xyz")
+    spec = parse_problem(f"""
+[domain]
+dimension = 3
+min = 0, 0, 0
+max = 1, 1, 1
+base_refine_level = 1
+refine_where = {near} && level < 17
+
+[geometry]
+shape = sphere
+center = 0.0100001, 0.0100001, 0.0100001
+radius = 0.000004
+refine_level = 21
+
+[variables]
+names = u
+
+[weak_form]
+dot(grad(u), grad(v)) - 1.0 * v
+""")
+    geometries = [load_geometry(g, 3, ".") for g in spec.geometries]
+    levels, anchors = balance(*build_tree(spec, geometries), 3)
+    assert levels.max() == 21
+    with pytest.raises(MeshError, match=r"3-D tree refined to level 21 "
+                                        r"needs 66-bit lookup keys"):
+        mesh_module._corner_index(levels, anchors)
+    hanging = assert_carve_and_numbering_match_oracles(spec, ".")
+    assert len(hanging) > 0
+
+
+def test_carve_memory_per_leaf_corner():
+    """Carving a uniform 3-D ball tree at level 5 (262,144 leaf corners)
+    peaks at about 35 bytes a corner: the corner keys, their sort order
+    and one more table-length array. Expanding every cell into its
+    corners held an int64 lattice, its float copy and the ball's offsets,
+    3 x 24 bytes a corner, and peaked at 88."""
+    spec = parse_problem(SPHERE_3D.format(base=5, glevel=5, radius=0.4))
+    geometries = [load_geometry(g, 3, ".") for g in spec.geometries]
+    levels, anchors = build_tree(spec, geometries)
+    assert len(levels) == 1 << 15
+    tracemalloc.start()
+    try:
+        carve(levels, anchors, spec, geometries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 8 * len(levels)
 
 
 def test_annulus_circles_refine_to_their_own_levels():

@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from treefem.errors import MeshError
 from treefem.mesh import (
-    TreeIndex, _NL, _cell_index, _corner_lattice, _lattice_index,
-    balance, build_mesh, build_tree, corner_bits,
+    TreeIndex, _NL, _cell_index, _corner_index, balance, build_mesh,
+    build_tree, corner_bits,
 )
 from treefem.problem import parse_problem
 
 from mesh_digests import GOLDEN, case_meshes, mesh_digests
-from mesh_oracles import fill_hanging, pack
+from mesh_oracles import corner_lattice, fill_hanging, lattice_index, pack
 
 
 def _keys(levels, anchors):
@@ -54,7 +54,7 @@ def table_rows(index, queries):
 
 def oracle_number_nodes(levels, anchors, dim):
     """``number_nodes`` as written with ``_match`` and ``np.unique``."""
-    lattice = _corner_lattice(levels, anchors)
+    lattice = corner_lattice(levels, anchors)
     node_lattice, inverse = np.unique(lattice, axis=0, return_inverse=True)
     elem_nodes = inverse.ravel().reshape(len(levels), 2 ** dim)
     hanging = fill_hanging(levels, anchors, elem_nodes,
@@ -149,19 +149,24 @@ def test_index_matches_oracle(dim, seed):
     assert np.array_equal(table_rows(index, queries),
                           _match(_keys(levels, anchors), queries))
 
-    lattice = _corner_lattice(levels, anchors)
+    lattice = corner_lattice(levels, anchors)
     nodes, inverse = np.unique(lattice, axis=0, return_inverse=True)
-    index = _lattice_index(lattice, levels)
+    index = lattice_index(lattice, levels)
     assert np.array_equal(lattice[index.first], nodes)
     assert np.array_equal(index.inverse, inverse.ravel())
+    # the corner index packed from each cell's sides, without the rows
+    corners = _corner_index(levels, anchors)
+    assert np.array_equal(corners.lattice, nodes)
+    assert np.array_equal(corners.cells.ravel(), inverse.ravel())
+    assert np.array_equal(corners.index.keys, index.keys)
     queries = lattice_queries(rng, lattice, levels, 400)
     assert np.array_equal(index.find(queries), _match(nodes, queries))
 
 
 def test_index_edge_cases():
-    empty = TreeIndex(np.empty((0, 3), np.int64), 2, 0)
+    empty = TreeIndex(np.empty((3, 0), np.int64), 2, 0)
     assert np.array_equal(empty.find([[0, 0, 0], [1, 2, 3]]), [-1, -1])
-    single = TreeIndex([[4, 3, 9]], 2, 4)
+    single = TreeIndex(np.array([[4, 3, 9]]).T, 2, 4)
     assert np.array_equal(single.find([[4, 3, 9], [4, 3, 8], [-4, 3, 9]]),
                           [0, -1, -1])
     assert len(single.find(np.empty((0, 3), np.int64))) == 0
@@ -181,7 +186,7 @@ def test_column_packing_matches_row_oracle(dim, shift, seed, n_table,
     low = rng.integers(0, 50, k)
     span = rng.integers(0, 2 ** rng.integers(0, 12, k))
     table = (low + rng.integers(0, span + 1, (n_table, k))) << shift
-    index = TreeIndex(table, dim, 4, shift=shift)
+    index = TreeIndex(table.T, dim, 4, shift=shift)
     assert np.array_equal(index.keys, np.unique(pack(index, table)[0]))
 
     base = (low + rng.integers(-2, span + 3, (n_query, k))) << shift
@@ -204,7 +209,7 @@ def test_out_of_range_rows_never_match_through_key_collisions():
     key, and under a shift low bits are dropped. An anchor of -1 sets
     every bit from its column up, so its key is negative."""
     cells = [[2, x, y] for x in range(2) for y in range(4)]
-    index = TreeIndex(cells, 2, 2)
+    index = TreeIndex(np.array(cells).T, 2, 2)
     past, below, minus = [2, 0, 4], [2, -(1 << 62), 0], [2, 1, -1]
     keys, _ = index._pack(np.array([past, below, minus]).T)
     assert index.keys[index.find([[2, 1, 0], [2, 0, 0]])].tolist() \
@@ -212,7 +217,8 @@ def test_out_of_range_rows_never_match_through_key_collisions():
     assert keys[2] < 0
     assert index.find([past, below, minus]).tolist() == [-1, -1, -1]
 
-    lattice = TreeIndex([[0, 0], [8, 0], [0, 8], [8, 8]], 2, 3, shift=3)
+    lattice = TreeIndex(np.array([[0, 0], [8, 0], [0, 8], [8, 8]]).T, 2, 3,
+                        shift=3)
     keys, _ = lattice._pack(np.array([[1, 0], [8, 12]]).T)
     assert lattice.keys[lattice.find([[0, 0], [8, 8]])].tolist() \
         == keys.tolist()
@@ -246,3 +252,4 @@ def test_corner_refinement_past_key_width_limit_raises():
     with pytest.raises(MeshError, match=r"3-D tree refined to level 21 "
                                         r"needs 66-bit lookup keys"):
         build_mesh(corner_spec(21))
+
