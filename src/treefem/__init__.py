@@ -1,8 +1,7 @@
 """Weak-form compiler and shifted-boundary finite elements on tree meshes."""
 
 from .assemble import (
-    Assembler, RunResult, StepRecord, bicgstab, l2_error, nodal_values,
-    reduce_system, run_problem,
+    Assembler, RunResult, StepRecord, l2_error, nodal_values, run_problem,
 )
 from .codegen import emit_kernels, parse_ir, serialize_ir
 from .errors import (
@@ -12,6 +11,7 @@ from .errors import (
 from .forms import KernelIR, compile_kernel
 from .mesh import IncompleteMesh, build_mesh
 from .problem import ProblemSpec, TimeScheme, parse_problem, with_levels
+from .solve import bicgstab, reduce_system
 from .vtkio import write_diagnostics_csv, write_fields_vtk, write_mesh_vtk
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Batched assembly of compiled kernels over a tree mesh, and the solver.
+"""Batched assembly of compiled kernels over a tree mesh, and the driver.
 
 Cells and boundary faces share one batch record, built once at set-up:
 the owners' connectivity, origins and edge lengths ``h``, the reference
@@ -32,11 +32,6 @@ A slab's triplets come in the order of one triplet list over all blocks,
 so ``A`` has that list's bits, while the scatter holds one slab's
 triplets at a time, never the whole list.
 
-The constrained system is reduced with the mesh's hanging-node expansion
-``C`` (solve ``CᵀAC y = Cᵀb``, then expand ``u = Cy``) and solved with a
-Jacobi-preconditioned BiCGStab. Without hanging nodes ``C`` is the
-identity, and ``CᵀAC`` is ``A`` less its explicit zeros.
-
 A NaN or infinite nodal value (``nodal_values``' result, ``run_problem``'s
 ``initial``) or exact value (a callable ``exact`` of ``l2_error``) fails
 with a ``ValidationError`` naming the argument.
@@ -51,11 +46,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import expr as ex
-from .errors import AssemblyError, SolverError, ValidationError
+from .errors import AssemblyError, ValidationError
 from .forms import Region, compile_kernel
 from .kernel import basis_table, face_reference_points, tensor_rule
 from .mesh import KIND_GEOMETRY, build_mesh
 from .problem import BCKind, TimeScheme
+# run_problem calls these by this module's names, which benchmark probes swap
+from .solve import SolveInfo, bicgstab, reduce_system
 
 __all__ = ["Assembler", "SolveInfo", "StepRecord", "RunResult",
            "bicgstab", "reduce_system", "run_problem", "nodal_values",
@@ -71,13 +68,6 @@ _SLAB_TRIPLETS = 1 << 17
 # surface region and boundary-value name of each boundary-condition kind
 _SURFACE = {BCKind.DIRICHLET: (Region.DIRICHLET_SURFACE, "special:gd"),
             BCKind.NEUMANN: (Region.NEUMANN_SURFACE, "special:gn")}
-
-
-@dataclass
-class SolveInfo:
-    iterations: int
-    residual: float
-    history: list
 
 
 @dataclass
@@ -403,107 +393,6 @@ def _slab(blocks, conn, first, pairs, lo, hi, n):
     # tocsr's arrays hold every triplet of the slab, and a part that keeps
     # over half of them is a view into them: copy it out alone
     return np.diff(part.indptr), part.indices.copy(), part.data.copy()
-
-
-# ---------------------------------------------------------------------------
-# constrained reduction and linear solver
-
-def reduce_system(A, b, constraint):
-    """The reduced system ``(CᵀAC, Cᵀb)`` of the expansion ``C``.
-
-    Without hanging nodes ``C`` is the identity, and ``CᵀAC`` is ``A``
-    less its explicit zeros, to the bit: each product adds one term to
-    zero and drops the sums that are zero. So a canonical CSR ``A`` is
-    returned as it is, or as a copy without its zeros. ``Cᵀb`` stays a
-    product, which turns ``-0.0`` into ``+0.0``.
-    """
-    if (_is_identity(constraint) and sp.issparse(A) and A.format == "csr"
-            and A.has_canonical_format):
-        if not A.data.all():
-            A = A.copy()
-            A.eliminate_zeros()
-        return A, constraint.T @ b
-    reduced = (constraint.T @ (A @ constraint)).tocsr()
-    return reduced, constraint.T @ b
-
-
-def _is_identity(matrix):
-    n = matrix.shape[0]
-    return (sp.issparse(matrix) and matrix.format == "csr"
-            and matrix.shape == (n, n)
-            and np.array_equal(matrix.indptr, np.arange(n + 1))
-            and np.array_equal(matrix.indices, np.arange(n))
-            and bool((matrix.data == 1).all()))
-
-
-def bicgstab(A, b, x0=None, abs_tol=1e-8, rel_tol=1e-8, max_iterations=1000,
-             pc_type="jacobi"):
-    """Preconditioned BiCGStab on the reduced system."""
-    n = len(b)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, float).copy()
-    r = b - A @ x
-    norm0 = float(np.linalg.norm(r))
-    history = [norm0]
-    target = max(abs_tol, rel_tol * norm0)
-    if norm0 <= target:
-        return x, SolveInfo(0, norm0, history)
-    if pc_type == "jacobi":
-        diag = A.diagonal()
-        diag = np.where(np.abs(diag) > 0.0, diag, 1.0)
-        inv_diag = 1.0 / diag
-
-        def precondition(v):
-            return inv_diag * v
-    elif pc_type == "none":
-        def precondition(v):
-            return v
-    else:
-        raise SolverError(f"unsupported preconditioner '{pc_type}'")
-
-    r0 = r.copy()
-    rho_prev = 1.0
-    alpha = 1.0
-    omega = 1.0
-    v = np.zeros(n)
-    p = np.zeros(n)
-    tiny = 1e-300
-    for iteration in range(1, max_iterations + 1):
-        rho = float(r0 @ r)
-        if abs(rho) < tiny:
-            raise SolverError("solver breakdown: rho vanished", history)
-        beta = (rho / rho_prev) * (alpha / omega)
-        p = r + beta * (p - omega * v)
-        p_hat = precondition(p)
-        v = A @ p_hat
-        denom = float(r0 @ v)
-        if abs(denom) < tiny:
-            raise SolverError("solver breakdown: search direction collapsed",
-                              history)
-        alpha = rho / denom
-        s = r - alpha * v
-        x = x + alpha * p_hat
-        norm_s = float(np.linalg.norm(s))
-        if norm_s <= target:
-            history.append(norm_s)
-            return x, SolveInfo(iteration, norm_s, history)
-        s_hat = precondition(s)
-        t_vec = A @ s_hat
-        tt = float(t_vec @ t_vec)
-        if tt < tiny:
-            raise SolverError("solver breakdown: stabilizer vanished", history)
-        omega = float(t_vec @ s) / tt
-        if abs(omega) < tiny:
-            raise SolverError("solver breakdown: omega vanished", history)
-        x = x + omega * s_hat
-        r = s - omega * t_vec
-        norm_r = float(np.linalg.norm(r))
-        history.append(norm_r)
-        if norm_r <= target:
-            return x, SolveInfo(iteration, norm_r, history)
-        rho_prev = rho
-    raise SolverError(
-        f"no convergence within {max_iterations} iterations "
-        f"(residual {history[-1]:.3e}, target {target:.3e})", history)
 
 
 def _matrix_reads_time(ir, spec):

@@ -254,7 +254,7 @@ def parse_ir(text):
             fields[head] = rest
         elif head == "prelude":
             words = rest.split()
-            if len(words) != 2 or not words[1].isdigit():
+            if len(words) != 2 or not words[1].isdecimal():
                 raise CodegenError(f"bad prelude line: {line!r}")
             prelude.append((words[0], int(words[1])))
         elif head == "group":

@@ -34,7 +34,7 @@ from .errors import EvalError, ParseError
 __all__ = [
     "Num", "Bool", "Name", "Neg", "Bin", "Call",
     "parse", "to_text", "eval_scalar", "point_env", "names_in",
-    "to_sexpr", "from_sexpr", "BUILTIN_CALLS", "WEAK_FORM_CALLS",
+    "to_sexpr", "from_sexpr", "BUILTIN_CALLS",
 ]
 
 # Plain math calls, evaluated directly: name -> (scalar, array) function.
@@ -62,10 +62,6 @@ BUILTIN_CALLS = {
     "neumannValue": 0,
     **dict.fromkeys(_MATH_CALLS, 1),
 }
-
-# Calls that only make sense while compiling a weak form; eval_scalar
-# rejects them.
-WEAK_FORM_CALLS = frozenset(BUILTIN_CALLS).difference(_MATH_CALLS)
 
 # Precedence levels, loosest first.
 (_LEVEL_OR, _LEVEL_AND, _LEVEL_CMP, _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY,
@@ -140,10 +136,10 @@ def _tokenize(text):
             i += 1
             continue
         col = i + 1
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c.isdecimal() or (c == "." and i + 1 < n and text[i + 1].isdecimal()):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j].isdecimal() or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1
@@ -151,9 +147,9 @@ def _tokenize(text):
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k].isdecimal():
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j].isdecimal():
                         j += 1
             value = float(text[i:j])
             if not math.isfinite(value):

@@ -233,9 +233,9 @@ def _children(levels, anchors):
 # ---------------------------------------------------------------------------
 # Classification against the geometries
 
-def _lattice_coords(lattice, spec):
-    lo = np.asarray(spec.domain_min, float)
-    hi = np.asarray(spec.domain_max, float)
+def _lattice_coords(lattice, domain):
+    lo = np.asarray(domain.domain_min, float)
+    hi = np.asarray(domain.domain_max, float)
     step = (hi - lo) / float(1 << _NL)
     return lo + lattice * step
 
@@ -589,8 +589,7 @@ class IncompleteMesh:
                 - np.asarray(self.domain_min, float))
 
     def node_coords(self):
-        step = self.extent / float(1 << _NL)
-        return np.asarray(self.domain_min, float) + self.node_lattice * step
+        return _lattice_coords(self.node_lattice, self)
 
     def cell_sizes(self, levels=None):
         """(n, dim) physical edge lengths per element."""
@@ -602,9 +601,7 @@ class IncompleteMesh:
         if rows is None:
             rows = slice(None)
         scale = (np.int64(1) << (_NL - self.levels[rows]))[:, None]
-        step = self.extent / float(1 << _NL)
-        return (np.asarray(self.domain_min, float)
-                + self.anchors[rows] * scale * step)
+        return _lattice_coords(self.anchors[rows] * scale, self)
 
     def face_centers(self):
         faces = self.faces

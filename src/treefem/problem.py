@@ -47,8 +47,8 @@ Sections and keys:
     ``var = expression`` (transient problems; default 0).
 
 ``[solver]``
-    ``ksp_type`` (bicgstab), ``max_iterations``, ``abs_tol``, ``rel_tol``,
-    ``pc_type`` (jacobi or none).
+    ``ksp_type``, ``max_iterations``, ``abs_tol``, ``rel_tol``, ``pc_type``;
+    ``treefem.solve`` declares their defaults and accepted names.
 
 ``[weak_form]`` (required)
     The residual expression; volume terms plus ``dirichletBoundary(...)``
@@ -69,6 +69,7 @@ from enum import Enum
 
 from . import expr as ex
 from .errors import ParseError, ValidationError
+from .solve import KSP_TYPES, PRECONDITIONERS, SolverOptions
 
 __all__ = [
     "BCKind", "TimeScheme", "TimeConfig", "SolverOptions", "GeometrySpec",
@@ -100,15 +101,6 @@ class TimeConfig:
     scheme: TimeScheme
     dt: float
     num_steps: int
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    ksp_type: str = "bicgstab"
-    max_iterations: int = 1000
-    abs_tol: float = 1e-8
-    rel_tol: float = 1e-8
-    pc_type: str = "jacobi"
 
 
 @dataclass(frozen=True)
@@ -554,9 +546,9 @@ def _validate(spec):
             raise ValidationError(f"initial condition references unknown field '{var}'")
 
     sol = spec.solver
-    if sol.ksp_type not in ("bicgstab", "bcgs"):
+    if sol.ksp_type not in KSP_TYPES:
         raise ValidationError(f"unsupported ksp_type '{sol.ksp_type}'")
-    if sol.pc_type not in ("jacobi", "none"):
+    if sol.pc_type not in PRECONDITIONERS:
         raise ValidationError(f"unsupported pc_type '{sol.pc_type}'")
     if sol.max_iterations < 1:
         raise ValidationError("max_iterations must be at least 1")

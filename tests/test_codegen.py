@@ -282,6 +282,7 @@ def test_parsed_document_assembles_identically():
     ("steady false@steady path", "bad steady flag"),
     ("dimension 3@dimension tall", "bad dimension"),
     ("prelude u 1@prelude u one", "bad prelude"),
+    ("prelude u 1@prelude u ²", "bad prelude"),
     ("term N N 1.5@term N dN:q 1.5", "bad trial selector"),
     ("term N N 1.5@term - N 1.5", "test selector"),
     ("term N N 1.5@term N N", "bad term line"),

@@ -106,6 +106,13 @@ class TestParse:
             "*", ex.Num(np.finfo(float).max), ex.Name("x"))
         assert ex.parse("1e-400") == ex.Num(0.0)
 
+    def test_superscript_digit_is_not_a_number(self):
+        # str.isdigit() holds for '²', which float() rejects
+        with pytest.raises(ParseError) as err:
+            ex.parse("1²")
+        assert str(err.value) == "column 2: unexpected character '²'"
+        assert ex.parse("x²") == ex.Name("x²")
+
     def test_caret_is_not_an_operator(self):
         with pytest.raises(ParseError):
             ex.parse("x^2")
