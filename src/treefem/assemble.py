@@ -145,6 +145,18 @@ def _cell_batches(mesh, rule):
             for level in np.unique(mesh.levels)]
 
 
+def _group_rows(keys):
+    """The distinct rows of ``keys`` in lexicographic order and, for each,
+    the ascending numbers of the rows equal to it: ``np.unique(keys,
+    axis=0)``'s groups, from one stable sort."""
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    new = np.ones(len(keys), bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    start = np.flatnonzero(new)
+    return keys[start], np.split(order, start)[1:]
+
+
 def _face_batches(mesh):
     """One batch per (level, axis, orientation, kind, geometry, slice) of
     surrogate faces, with its true-boundary points and surface data."""
@@ -153,11 +165,8 @@ def _face_batches(mesh):
     rule = tensor_rule(_ASSEMBLY_QUAD, dim - 1)
     keys = np.column_stack([mesh.levels[f.element], f.axis, f.orient, f.kind,
                             f.geom, f.slices.astype(np.int64)])
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
     batches = []
-    for b, key in enumerate(uniq):
-        rows = np.nonzero(inverse == b)[0]
+    for key, rows in zip(*_group_rows(keys)):
         _, axis, orient, kind, geom = (int(v) for v in key[:5])
         codes = tuple(int(v) for v in key[5:])
         points, fraction = face_reference_points(rule.points, axis, orient,

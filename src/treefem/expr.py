@@ -563,4 +563,11 @@ def _sexpr_atom(tok):
             return Num(float(tok))
         except ValueError:
             pass
-    return Name(tok)
+    # a script identifier as ``_tokenize`` reads one, then ``:``-joined
+    # segments of identifier characters (``special:nt:0``, ``prev:u:1``)
+    parts = tok.split(":")
+    if ((first.isalpha() or first == "_")
+            and all(part and all(c.isalnum() or c == "_" for c in part)
+                    for part in parts)):
+        return Name(tok)
+    raise ParseError(f"bad s-expression atom '{tok}'")

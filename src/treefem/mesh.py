@@ -12,7 +12,8 @@ refined box. Construction runs in four stages:
 2. **balance**: adjacent leaves are limited to one level of difference,
    across faces in 2-D and across faces *and* edges in 3-D. The edge rule
    guarantees every nonconforming node sits at an edge midpoint or face
-   center of its coarse neighbor.
+   center of its coarse neighbor. After the first sweep, only the leaves
+   that can still be too fine ask again, once per parent.
 3. **carve**: one index of the balanced leaves' distinct corners is
    built, and each geometry's ``kept`` answers once per distinct corner.
    Only elements whose corners all lie on the kept side of every geometry
@@ -23,11 +24,13 @@ refined box. Construction runs in four stages:
    the nodes, numbered in the index's key order on the shared integer
    lattice (the domain spans 2**30 lattice units per axis); hanging nodes
    are detected by probing that index at the face centres (and edge
-   midpoints in 3-D) of every element, and the constraint matrix mapping
-   free node values to all node values is built in one sparse step: an
+   midpoints in 3-D) of every element. Each probe's hanging nodes and
+   their parents stay arrays, and the constraint matrix mapping free node
+   values to all node values is built from them in one sparse step: an
    identity row per free node and a row of midpoint weights per hanging
    node. The balance of stage 2 keeps every parent of a hanging node
-   free, so no constraint refers to another hanging node.
+   free, so no constraint refers to another hanging node. The
+   ``IncompleteMesh.hanging`` dict is built from the arrays only when read.
 
 Anchors are integer cell coordinates at the cell's own level; lattice
 coordinates are at the fixed normalization level 30, so all point
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -322,30 +326,49 @@ def balance(levels, anchors, dim):
     """Split leaves until neighbors differ by at most one level.
 
     Neighbors are face-adjacent cells, plus edge-adjacent cells in 3-D so
-    that hanging nodes can only be edge midpoints or face centers.
+    that hanging nodes can only be edge midpoints or face centers. Each
+    sweep splits, once, every leaf two or more levels coarser than a
+    neighbour. Neighbours only get finer, so a sweep asks only the last
+    sweep's new children and the leaves that found such a neighbour in it
+    (still too fine after a gap of 3 or more), and siblings ask the same
+    coarse cells, so each asks once for all, through their parent.
     """
     levels = np.asarray(levels, np.int64)
     anchors = np.asarray(anchors, np.int64)
     dirs = _balance_directions(dim)
-    while True:
+    # no leaf is two levels coarser than the coarsest
+    fine = np.min(levels, initial=MAX_LEVEL) + 2
+    ask = levels >= fine
+    while ask.any():
         index = _cell_index(levels, anchors)
-        mark = np.zeros(len(levels), bool)
         present = np.unique(levels)
-        for gap in range(2, int(levels.max()) + 1):
-            rows = np.isin(levels - gap, present)
-            if not rows.any():
+        parents = _cell_index(levels[ask] - 1, anchors[ask] >> 1)
+        rows = np.nonzero(ask)[0][parents.first]
+        parent_levels, parent_anchors = levels[rows] - 1, anchors[rows] >> 1
+        mark = np.zeros(len(levels), bool)
+        found_any = np.zeros(len(rows), bool)
+        # a parent asks for cells ``gap`` levels coarser than itself
+        for gap in range(1, int(parent_levels.max()) + 1):
+            near = np.nonzero(np.isin(parent_levels - gap, present))[0]
+            if not len(near):
                 continue
-            coarse_level = levels[rows] - gap
-            near = np.ascontiguousarray(anchors[rows].T)
+            coarse_level = parent_levels[near] - gap
+            columns = np.ascontiguousarray(parent_anchors[near].T)
             for v in dirs:
                 found = index.find_columns(
-                    [coarse_level] + [(a + s) >> gap for a, s in zip(near, v)])
-                mark[index.first[found[found >= 0]]] = True
+                    [coarse_level] + [(a + s) >> gap
+                                      for a, s in zip(columns, v)])
+                hit = found >= 0
+                mark[index.first[found[hit]]] = True
+                found_any[near[hit]] = True
         if not mark.any():
-            return levels, anchors
+            break
+        ask[ask] = found_any[parents.inverse]
         child_levels, child_anchors = _children(levels[mark], anchors[mark])
         levels = np.concatenate([levels[~mark], child_levels])
         anchors = np.vstack([anchors[~mark], child_anchors])
+        ask = np.concatenate([ask[~mark], child_levels >= fine])
+    return levels, anchors
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +518,16 @@ def _probe_table(dim):
 
 
 def number_nodes(levels, anchors, dim, corners):
-    """Node lattice, element connectivity, and the hanging constraint map.
+    """Node lattice, element connectivity, and the hanging-node pairs.
 
     The nodes are the corners of ``corners.cells``, one row per element
     (``carve``'s ``Corners``, or the ``_corner_index`` of the elements),
     numbered in key order. Returns (node_lattice, elem_nodes, hanging)
-    where hanging maps a node index to a tuple of (node index, weight)
-    pairs averaging the corners of the face or edge it sits on.
+    where hanging holds one ``(nodes, parents, weight)`` per midpoint
+    probe: the hanging nodes it found, ascending, the ``(k, m)`` node
+    numbers of the corners of the face or edge each sits on, in
+    corner-bit order, and their weight ``1 / m``. A node that several
+    probes find takes the last one's parents (``_hanging_map``).
     """
     # node number of each corner position, -1 for a corner of no element;
     # the extra last entry maps a missed probe's -1 to -1
@@ -511,7 +537,7 @@ def number_nodes(levels, anchors, dim, corners):
     node_lattice = corners.lattice[used[:-1]]
     elem_nodes = number[corners.cells]
 
-    hanging = {}
+    hanging = []
     size = np.int64(1) << (_NL - levels)
     rows = np.nonzero(size >= 2)[0]
     origins = anchors[rows].T * size[rows]
@@ -522,34 +548,51 @@ def number_nodes(levels, anchors, dim, corners):
         # every cell that finds a node on this probe names the same corners
         hit = np.nonzero(found >= 0)[0]
         nodes, first = np.unique(found[hit], return_index=True)
-        parents = elem_nodes[rows[hit[first]]][:, parent_corners].tolist()
-        weights = (1.0 / len(parent_corners),) * len(parent_corners)
-        hanging.update(zip(nodes.tolist(), map(
-            tuple, map(zip, parents, itertools.repeat(weights)))))
+        hanging.append((nodes, elem_nodes[rows[hit[first]]][:, parent_corners],
+                        1.0 / len(parent_corners)))
     return node_lattice, elem_nodes, hanging
+
+
+def _hanging_map(hanging):
+    """``number_nodes``' per-probe pairs as a dict: node index -> tuple of
+    (parent node index, weight) pairs; a later probe's pairs win."""
+    out = {}
+    for nodes, parents, weight in hanging:
+        # one iterator zipped with itself groups each row's (parent, weight)
+        pairs = zip(parents.ravel().tolist(), itertools.repeat(weight))
+        out.update(zip(nodes.tolist(), zip(*[pairs] * parents.shape[1])))
+    return out
 
 
 def _constraint_matrix(n_nodes, hanging):
     """Sparse map from free node values to all node values.
 
     A free node's row is its own column; a hanging node's row holds its
-    weights on its parents' columns. 2:1 balance across faces (and edges
-    in 3-D) keeps every parent free, so these rows are the whole map.
+    weights on its parents' columns, from the last probe of ``hanging``
+    (``number_nodes``' pairs) that found it. 2:1 balance across faces
+    (and edges in 3-D) keeps every parent free, so these rows are the
+    whole map.
     """
-    entry = np.array(
-        [(node, parent, weight) for node, pairs in hanging.items()
-         for parent, weight in pairs],
-        dtype=[("node", np.int64), ("parent", np.int64), ("weight", float)])
+    probe = np.full(n_nodes, -1)
+    for p, (nodes, _, _) in enumerate(hanging):
+        probe[nodes] = p
+    node, parent, weight = [], [], []
+    for p, (nodes, parents, w) in enumerate(hanging):
+        last = probe[nodes] == p
+        node.append(np.repeat(nodes[last], parents.shape[1]))
+        parent.append(parents[last].ravel())
+        weight.append(np.full(len(parent[-1]), w))
+    node, parent = np.concatenate(node), np.concatenate(parent)
     is_free = np.ones(n_nodes, bool)
-    is_free[entry["node"]] = False
-    if not is_free[entry["parent"]].all():
+    is_free[node] = False
+    if not is_free[parent].all():
         raise MeshError("a hanging node's parent is hanging too; the tree "
                         "is not 2:1 balanced")
     free = np.nonzero(is_free)[0]
     column = np.cumsum(is_free) - 1
-    rows = np.concatenate([free, entry["node"]])
-    cols = column[np.concatenate([free, entry["parent"]])]
-    vals = np.concatenate([np.ones(len(free)), entry["weight"]])
+    rows = np.concatenate([free, node])
+    cols = column[np.concatenate([free, parent])]
+    vals = np.concatenate([np.ones(len(free))] + weight)
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, len(free)))
     return free, matrix
 
@@ -565,11 +608,17 @@ class IncompleteMesh:
     anchors: np.ndarray         # (n_e, dim)
     node_lattice: np.ndarray    # (n_n, dim) at normalization level 30
     elem_nodes: np.ndarray      # (n_e, 2**dim) in corner-bit order
-    hanging: dict               # node -> ((node, weight), ...)
+    hanging_pairs: list         # number_nodes' (nodes, parents, weight)
     free_nodes: np.ndarray      # (n_free,)
     constraint: object          # csr (n_n, n_free)
     faces: SurrogateFaces
     geometries: list = field(default_factory=list)
+
+    @cached_property
+    def hanging(self):
+        """node -> ((parent, weight), ...), ``_hanging_map`` of
+        ``hanging_pairs``, built on first access; solving never reads it."""
+        return _hanging_map(self.hanging_pairs)
 
     @property
     def n_elements(self):
@@ -642,7 +691,7 @@ def build_mesh(spec, base_dir="."):
         anchors=anchors,
         node_lattice=node_lattice,
         elem_nodes=elem_nodes,
-        hanging=hanging,
+        hanging_pairs=hanging,
         free_nodes=free_nodes,
         constraint=constraint,
         faces=faces,

@@ -10,7 +10,10 @@ deduplicated corner lattice, the tree-index keys packed from stacked
 rows with two axis reductions, and the carve and node numbering that
 each expanded every cell into its ``2**dim`` corner rows: the carve
 asked ``kept`` for every cell's corners, and the numbering built a
-second index over the kept cells' rows.
+second index over the kept cells' rows. The newest are the balance that
+asked every leaf in every sweep, once per leaf, and the numbering that
+built the hanging map as a dict, which the constraint matrix then took
+apart row by row.
 """
 
 import itertools
@@ -22,7 +25,8 @@ from treefem import expr as ex
 from treefem.errors import MeshError
 from treefem.mesh import (
     _NL, _WALL_AXIS, EXTERIOR, INTERCEPTED, INTERIOR, MAX_LEVEL, TreeIndex,
-    _children, _lattice_coords, _probe_table, corner_bits,
+    _balance_directions, _cell_index, _children, _lattice_coords,
+    _probe_table, corner_bits,
 )
 
 
@@ -278,3 +282,77 @@ def pack(index, rows):
     if index.shift:
         valid &= ((rows & ((1 << index.shift) - 1)) == 0).all(axis=1)
     return (coarse << np.asarray(index.bit, np.int64)).sum(axis=1), valid
+
+
+def balance(levels, anchors, dim):
+    """2:1 balance asking every leaf, at every gap and direction, in every
+    sweep, including the last one, which splits nothing."""
+    levels = np.asarray(levels, np.int64)
+    anchors = np.asarray(anchors, np.int64)
+    dirs = _balance_directions(dim)
+    while True:
+        index = _cell_index(levels, anchors)
+        mark = np.zeros(len(levels), bool)
+        present = np.unique(levels)
+        for gap in range(2, int(levels.max()) + 1):
+            rows = np.isin(levels - gap, present)
+            if not rows.any():
+                continue
+            coarse_level = levels[rows] - gap
+            near = np.ascontiguousarray(anchors[rows].T)
+            for v in dirs:
+                found = index.find_columns(
+                    [coarse_level] + [(a + s) >> gap for a, s in zip(near, v)])
+                mark[index.first[found[found >= 0]]] = True
+        if not mark.any():
+            return levels, anchors
+        child_levels, child_anchors = _children(levels[mark], anchors[mark])
+        levels = np.concatenate([levels[~mark], child_levels])
+        anchors = np.vstack([anchors[~mark], child_anchors])
+
+
+def number_nodes_map(levels, anchors, dim, corners):
+    """``treefem.mesh.number_nodes`` returning the hanging map as a dict
+    filled probe by probe, a later probe's pairs replacing an earlier's."""
+    used = np.zeros(len(corners.lattice) + 1, bool)
+    used[corners.cells] = True
+    number = np.where(used, np.cumsum(used) - 1, -1)
+    node_lattice = corners.lattice[used[:-1]]
+    elem_nodes = number[corners.cells]
+
+    hanging = {}
+    size = np.int64(1) << (_NL - levels)
+    rows = np.nonzero(size >= 2)[0]
+    origins = anchors[rows].T * size[rows]
+    half = size[rows] >> 1
+    for pos, parent_corners in _probe_table(dim):
+        found = number[corners.index.find_columns(
+            [origin + half * p for origin, p in zip(origins, pos.tolist())])]
+        hit = np.nonzero(found >= 0)[0]
+        nodes, first = np.unique(found[hit], return_index=True)
+        parents = elem_nodes[rows[hit[first]]][:, parent_corners].tolist()
+        weights = (1.0 / len(parent_corners),) * len(parent_corners)
+        hanging.update(zip(nodes.tolist(), map(
+            tuple, map(zip, parents, itertools.repeat(weights)))))
+    return node_lattice, elem_nodes, hanging
+
+
+def map_constraint_matrix(n_nodes, hanging):
+    """The constraint matrix from a hanging dict, through one structured
+    array of its ``(node, parent, weight)`` entries."""
+    entry = np.array(
+        [(node, parent, weight) for node, pairs in hanging.items()
+         for parent, weight in pairs],
+        dtype=[("node", np.int64), ("parent", np.int64), ("weight", float)])
+    is_free = np.ones(n_nodes, bool)
+    is_free[entry["node"]] = False
+    if not is_free[entry["parent"]].all():
+        raise MeshError("a hanging node's parent is hanging too; the tree "
+                        "is not 2:1 balanced")
+    free = np.nonzero(is_free)[0]
+    column = np.cumsum(is_free) - 1
+    rows = np.concatenate([free, entry["node"]])
+    cols = column[np.concatenate([free, entry["parent"]])]
+    vals = np.concatenate([np.ones(len(free)), entry["weight"]])
+    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, len(free)))
+    return free, matrix

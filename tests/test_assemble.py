@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 import dataclasses
 
 from treefem.assemble import (
-    _SLAB_TRIPLETS, Assembler, RunResult, StepRecord, _matrix_reads_time,
-    _scatter, bicgstab, l2_error, nodal_values, reduce_system, run_problem,
+    _SLAB_TRIPLETS, Assembler, RunResult, StepRecord, _face_batches,
+    _group_rows, _matrix_reads_time, _scatter, bicgstab, l2_error,
+    nodal_values, reduce_system, run_problem,
 )
 from treefem.errors import AssemblyError, SolverError
 from treefem.forms import KernelIR, compile_kernel
@@ -562,6 +563,49 @@ ORACLE_CASES = {
     "one_linear_term": (DECAY.format(scheme="euler_implicit", steps=1),
                         True, True),
 }
+
+
+def unique_row_groups(keys):
+    """``_group_rows`` through ``np.unique(axis=0)`` and one scan per
+    distinct row."""
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    return uniq, [np.nonzero(inverse == b)[0] for b in range(len(uniq))]
+
+
+def assert_same_groups(keys):
+    got_keys, got_rows = _group_rows(keys)
+    want_keys, want_rows = unique_row_groups(keys)
+    assert np.array_equal(got_keys, want_keys)
+    assert len(got_rows) == len(want_rows)
+    for got, want in zip(got_rows, want_rows):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_group_rows_matches_unique_rows(n, width, seed):
+    keys = np.random.default_rng(seed).integers(-2, 3, (n, width))
+    assert_same_groups(keys)
+
+
+@pytest.mark.parametrize("script", [
+    sphere_script(base=2, glevel=4),
+    (GOLDEN / "heat_bdf2_script.prob").read_text(),
+], ids=["sphere", "heat"])
+def test_face_batches_group_like_unique_rows(script):
+    """Face batches come in ``np.unique(keys, axis=0)`` order, each with
+    its faces in ascending order."""
+    mesh = build_mesh(parse_problem(script))
+    f = mesh.faces
+    keys = np.column_stack([mesh.levels[f.element], f.axis, f.orient, f.kind,
+                            f.geom, f.slices.astype(np.int64)])
+    assert_same_groups(keys)
+    _, groups = unique_row_groups(keys)
+    batches = _face_batches(mesh)
+    assert len(batches) == len(groups) > 1
+    for batch, rows in zip(batches, groups):
+        assert np.array_equal(batch.conn, mesh.elem_nodes[f.element[rows]])
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from unittest import mock
 
 import pytest
 
@@ -10,6 +11,8 @@ from treefem.codegen import parse_ir, serialize_ir
 from treefem.forms import compile_kernel
 from treefem.mesh import build_mesh
 from treefem.problem import parse_problem, with_levels
+
+from test_acceptance import sphere_script
 
 DISK = """
 [domain]
@@ -336,3 +339,19 @@ def test_run_is_deterministic(tmp_path):
         assert "diagnostics.csv" in names and len(names) > 1
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_run_never_builds_the_hanging_map(tmp_path):
+    """``cmd_run`` solves through the mesh's hanging pairs; the
+    ``mesh.hanging`` dict is built only when something reads it."""
+    built = []
+
+    def build(*args):
+        built.append(build_mesh(*args))
+        return built[-1]
+    script = write_script(tmp_path, sphere_script(base=2, glevel=4))
+    with mock.patch("treefem.cli.build_mesh", build):
+        assert main(["run", str(script), "--out", str(tmp_path / "out")]) == 0
+    mesh, = built
+    assert "hanging" not in vars(mesh)
+    assert len(mesh.hanging) > 0 and "hanging" in vars(mesh)

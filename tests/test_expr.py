@@ -2,6 +2,7 @@
 
 import math
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,3 +335,28 @@ class TestSexpr:
     def test_canonical_text(self):
         tree = ex.Bin("*", ex.Num(2.0), ex.Name("prev:u:1"))
         assert ex.to_sexpr(tree) == "(* 2 prev:u:1)"
+
+    @pytest.mark.parametrize("text, atom", [
+        ("(+ x ²)", "²"), ("(+ x 1a)", "1a"), ("(* a::b 2)", "a::b"),
+        ("(* :x 2)", ":x"), ("(neg x$)", "x$"), ("-", "-"),
+    ])
+    def test_atom_a_script_cannot_write_is_rejected(self, text, atom):
+        with pytest.raises(ParseError) as err:
+            ex.from_sexpr(text)
+        assert str(err.value) == f"bad s-expression atom '{atom}'"
+
+    @pytest.mark.parametrize("name", [
+        "special:nt:0", "prev:u:1", "_a1", "x²", "κ"])
+    def test_script_names_are_atoms(self, name):
+        # a script may name a coefficient x² or κ (see TestParse)
+        tree = ex.Bin("+", ex.Name(name), ex.Num(1.0))
+        assert ex.from_sexpr(ex.to_sexpr(tree)) == tree
+
+    def test_golden_ir_terms_roundtrip(self):
+        lines = (Path(__file__).parent / "golden" /
+                 "heat_bdf2_ir.txt").read_text().splitlines()
+        terms = [line.split(" ", 3)[3] for line in lines
+                 if line.startswith("term ")]
+        assert len(terms) > 20
+        for text in terms:
+            assert ex.to_sexpr(ex.from_sexpr(text)) == text

@@ -11,9 +11,9 @@ import treefem.mesh as mesh_module
 from treefem.errors import EmptyMeshError, MeshError
 from treefem.geometry import load_geometry, write_stl
 from treefem.mesh import (
-    INTERIOR, KIND_GEOMETRY, KIND_WALL, _constraint_matrix, _leaf_corners,
-    balance, build_mesh, build_tree, carve, classify_elements, corner_bits,
-    number_nodes,
+    INTERIOR, KIND_GEOMETRY, KIND_WALL, _constraint_matrix, _hanging_map,
+    _leaf_corners, balance, build_mesh, build_tree, carve, classify_elements,
+    corner_bits, number_nodes,
 )
 from treefem.problem import parse_problem
 
@@ -345,37 +345,127 @@ def test_numbering_and_constraint_match_oracles(dim, seed):
     depth = base + int(rng.integers(1, 6 if dim == 2 else 4))
     tree = build_tree(box_spec(dim, base, lo, hi, depth), [])
     levels, anchors = balance(*tree, dim)
-    with mock.patch.object(mesh_module, "_balance_directions",
+    with mock.patch.object(oracle, "_balance_directions",
                            oracle.balance_directions):
-        oracle_levels, oracle_anchors = balance(*tree, dim)
+        oracle_levels, oracle_anchors = oracle.balance(*tree, dim)
     assert np.array_equal(levels, oracle_levels)
     assert np.array_equal(anchors, oracle_anchors)
 
-    node_lattice, elem_nodes, hanging = number_nodes(
-        levels, anchors, dim, mesh_module._corner_index(levels, anchors))
+    corners = mesh_module._corner_index(levels, anchors)
+    node_lattice, elem_nodes, pairs = number_nodes(levels, anchors, dim,
+                                                   corners)
+    hanging = _hanging_map(pairs)
     index = oracle.lattice_index(oracle.corner_lattice(levels, anchors),
                                  levels)
     assert hanging == oracle.fill_hanging(levels, anchors, elem_nodes,
                                           index.find, dim)
-    free, constraint = _constraint_matrix(len(node_lattice), hanging)
-    oracle_free, oracle_constraint = oracle.constraint_matrix(
-        len(node_lattice), hanging)
-    assert np.array_equal(free, oracle_free)
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(constraint, part),
-                              getattr(oracle_constraint, part))
+    mapped = oracle.number_nodes_map(levels, anchors, dim, corners)
+    assert np.array_equal(node_lattice, mapped[0])
+    assert np.array_equal(elem_nodes, mapped[1])
+    assert list(hanging.items()) == list(mapped[2].items())
+    free, constraint = _constraint_matrix(len(node_lattice), pairs)
+    for oracle_free, oracle_constraint in (
+            oracle.constraint_matrix(len(node_lattice), hanging),
+            oracle.map_constraint_matrix(len(node_lattice), hanging)):
+        assert np.array_equal(free, oracle_free)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(constraint, part),
+                                  getattr(oracle_constraint, part))
     assert (np.asarray(constraint.sum(axis=1)).ravel() == 1.0).all()
     assert not set(hanging) & {p for pairs in hanging.values()
                                for p, _ in pairs}
 
 
-@pytest.mark.parametrize("hanging", [
-    {1: ((0, 0.5), (2, 0.5)), 2: ((0, 0.5), (3, 0.5))},
-    {1: ((0, 0.5), (2, 0.5)), 2: ((1, 0.5), (3, 0.5))},
+def point_spec(dim, base, points, depth):
+    """Tree refined to ``depth`` in every cell that holds one of
+    ``points``; a point just beside a coarse cell's side leaves the fine
+    cells around it several levels finer than the cell across."""
+    half = "0.5 * exp(-0.6931 * level)"
+    holds = " || ".join(
+        "(" + " && ".join(f"abs({a} - {c}) < {half}"
+                          for a, c in zip("xyz", point)) + ")"
+        for point in points)
+    return parse_problem(f"""
+[domain]
+dimension = {dim}
+min = {", ".join(["0"] * dim)}
+max = {", ".join(["1"] * dim)}
+base_refine_level = {base}
+refine_where = ({holds}) && level < {depth}
+
+[variables]
+names = u
+
+[weak_form]
+dot(grad(u), grad(v)) - 1.0 * v
+""")
+
+
+_NEAR_SIDE = st.tuples(st.integers(1, 7), st.sampled_from([-1e-3, 1e-3, 0.02]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 2), st.integers(1, 4),
+       st.lists(st.lists(_NEAR_SIDE, min_size=3, max_size=3),
+                min_size=1, max_size=2))
+def test_balance_matches_every_leaf_oracle(dim, base, gap, points):
+    """Level gaps up to 4 take up to three splitting sweeps; asking only
+    new children and the leaves that found a coarse neighbour, once per
+    parent, splits the same leaves in the same order as asking every
+    leaf in every sweep."""
+    points = [[round(j / 8 + eps, 4) for j, eps in point[:dim]]
+              for point in points]
+    tree = build_tree(point_spec(dim, base, points, base + gap), [])
+    levels, anchors = balance(*tree, dim)
+    oracle_levels, oracle_anchors = oracle.balance(*tree, dim)
+    assert np.array_equal(levels, oracle_levels)
+    assert np.array_equal(anchors, oracle_anchors)
+
+
+def test_balance_asks_an_old_leaf_again():
+    """The level-4 cells (2, 7) and (3, 7) under (0.126, 0.499) sit three
+    levels below the level-1 cell (0, 1) across y = 0.5. The first sweep
+    splits that cell once; in the second, those same unsplit cells must
+    ask again to find its child (0, 2), still two levels coarser, which no
+    new child borders."""
+    tree = build_tree(point_spec(2, 1, [(0.126, 0.499)], 4), [])
+    assert [2, 7] in tree[1][tree[0] == 4].tolist()
+    with mock.patch.object(mesh_module, "_children",
+                           wraps=mesh_module._children) as split:
+        levels, anchors = balance(*tree, 2)
+    assert [(call.args[0].tolist(), call.args[1].tolist())
+            for call in split.call_args_list] == [
+        ([1, 2], [[0, 1], [1, 1]]), ([1, 2], [[1, 0], [0, 2]])]
+    oracle_levels, oracle_anchors = oracle.balance(*tree, 2)
+    assert np.array_equal(levels, oracle_levels)
+    assert np.array_equal(anchors, oracle_anchors)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(np.array([1, 2]), np.array([[0, 2], [0, 3]]), 0.5)],
+    [(np.array([1, 2]), np.array([[0, 2], [1, 3]]), 0.5)],
 ], ids=["chain", "cycle"])
-def test_constraint_rejects_hanging_parent(hanging):
+def test_constraint_rejects_hanging_parent(pairs):
     with pytest.raises(MeshError, match="parent is hanging"):
-        _constraint_matrix(4, hanging)
+        _constraint_matrix(4, pairs)
+
+
+def test_last_probe_wins():
+    """A node two probes find takes the later probe's parents, in the
+    dict and in the constraint rows, as filling a dict probe by probe
+    did."""
+    pairs = [(np.array([1, 4]), np.array([[0, 2], [0, 3]]), 0.5),
+             (np.array([1]), np.array([[0, 2, 3, 5]]), 0.25)]
+    hanging = _hanging_map(pairs)
+    assert hanging == {1: ((0, 0.25), (2, 0.25), (3, 0.25), (5, 0.25)),
+                       4: ((0, 0.5), (3, 0.5))}
+    assert list(hanging) == [1, 4]
+    free, constraint = _constraint_matrix(6, pairs)
+    oracle_free, oracle_constraint = oracle.map_constraint_matrix(6, hanging)
+    assert np.array_equal(free, oracle_free)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(constraint, part),
+                              getattr(oracle_constraint, part))
 
 
 def test_balance_is_fixpoint():
@@ -597,11 +687,12 @@ def assert_carve_and_numbering_match_oracles(spec, base_dir):
                      number_nodes(kept_levels, kept_anchors, dim,
                                   mesh_module._corner_index(kept_levels,
                                                             kept_anchors)),
-                     (mesh.node_lattice, mesh.elem_nodes, mesh.hanging)):
+                     (mesh.node_lattice, mesh.elem_nodes, mesh.hanging_pairs)):
         for got, expected in zip(numbered[:2], (node_lattice, elem_nodes)):
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
-        assert numbered[2] == hanging
+        assert _hanging_map(numbered[2]) == hanging
+    assert mesh.hanging == hanging
     for got, expected in ((kept_levels, oracle_levels),
                           (kept_anchors, oracle_anchors),
                           (mesh.levels, oracle_levels),
