@@ -44,7 +44,7 @@ mesh = build_mesh(parse_problem(SCRIPT))
 area = float(np.prod(mesh.cell_sizes(), axis=1).sum())
 print(f"elements:        {mesh.n_elements}")
 print(f"nodes:           {mesh.n_nodes}")
-print(f"hanging nodes:   {len(mesh.hanging)}")
+print(f"hanging nodes:   {mesh.n_nodes - mesh.n_free}")
 print(f"surrogate faces: {len(mesh.faces)}")
 print(f"kept area:       {area:.6f}  (disk area {np.pi * 0.16:.6f})")
 

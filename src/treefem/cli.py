@@ -203,7 +203,7 @@ def cmd_mesh(script_path, out_vtk="mesh.vtk", level=None):
     write_mesh_vtk(out_vtk, mesh)
     print(f"elements: {mesh.n_elements}")
     print(f"nodes: {mesh.n_nodes}")
-    print(f"hanging nodes: {len(mesh.hanging)}")
+    print(f"hanging nodes: {mesh.n_nodes - mesh.n_free}")
     print(f"surrogate faces: {len(mesh.faces)}")
     print(f"wrote {out_vtk}")
     return 0

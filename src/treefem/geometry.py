@@ -45,7 +45,7 @@ import numpy as np
 from .errors import GeometryError
 
 __all__ = [
-    "ClosestPoint", "Geometry", "Ball", "Polyline", "TriSurface",
+    "ClosestPoint", "Ball", "Polyline", "TriSurface",
     "load_geometry", "read_gmsh_lines", "read_stl", "write_stl",
 ]
 
@@ -55,19 +55,6 @@ class ClosestPoint:
     points: np.ndarray      # (n, dim) projections onto the surface
     normals: np.ndarray     # (n, dim) unit normals out of the kept region
     distances: np.ndarray   # (n,) unsigned distances
-
-
-class Geometry:
-    """Base class; subclasses fill in dimension, kept, and closest."""
-
-    dimension = None
-    outer_boundary = True
-
-    def kept(self, points):
-        raise NotImplementedError
-
-    def closest(self, points):
-        raise NotImplementedError
 
 
 def _finite(values, where):
@@ -86,7 +73,7 @@ def _query_points(points):
 # ---------------------------------------------------------------------------
 # Analytic ball (circle in 2-D, sphere in 3-D)
 
-class Ball(Geometry):
+class Ball:
     def __init__(self, center, radius, outer_boundary=True):
         center = tuple(float(c) for c in _finite(center, "argument 'center'"))
         if len(center) not in (2, 3):
@@ -122,12 +109,14 @@ class Ball(Geometry):
 # ---------------------------------------------------------------------------
 # Faceted shapes: segments in 2-D, triangles in 3-D
 
-class _Faceted(Geometry):
+class _Faceted:
     """A closed surface of flat facets, whose (facet, corner, axis)
     coordinates a subclass sets as ``_corners``; ``_columns`` are the axes
-    across its side-test rays. For ``_closest`` it supplies ``_project(p,
+    across its side-test rays. For ``kept`` it supplies ``_inside(points)``,
+    the ray parity of each point. For ``closest`` it supplies ``_project(p,
     facet)``, the closest point of ``facet[i]`` to ``p[i]`` and the feature
-    that holds it, and ``_feature_normal(facet, feature)``."""
+    that holds it, and ``_feature_normal(facet, feature)``. Each subclass
+    binds both methods in its own namespace, where perfbench wraps them."""
 
     @cached_property
     def _scale(self):
@@ -144,7 +133,15 @@ class _Faceted(Geometry):
         """The same over the facets projected across the side-test rays."""
         return _centroid_search(self._corners[:, :, self._columns])
 
-    def _closest(self, points):
+    def kept(self, points):
+        points = _query_points(points)
+        if len(points) == 0:    # no grid is built for an empty query
+            return np.zeros(0, bool)
+        inside = self._inside(points)
+        return inside if self.outer_boundary else ~inside
+
+    def closest(self, points):
+        points = _query_points(points)
         n = len(points)
         projections = np.empty((n, self.dimension))
         normals = np.empty((n, self.dimension))
@@ -195,6 +192,7 @@ class Polyline(_Faceted):
 
     dimension = 2
     _columns = slice(1, 2)      # side-test rays run along +x
+    kept, closest = _Faceted.kept, _Faceted.closest
 
     def __init__(self, points, segments, outer_boundary=True):
         points = _finite(points, "argument 'points'")
@@ -221,17 +219,11 @@ class Polyline(_Faceted):
         norms[norms == 0] = 1.0
         self.vertex_normals = accum / norms[:, None]
 
-    def kept(self, points):
-        points = _query_points(points)
-        if len(points) == 0:    # no grid is built for an empty query
-            return np.zeros(0, bool)
+    def _inside(self, points):
+        """Ray parity along +x."""
         row, _ = _crossings(points, self._corners, self._column_search,
                             self._scale)
-        inside = np.bincount(row, minlength=len(points)) % 2 == 1
-        return inside if self.outer_boundary else ~inside
-
-    def closest(self, points):
-        return self._closest(_query_points(points))
+        return np.bincount(row, minlength=len(points)) % 2 == 1
 
     def _project(self, p, segment):
         """The closest point of ``segment[i]`` to ``p[i]``, and its
@@ -359,6 +351,7 @@ class TriSurface(_Faceted):
 
     dimension = 3
     _columns = slice(0, 2)      # side-test rays run along +z
+    kept, closest = _Faceted.kept, _Faceted.closest
 
     def __init__(self, vertices, faces, outer_boundary=True):
         vertices = _finite(vertices, "argument 'vertices'")
@@ -443,16 +436,6 @@ class TriSurface(_Faceted):
         inside = np.empty(len(points), bool)
         inside[order] = (above % 2 == 1).repeat(np.diff(first, append=len(x)))
         return inside
-
-    def kept(self, points):
-        points = _query_points(points)
-        if len(points) == 0:    # no grid is built for an empty query
-            return np.zeros(0, bool)
-        inside = self._inside(points)
-        return inside if self.outer_boundary else ~inside
-
-    def closest(self, points):
-        return self._closest(_query_points(points))
 
     def _project(self, p, face):
         return _closest_on_triangles(p, *(

@@ -7,7 +7,7 @@ refined box. Construction runs in four stages:
    it is coarser than the base level, when a geometry surface crosses it
    and it is coarser than that geometry's target level, when it touches a
    wall selected for refinement, or when the user's refinement predicate
-   holds at its center. Depth is capped at level 30. Classes are computed
+   holds at its center. Depth stops at ``MAX_LEVEL``. Classes are computed
    only for cells a geometry rule can split, from their distinct corners.
 2. **balance**: adjacent leaves are limited to one level of difference,
    across faces in 2-D and across faces *and* edges in 3-D. The edge rule
@@ -42,13 +42,8 @@ one by one into sorted int64 keys, range-checks each query column (the
 table's own rows skip that) and answers lookups by binary search. The
 corner index never builds the ``(n * 2**dim, dim)`` corner array: along
 each axis a leaf's corners take its low or high side, and these pairs
-broadcast into the keys. Keys must fit in 63 bits, so a tree spanning
-the domain can reach level ``63 // dim - 1``: level 20 in 3-D, while 2-D
-trees hit the depth cap of 30 first. The corner index of every leaf spans
-the domain, so past that level carve asks ``kept`` for each leaf's own
-corners and indexes the kept elements' corners alone. Trees whose lookups
-still need wider keys are rejected with a ``MeshError`` when the index is
-built.
+broadcast into the keys. The depth cap ``MAX_LEVEL``, 29 in 2-D and 19 in
+3-D, is the deepest level at which every key fits in 63 bits.
 """
 
 from __future__ import annotations
@@ -68,7 +63,7 @@ __all__ = [
     "EXTERIOR", "INTERIOR", "INTERCEPTED", "KIND_WALL", "KIND_GEOMETRY",
     "SurrogateFaces", "IncompleteMesh",
     "build_tree", "balance", "carve", "classify_elements", "surrogate_faces",
-    "number_nodes", "build_mesh", "corner_bits",
+    "number_nodes", "build_mesh", "corner_bits", "MAX_LEVEL",
 ]
 
 EXTERIOR = 0
@@ -78,8 +73,10 @@ INTERCEPTED = 2
 KIND_WALL = 0
 KIND_GEOMETRY = 1
 
-MAX_LEVEL = 30
 _NL = 30          # normalization level for lattice coordinates
+# Depth cap per dimension: a cell key's level column (at most 5 bits) and
+# ``dim`` anchor columns fit in 63 bits, and so do the corner keys.
+MAX_LEVEL = {dim: (63 - 5) // dim for dim in (2, 3)}
 
 _WALL_AXIS = {"x-": (0, 0), "x+": (0, 1), "y-": (1, 0), "y+": (1, 1),
               "z-": (2, 0), "z+": (2, 1)}
@@ -103,11 +100,11 @@ class TreeIndex:
     each is checked by one unsigned compare (and, under a shift, for low
     bits); the table's own rows skip the check. ``first`` maps each
     distinct key to one of its table rows and ``inverse`` each table row
-    to its key. ``dim`` and ``level`` only name the tree in the error raised
-    when the keys need more than 63 bits.
+    to its key. Keys wider than 63 bits, which ``MAX_LEVEL`` rules out for
+    a tree's cells and corners, raise a ``MeshError``.
     """
 
-    def __init__(self, columns, dim, level, shift=0):
+    def __init__(self, columns, shift=0):
         self.shift = shift
         # shifting keeps order, so each column's ends shift with it
         ends = [(int(col.min()) >> shift, int(col.max()) >> shift)
@@ -116,11 +113,8 @@ class TreeIndex:
         self.span = [high - low for low, high in ends]
         widths = [s.bit_length() for s in self.span]
         if sum(widths) > 63:
-            raise MeshError(
-                f"a {dim}-D tree refined to level {level} needs "
-                f"{sum(widths)}-bit lookup keys, more than the 63 bits of an "
-                f"int64; a {dim}-D tree spanning the domain can be refined "
-                f"to level {63 // dim - 1} at most")
+            raise MeshError(f"lookup keys need {sum(widths)} bits, more "
+                            f"than the 63 bits of an int64")
         self.bit = [sum(widths[c + 1:]) for c in range(len(widths))]
         keys, _ = self._pack(columns, check=False)  # in range by construction
         # np.unique's steps, letting each array go once used (three
@@ -169,8 +163,7 @@ class TreeIndex:
 
 
 def _cell_index(levels, anchors):
-    return TreeIndex([levels, *anchors.T], anchors.shape[1],
-                     int(levels.max(initial=0)))
+    return TreeIndex([levels, *anchors.T])
 
 
 @dataclass
@@ -180,10 +173,9 @@ class Corners:
     ``index`` holds the corners' lattice points, shifted down to the finest
     leaf level, and ``lattice`` those points in key order, which is their
     lexicographic order. ``cells`` gives each leaf's ``2**dim`` corners in
-    corner-bit order as positions in that order. Without ``index``, every
-    leaf's corners are listed apart, leaf by leaf.
+    corner-bit order as positions in that order.
     """
-    index: TreeIndex | None
+    index: TreeIndex
     lattice: np.ndarray     # (n_c, dim) at normalization level 30
     cells: np.ndarray       # (n, 2**dim)
 
@@ -205,23 +197,10 @@ def _corner_index(levels, anchors):
         shape = [n] + [1] * dim
         shape[dim - axis] = 2       # bit ``axis`` of the corner number
         columns.append(np.stack([low, low + scale], axis=1).reshape(shape))
-    index = TreeIndex(columns, dim, finest, shift=_NL - finest)
+    index = TreeIndex(columns, shift=_NL - finest)
     cell, corner = np.divmod(index.first, 2 ** dim)
     lattice = (anchors[cell] + corner_bits(dim)[corner]) * scale[cell, None]
     return Corners(index, lattice, index.inverse.reshape(n, 2 ** dim))
-
-
-def _leaf_corners(levels, anchors):
-    """The leaves' ``_corner_index`` or, when its keys would need more
-    than 63 bits, ``Corners`` listing every leaf's corners apart."""
-    try:
-        return _corner_index(levels, anchors)
-    except MeshError:
-        n, dim = anchors.shape
-        scale = np.int64(1) << (_NL - levels)
-        lattice = (anchors[:, None] + corner_bits(dim)) * scale[:, None, None]
-        return Corners(None, lattice.reshape(n * 2 ** dim, dim),
-                       np.arange(n * 2 ** dim).reshape(n, 2 ** dim))
 
 
 def _children(levels, anchors):
@@ -249,11 +228,10 @@ def classify_elements(levels, anchors, spec, geometries, corners):
 
     Each cell is classified from its own corners: INTERIOR (all kept),
     EXTERIOR (none), INTERCEPTED. Each geometry's ``kept`` runs once, on
-    the corners of ``corners`` (the leaves' ``_leaf_corners``, distinct
-    ones unless the leaves span too much for packed keys), and each cell
-    counts its kept corners through ``corners.cells``; ``kept`` is
-    pointwise, so the counts are those of asking it for every cell's
-    corners. Without geometries the list is empty.
+    the distinct corners of ``corners`` (the leaves' ``_corner_index``),
+    and each cell counts its kept corners through ``corners.cells``;
+    ``kept`` is pointwise, so the counts are those of asking it for every
+    cell's corners. Without geometries the list is empty.
     """
     if not geometries:
         return []
@@ -299,12 +277,13 @@ def build_tree(spec, geometries):
         ask = ~refine & (levels < deepest)
         per_geom = classify_elements(levels[ask], anchors[ask], spec,
                                      geometries,
-                                     _leaf_corners(levels[ask], anchors[ask]))
+                                     _corner_index(levels[ask], anchors[ask]))
         for gspec, codes in zip(spec.geometries, per_geom):
             refine[ask] |= (codes == INTERCEPTED) & (levels[ask] < gspec.refine_level)
-        if bool((refine & (levels >= MAX_LEVEL)).any()):
+        if bool((refine & (levels >= MAX_LEVEL[dim])).any()):
             raise MeshError(
-                f"refinement exceeded the maximum depth of {MAX_LEVEL} levels")
+                f"refinement exceeded the maximum depth of a {dim}-D tree, "
+                f"level {MAX_LEVEL[dim]}")
         done_levels.append(levels[~refine])
         done_anchors.append(anchors[~refine])
         levels, anchors = _children(levels[refine], anchors[refine])
@@ -337,7 +316,7 @@ def balance(levels, anchors, dim):
     anchors = np.asarray(anchors, np.int64)
     dirs = _balance_directions(dim)
     # no leaf is two levels coarser than the coarsest
-    fine = np.min(levels, initial=MAX_LEVEL) + 2
+    fine = np.min(levels, initial=MAX_LEVEL[dim]) + 2
     ask = levels >= fine
     while ask.any():
         index = _cell_index(levels, anchors)
@@ -381,11 +360,8 @@ def carve(levels, anchors, spec, geometries):
     Returns the kept ``levels`` and ``anchors`` and, for ``number_nodes``,
     the ``Corners`` of all the given leaves, whose distinct corners each
     geometry classified once, with ``cells`` cut to the kept elements.
-    When the leaves' corner keys would need more than 63 bits, every
-    leaf's corners are classified apart and the ``Corners`` index only
-    the kept elements, whose keys may fit (else a ``MeshError``).
     """
-    corners = _leaf_corners(levels, anchors)
+    corners = _corner_index(levels, anchors)
     kept = np.ones(len(levels), bool)
     for codes in classify_elements(levels, anchors, spec, geometries,
                                    corners):
@@ -397,10 +373,7 @@ def carve(levels, anchors, spec, geometries):
     rows = np.nonzero(kept)[0]
     rows = rows[np.lexsort(tuple(anchors[rows, d] for d in reversed(range(
         anchors.shape[1]))) + (levels[rows],))]
-    levels, anchors = levels[rows], anchors[rows]
-    if corners.index is None:
-        return levels, anchors, _corner_index(levels, anchors)
-    return levels, anchors, replace(corners, cells=corners.cells[rows])
+    return levels[rows], anchors[rows], replace(corners, cells=corners.cells[rows])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ Sections and keys:
     ``base_refine_level`` (>= 1), optional ``wall_refine_level``,
     ``refine_walls`` (comma list of wall names), and ``refine_where`` (a
     predicate that may also name ``level``). Wall names are ``x-``,
-    ``x+``, ``y-``, ``y+``, ``z-``, ``z+``.
+    ``x+``, ``y-``, ``y+``, ``z-``, ``z+``. No level may pass the depth
+    cap ``mesh.MAX_LEVEL``: 29 in 2-D, 19 in 3-D.
 
 ``[geometry]`` (repeatable)
     ``shape`` = ``circle`` | ``sphere`` | ``mesh``; ``center``/``radius``
@@ -69,6 +70,7 @@ from enum import Enum
 
 from . import expr as ex
 from .errors import ParseError, ValidationError
+from .mesh import MAX_LEVEL
 from .solve import KSP_TYPES, PRECONDITIONERS, SolverOptions
 
 __all__ = [
@@ -498,6 +500,13 @@ def _validate(spec):
             raise ValidationError(f"domain must satisfy min < max on {axis} ({lo} vs {hi})")
     if spec.base_refine_level < 1:
         raise ValidationError("base_refine_level must be at least 1")
+    cap = MAX_LEVEL[spec.dimension]
+    for name, level in [("base_refine_level", spec.base_refine_level),
+                        ("wall_refine_level", spec.wall_refine_level or 0)] + [
+            ("geometry refine_level", g.refine_level) for g in spec.geometries]:
+        if level > cap:
+            raise ValidationError(f"{name} {level} exceeds the maximum depth "
+                                  f"of a {spec.dimension}-D tree, level {cap}")
 
     wall_names = WALL_NAMES_2D if spec.dimension == 2 else WALL_NAMES_3D
     for wall in spec.refine_walls:

@@ -24,9 +24,9 @@ import scipy.sparse as sp
 from treefem import expr as ex
 from treefem.errors import MeshError
 from treefem.mesh import (
-    _NL, _WALL_AXIS, EXTERIOR, INTERCEPTED, INTERIOR, MAX_LEVEL, TreeIndex,
+    _NL, _WALL_AXIS, EXTERIOR, INTERCEPTED, INTERIOR, TreeIndex,
     _balance_directions, _cell_index, _children, _lattice_coords,
-    _probe_table, corner_bits,
+    _probe_table, corner_bits, MAX_LEVEL,
 )
 
 
@@ -48,7 +48,7 @@ def corner_lattice(levels, anchors):
 def lattice_index(lattice, levels):
     """Index of lattice points that are corners of cells at ``levels``."""
     finest = int(levels.max(initial=0))
-    return TreeIndex(lattice.T, lattice.shape[1], finest, shift=_NL - finest)
+    return TreeIndex(lattice.T, shift=_NL - finest)
 
 
 def classify_each_corner(levels, anchors, spec, geometries):
@@ -264,9 +264,10 @@ def build_tree(spec, geometries):
             env["level"] = levels.astype(float)
             hold = ex.eval_scalar(spec.refine_where, env)
             refine |= np.broadcast_to(np.asarray(hold, bool), refine.shape)
-        if bool((refine & (levels >= MAX_LEVEL)).any()):
+        if bool((refine & (levels >= MAX_LEVEL[dim])).any()):
             raise MeshError(
-                f"refinement exceeded the maximum depth of {MAX_LEVEL} levels")
+                f"refinement exceeded the maximum depth of a {dim}-D tree, "
+                f"level {MAX_LEVEL[dim]}")
         done_levels.append(levels[~refine])
         done_anchors.append(anchors[~refine])
         levels, anchors = _children(levels[refine], anchors[refine])

@@ -1,6 +1,7 @@
 """The command-line driver: subcommands, outputs, exit codes."""
 
 import csv
+import json
 import math
 from unittest import mock
 
@@ -12,6 +13,7 @@ from treefem.forms import compile_kernel
 from treefem.mesh import build_mesh
 from treefem.problem import parse_problem, with_levels
 
+from run_digests import GOLDEN, run_digests, versions
 from test_acceptance import sphere_script
 
 DISK = """
@@ -199,6 +201,12 @@ def test_unknown_script_key_exits_2(tmp_path, capsys):
     assert "style" in capsys.readouterr().err
 
 
+def test_level_past_the_depth_cap_exits_2(tmp_path, capsys):
+    script = write_script(tmp_path, sphere_script(base=2, glevel=25))
+    assert main(["mesh", str(script), "--out", str(tmp_path / "m.vtk")]) == 2
+    assert "level 19" in capsys.readouterr().err
+
+
 def test_missing_script_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.prob")]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -339,6 +347,22 @@ def test_run_is_deterministic(tmp_path):
         assert "diagnostics.csv" in names and len(names) > 1
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_run_and_converge_files_match_golden_digests():
+    """Every file the five pinned runs write keeps its recorded bytes."""
+    golden = json.loads((GOLDEN / "run_digests.json").read_text())
+    cases = run_digests()
+    differ = sorted(
+        f"{case}/{name}"
+        for case in golden["cases"].keys() | cases.keys()
+        for name in (golden["cases"].get(case, {}).keys()
+                     | cases.get(case, {}).keys())
+        if golden["cases"].get(case, {}).get(name)
+        != cases.get(case, {}).get(name))
+    assert not differ, (
+        f"files differ from golden/run_digests.json: {differ}; recorded "
+        f"with {golden['versions']}, run with {versions()}")
 
 
 def test_run_never_builds_the_hanging_map(tmp_path):

@@ -1004,6 +1004,14 @@ def test_empty_queries_build_no_search_tree(shape):
     assert "_column_search" in vars(surf) and "_face_search" in vars(surf)
 
 
+def test_each_shape_binds_its_queries_in_its_own_namespace():
+    """perfbench times ``kept`` and ``closest`` by replacing them in each
+    shape class's own ``__dict__``; the faceted shapes share one body."""
+    for cls in (Ball, Polyline, TriSurface):
+        assert {"kept", "closest"} <= vars(cls).keys(), cls.__name__
+    assert Polyline.kept is TriSurface.kept
+
+
 def test_stl_run_never_imports_scipy_spatial(tmp_path):
     write_stl(tmp_path / "cube.stl", *SURFACES["cube"])
     script = tmp_path / "cube.prob"

@@ -11,8 +11,8 @@ import treefem.mesh as mesh_module
 from treefem.errors import EmptyMeshError, MeshError
 from treefem.geometry import load_geometry, write_stl
 from treefem.mesh import (
-    INTERIOR, KIND_GEOMETRY, KIND_WALL, _constraint_matrix, _hanging_map,
-    _leaf_corners, balance, build_mesh, build_tree, carve, classify_elements,
+    INTERIOR, KIND_GEOMETRY, KIND_WALL, _constraint_matrix, _corner_index,
+    _hanging_map, balance, build_mesh, build_tree, carve, classify_elements,
     corner_bits, number_nodes,
 )
 from treefem.problem import parse_problem
@@ -351,7 +351,7 @@ def test_numbering_and_constraint_match_oracles(dim, seed):
     assert np.array_equal(levels, oracle_levels)
     assert np.array_equal(anchors, oracle_anchors)
 
-    corners = mesh_module._corner_index(levels, anchors)
+    corners = _corner_index(levels, anchors)
     node_lattice, elem_nodes, pairs = number_nodes(levels, anchors, dim,
                                                    corners)
     hanging = _hanging_map(pairs)
@@ -588,7 +588,7 @@ def test_annulus_routes_faces_to_nearest_circle():
     geometries = [load_geometry(g, 2, ".") for g in spec.geometries]
     levels, anchors = balance(*build_tree(spec, geometries), 2)
     per_geom = classify_elements(levels, anchors, spec, geometries,
-                                 _leaf_corners(levels, anchors))
+                                 _corner_index(levels, anchors))
     overall, oracle_per_geom = oracle.classify_elements(
         levels, anchors, spec, geometries)
     assert len(per_geom) == 2
@@ -653,7 +653,7 @@ def test_tree_and_classes_match_classify_everything_oracle(tmp_path, case):
     assert np.array_equal(anchors, oracle_anchors)
     assert levels.max() > spec.base_refine_level or case == "disk_uniform"
     per_geom = classify_elements(levels, anchors, spec, geometries,
-                                 _leaf_corners(levels, anchors))
+                                 _corner_index(levels, anchors))
     _, oracle_per_geom = oracle.classify_elements(levels, anchors, spec,
                                                   geometries)
     assert len(per_geom) == len(geometries)
@@ -662,7 +662,7 @@ def test_tree_and_classes_match_classify_everything_oracle(tmp_path, case):
         assert np.array_equal(codes, expected)
     # every uniform wave hands the classifier zero cells
     none = np.empty(0, np.int64), np.empty((0, dim), np.int64)
-    empty = classify_elements(*none, spec, geometries, _leaf_corners(*none))
+    empty = classify_elements(*none, spec, geometries, _corner_index(*none))
     assert [(codes.shape, codes.dtype) for codes in empty] == (
         [((0,), np.int8)] * len(geometries))
 
@@ -685,8 +685,7 @@ def assert_carve_and_numbering_match_oracles(spec, base_dir):
     assert len(kept_levels) < len(levels) or not geometries
     for numbered in (number_nodes(kept_levels, kept_anchors, dim, corners),
                      number_nodes(kept_levels, kept_anchors, dim,
-                                  mesh_module._corner_index(kept_levels,
-                                                            kept_anchors)),
+                                  _corner_index(kept_levels, kept_anchors)),
                      (mesh.node_lattice, mesh.elem_nodes, mesh.hanging_pairs)):
         for got, expected in zip(numbered[:2], (node_lattice, elem_nodes)):
             assert got.dtype == expected.dtype
@@ -714,44 +713,6 @@ def test_carve_and_numbering_match_the_per_corner_oracles(tmp_path, case):
     hanging = assert_carve_and_numbering_match_oracles(
         parse_problem(TREE_CASES[case](tmp_path)), tmp_path)
     assert len(hanging) > 0 or case == "disk_uniform"
-
-
-def test_small_kept_region_past_key_width_limit_matches_oracles():
-    """A 3-D tree refined to level 21 spans too much for packed keys over
-    every leaf's corners, but its kept cells, a sphere of radius 4e-6, do
-    not: carve asks ``kept`` for each leaf's own corners, numbering
-    indexes the kept cells alone, and the mesh is the oracle's."""
-    near = " && ".join(
-        f"{a} > 0.0100001 - 0.75 * exp(-0.6931 * level) && "
-        f"{a} < 0.0100001 + 0.75 * exp(-0.6931 * level)" for a in "xyz")
-    spec = parse_problem(f"""
-[domain]
-dimension = 3
-min = 0, 0, 0
-max = 1, 1, 1
-base_refine_level = 1
-refine_where = {near} && level < 17
-
-[geometry]
-shape = sphere
-center = 0.0100001, 0.0100001, 0.0100001
-radius = 0.000004
-refine_level = 21
-
-[variables]
-names = u
-
-[weak_form]
-dot(grad(u), grad(v)) - 1.0 * v
-""")
-    geometries = [load_geometry(g, 3, ".") for g in spec.geometries]
-    levels, anchors = balance(*build_tree(spec, geometries), 3)
-    assert levels.max() == 21
-    with pytest.raises(MeshError, match=r"3-D tree refined to level 21 "
-                                        r"needs 66-bit lookup keys"):
-        mesh_module._corner_index(levels, anchors)
-    hanging = assert_carve_and_numbering_match_oracles(spec, ".")
-    assert len(hanging) > 0
 
 
 def test_carve_memory_per_leaf_corner():

@@ -350,6 +350,34 @@ class TestValidation:
         with pytest.raises(ValidationError, match="exceeds"):
             parse_problem(script)
 
+    @pytest.mark.parametrize("script, old, new, want", [
+        (CIRCLE_SCRIPT, "base_refine_level = 5", "base_refine_level = 30",
+         "base_refine_level 30 exceeds the maximum depth of a 2-D tree, "
+         "level 29"),
+        (CIRCLE_SCRIPT, "base_refine_level = 5", "base_refine_level = 5\n"
+         "wall_refine_level = 30\nrefine_walls = x-",
+         "wall_refine_level 30 exceeds the maximum depth of a 2-D tree, "
+         "level 29"),
+        (HEAT3D_SCRIPT, "refine_level = 3", "refine_level = 20",
+         "geometry refine_level 20 exceeds the maximum depth of a 3-D tree, "
+         "level 19"),
+    ], ids=["base", "wall", "geometry"])
+    def test_level_past_the_depth_cap(self, script, old, new, want):
+        with pytest.raises(ValidationError, match=f"^{want}$"):
+            parse_problem(edit(script, old, new))
+
+    @pytest.mark.parametrize("script, base, geometry, cap", [
+        (CIRCLE_SCRIPT, 5, 7, 29), (HEAT3D_SCRIPT, 2, 3, 19)],
+        ids=["2d", "3d"])
+    def test_levels_at_the_depth_cap_are_valid(self, script, base, geometry,
+                                                cap):
+        script = edit(script, f"base_refine_level = {base}",
+                      f"base_refine_level = {cap}\nwall_refine_level = {cap}"
+                      "\nrefine_walls = x-")
+        spec = parse_problem(edit(script, f"\nrefine_level = {geometry}",
+                                  f"\nrefine_level = {cap}"))
+        assert spec.base_refine_level == spec.geometries[0].refine_level == cap
+
     def test_weak_form_unknown_name(self):
         script = edit(CIRCLE_SCRIPT, "- f*v", "- g*v")
         with pytest.raises(ParseError, match="unknown identifier 'g'"):

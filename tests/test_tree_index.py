@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from treefem.errors import MeshError
 from treefem.mesh import (
     TreeIndex, _NL, _cell_index, _corner_index, balance, build_mesh,
-    build_tree, corner_bits,
+    build_tree, corner_bits, MAX_LEVEL,
 )
 from treefem.problem import parse_problem
 
@@ -83,14 +83,19 @@ dot(grad(u), grad(v)) - 1.0 * v
 """)
 
 
-def corner_spec(depth):
-    """3-D tree refined only at the origin corner, down to ``depth``."""
-    near = " && ".join(f"{a} < 0.75 * exp(-0.6931 * level)" for a in "xyz")
+def corner_spec(depth, dim=3, far=False):
+    """Tree refined only at the origin corner, down to ``depth``; with
+    ``far``, at the opposite corner as well."""
+    size = "0.75 * exp(-0.6931 * level)"
+    near = " && ".join(f"{a} < {size}" for a in "xyz"[:dim])
+    if far:
+        opposite = " && ".join(f"{a} > 1 - {size}" for a in "xyz"[:dim])
+        near = f"({near} || {opposite})"
     return parse_problem(f"""
 [domain]
-dimension = 3
-min = 0, 0, 0
-max = 1, 1, 1
+dimension = {dim}
+min = {", ".join(["0"] * dim)}
+max = {", ".join(["1"] * dim)}
 base_refine_level = 1
 refine_where = {near} && level < {depth}
 
@@ -164,9 +169,9 @@ def test_index_matches_oracle(dim, seed):
 
 
 def test_index_edge_cases():
-    empty = TreeIndex(np.empty((3, 0), np.int64), 2, 0)
+    empty = TreeIndex(np.empty((3, 0), np.int64))
     assert np.array_equal(empty.find([[0, 0, 0], [1, 2, 3]]), [-1, -1])
-    single = TreeIndex(np.array([[4, 3, 9]]).T, 2, 4)
+    single = TreeIndex(np.array([[4, 3, 9]]).T)
     assert np.array_equal(single.find([[4, 3, 9], [4, 3, 8], [-4, 3, 9]]),
                           [0, -1, -1])
     assert len(single.find(np.empty((0, 3), np.int64))) == 0
@@ -186,7 +191,7 @@ def test_column_packing_matches_row_oracle(dim, shift, seed, n_table,
     low = rng.integers(0, 50, k)
     span = rng.integers(0, 2 ** rng.integers(0, 12, k))
     table = (low + rng.integers(0, span + 1, (n_table, k))) << shift
-    index = TreeIndex(table.T, dim, 4, shift=shift)
+    index = TreeIndex(table.T, shift=shift)
     assert np.array_equal(index.keys, np.unique(pack(index, table)[0]))
 
     base = (low + rng.integers(-2, span + 3, (n_query, k))) << shift
@@ -209,7 +214,7 @@ def test_out_of_range_rows_never_match_through_key_collisions():
     key, and under a shift low bits are dropped. An anchor of -1 sets
     every bit from its column up, so its key is negative."""
     cells = [[2, x, y] for x in range(2) for y in range(4)]
-    index = TreeIndex(np.array(cells).T, 2, 2)
+    index = TreeIndex(np.array(cells).T)
     past, below, minus = [2, 0, 4], [2, -(1 << 62), 0], [2, 1, -1]
     keys, _ = index._pack(np.array([past, below, minus]).T)
     assert index.keys[index.find([[2, 1, 0], [2, 0, 0]])].tolist() \
@@ -217,7 +222,7 @@ def test_out_of_range_rows_never_match_through_key_collisions():
     assert keys[2] < 0
     assert index.find([past, below, minus]).tolist() == [-1, -1, -1]
 
-    lattice = TreeIndex(np.array([[0, 0], [8, 0], [0, 8], [8, 8]]).T, 2, 3,
+    lattice = TreeIndex(np.array([[0, 0], [8, 0], [0, 8], [8, 8]]).T,
                         shift=3)
     keys, _ = lattice._pack(np.array([[1, 0], [8, 12]]).T)
     assert lattice.keys[lattice.find([[0, 0], [8, 8]])].tolist() \
@@ -230,9 +235,9 @@ def test_mesh_arrays_match_golden_digests():
     assert {name: mesh_digests(mesh) for name, mesh in case_meshes()} == golden
 
 
-def test_corner_refinement_at_key_width_limit_matches_oracle():
-    mesh = build_mesh(corner_spec(20))
-    assert mesh.levels.max() == 20 == 63 // 3 - 1
+def test_corner_refinement_at_depth_cap_matches_oracle():
+    mesh = build_mesh(corner_spec(19))
+    assert mesh.levels.max() == 19 == MAX_LEVEL[3]
     node_lattice, elem_nodes, hanging = oracle_number_nodes(
         mesh.levels, mesh.anchors, 3)
     assert np.array_equal(mesh.node_lattice, node_lattice)
@@ -248,8 +253,31 @@ def test_corner_refinement_at_key_width_limit_matches_oracle():
                               _match(table, queries))
 
 
-def test_corner_refinement_past_key_width_limit_raises():
-    with pytest.raises(MeshError, match=r"3-D tree refined to level 21 "
-                                        r"needs 66-bit lookup keys"):
-        build_mesh(corner_spec(21))
+def test_corner_refinement_past_depth_cap_raises():
+    with pytest.raises(MeshError, match=r"maximum depth of a 3-D tree, "
+                                        r"level 19$"):
+        build_mesh(corner_spec(20))
+
+
+@pytest.mark.parametrize("dim, cap", [(2, 29), (3, 19)])
+def test_trees_spanning_the_domain_build_to_the_depth_cap(dim, cap):
+    """Refined at two opposite corners, a tree's cells and corners span the
+    whole domain at the finest level, the widest keys a tree can need."""
+    assert MAX_LEVEL[dim] == cap
+    mesh = build_mesh(corner_spec(cap, dim, far=True))
+    assert mesh.levels.max() == cap
+    top = (np.int64(1) << cap) - 1
+    finest = mesh.anchors[mesh.levels == cap]
+    assert (finest == 0).all(axis=1).any() and (finest == top).all(axis=1).any()
+    with pytest.raises(MeshError, match=rf"maximum depth of a {dim}-D tree, "
+                                        rf"level {cap}$"):
+        build_mesh(corner_spec(cap + 1, dim, far=True))
+
+
+def test_keys_wider_than_63_bits_are_refused():
+    """Two columns whose spans need 32 bits each make 64-bit keys."""
+    span = np.array([0, (1 << 32) - 1], np.int64)
+    with pytest.raises(MeshError, match="lookup keys need 64 bits"):
+        TreeIndex([span, span])
+    assert len(TreeIndex([span, span >> 1]).keys) == 2
 
