@@ -47,10 +47,10 @@ import scipy.sparse as sp
 
 from . import expr as ex
 from .errors import AssemblyError, ValidationError
-from .forms import Region, compile_kernel
+from .forms import BOUNDARY_KINDS, SURFACE_DATA, Region, compile_kernel
 from .kernel import basis_table, face_reference_points, tensor_rule
 from .mesh import KIND_GEOMETRY, build_mesh
-from .problem import BCKind, TimeScheme
+from .problem import TimeScheme
 # run_problem calls these by this module's names, which benchmark probes swap
 from .solve import SolveInfo, bicgstab, reduce_system
 
@@ -65,9 +65,10 @@ _ASSEMBLY_QUAD, _ERROR_QUAD = 2, 3
 # arrays take about 28 bytes per triplet
 _SLAB_TRIPLETS = 1 << 17
 
-# surface region and boundary-value name of each boundary-condition kind
-_SURFACE = {BCKind.DIRICHLET: (Region.DIRICHLET_SURFACE, "special:gd"),
-            BCKind.NEUMANN: (Region.NEUMANN_SURFACE, "special:gn")}
+# the surface data a face batch holds, in SURFACE_DATA order: all but the
+# boundary values, which routing binds
+_FACE_DATA = tuple(datum for call, datum in SURFACE_DATA.items()
+                   if call not in {kind.value for kind in BOUNDARY_KINDS.values()})
 
 
 @dataclass
@@ -183,12 +184,13 @@ def _face_batches(mesh):
         else:
             batch.x_true = x_surr
             n_true = np.broadcast_to(n_tilde, x_surr.shape)
-        dvec = batch.x_true - x_surr
-        batch.surface = {"special:h": float(batch.h.max())}
-        for d in range(dim):
-            batch.surface[f"special:nt:{d}"] = float(n_tilde[d])
-            batch.surface[f"special:ntrue:{d}"] = n_true[..., d]
-            batch.surface[f"special:d:{d}"] = dvec[..., d]
+        # in _FACE_DATA order, a vector's by component: surrogate normal,
+        # true normal, shift to the true boundary, owner edge length
+        data = (n_tilde.tolist(), np.moveaxis(n_true, -1, 0),
+                np.moveaxis(batch.x_true - x_surr, -1, 0), [float(batch.h.max())])
+        batch.surface = {}
+        for datum, values in zip(_FACE_DATA, data, strict=True):
+            batch.surface.update(zip(datum.names(dim), values, strict=True))
         batches.append(batch)
     return batches
 
@@ -295,9 +297,9 @@ class Assembler:
             weights = {}
             for kind, (sel, value) in self._route_regions(
                     batch, t, ir.unknown).items():
-                region, data_name = _SURFACE[kind]
-                env[data_name] = value
-                weights[region] = sel * batch.weights[None, :]
+                boundary = BOUNDARY_KINDS[kind]
+                env[SURFACE_DATA[boundary.value].name] = value
+                weights[boundary.region] = sel * batch.weights[None, :]
         ke, be = self._integrate(groups, env, weights, batch)
         return batch.conn, ke, be
 
@@ -422,7 +424,7 @@ def _reads_time(groups, spec):
                 names.update(*(ex.names_in(predicate)
                                for _, predicate in spec.boundary_regions))
     for bc in spec.boundary_conditions.values():
-        if _SURFACE[bc.kind][1] in names:
+        if SURFACE_DATA[BOUNDARY_KINDS[bc.kind].value].name in names:
             names |= ex.names_in(bc.value)
     # a coefficient reads only coefficients declared before it
     names = {name.split(":")[0] for name in names}

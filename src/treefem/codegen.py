@@ -34,7 +34,8 @@ from string import Template
 
 from . import expr as ex
 from .errors import CodegenError
-from .forms import GROUPS, BasisSel, Contribution, KernelIR, required_names
+from .forms import (GROUPS, SURFACE_DATA, BasisSel, Contribution, KernelIR,
+                    required_names)
 from .problem import TimeScheme
 
 __all__ = ["DEFAULT_TEMPLATE", "c_scalar", "emit_kernels", "parse_ir",
@@ -46,31 +47,24 @@ DEFAULT_TEMPLATE = Path(__file__).parent / "templates" / "dendro_kernels.cpp.tmp
 # ---------------------------------------------------------------------------
 # Scalar programs as C expressions
 
-_SCALAR_NAMES = {"special:h": "h_elem", "special:gd": "g_dirichlet",
-                 "special:gn": "g_neumann",
-                 "x": "p.x()", "y": "p.y()", "z": "p.z()"}
-_VECTOR_SPECIALS = {"nt": "n_tilde", "ntrue": "n_true", "d": "d_shift"}
+# the C name of each forms.SURFACE_DATA row, in order; a vector's i is name[i]
+_DATA_C_NAMES = ("n_tilde", "n_true", "d_shift", "h_elem", "g_dirichlet", "g_neumann")
+_C_NAMES = {"x": "p.x()", "y": "p.y()", "z": "p.z()", **{
+    name: f"{c_name}[{axis}]" if datum.vector else c_name
+    for datum, c_name in zip(SURFACE_DATA.values(), _DATA_C_NAMES, strict=True)
+    for axis, name in enumerate(datum.names(3))}}
 _CALL_NAMES = {"abs": "fabs"}
 
 
 def _c_name(name):
-    if name in _SCALAR_NAMES:
-        return _SCALAR_NAMES[name]
+    if name in _C_NAMES:
+        return _C_NAMES[name]
     parts = name.split(":")
-    if parts[0] == "special":
-        base = _VECTOR_SPECIALS.get(parts[1]) if len(parts) == 3 else None
-        if base is None:
-            raise CodegenError(f"no source-level name for '{name}'")
-        return f"{base}[{parts[2]}]"
-    if parts[0] == "prev":
-        if len(parts) != 3:
-            raise CodegenError(f"no source-level name for '{name}'")
+    if parts[0] == "prev" and len(parts) == 3:
         return f"value_{parts[1]}_prev{parts[2]}"
-    if len(parts) == 2:
-        return f"{parts[0]}[{parts[1]}]"
-    if len(parts) != 1:
+    if parts[0] in ("special", "prev") or len(parts) > 2:
         raise CodegenError(f"no source-level name for '{name}'")
-    return name
+    return name if len(parts) == 1 else f"{parts[0]}[{parts[1]}]"
 
 
 def c_scalar(expr):
@@ -121,12 +115,11 @@ def _coefficient_table(ir):
     vectors = {}
     scalars = set()
     for name in required_names(ir):
-        if name in ("x", "y", "z") or name.startswith(("special:", "prev:")):
+        if name in _C_NAMES or name.startswith("prev:"):
             continue
         parts = name.split(":")
         if len(parts) == 2:
-            width = vectors.get(parts[0], 0)
-            vectors[parts[0]] = max(width, int(parts[1]) + 1)
+            vectors[parts[0]] = max(vectors.get(parts[0], 0), int(parts[1]) + 1)
         else:
             scalars.add(name)
     described = {"dt": "time step size", "t": "current time"}

@@ -18,31 +18,31 @@ space that never collides with user identifiers (the script grammar has no
 ``:``):
 
 =====================  ==================================================
-``special:nt:i``       component i of the surrogate (face) normal
-``special:ntrue:i``    component i of the true boundary normal
-``special:d:i``        component i of the surrogate-to-true displacement
-``special:h``          edge length of the face's owner element
-``special:gd``         Dirichlet value at the true boundary point
-``special:gn``         Neumann value at the true boundary point
+``special:...``        a surface datum, named in :data:`SURFACE_DATA`
 ``prev:VAR:K``         value of VAR, K steps back, at the quadrature point
 ``name:i``             component i of the vector coefficient ``name``
 ``dt``                 the time step
 =====================  ==================================================
+
+:data:`SURFACE_DATA` and :data:`BOUNDARY_KINDS` (each condition kind's block
+call, surface region and value datum) spell the shifted-boundary words once;
+the assembler and the code generator read them from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import expr as ex
 from .errors import FormError
-from .problem import TimeScheme
+from .problem import BCKind, TimeScheme
 
 __all__ = [
     "Region", "BasisSel", "Term", "Contribution", "KernelIR", "GROUPS",
-    "expand", "discretize_time", "lower", "compile_kernel", "fold",
-    "required_names",
+    "Datum", "Boundary", "SURFACE_DATA", "BOUNDARY_KINDS", "expand",
+    "discretize_time", "lower", "compile_kernel", "fold", "required_names",
 ]
 
 
@@ -119,6 +119,47 @@ GROUPS = (
     ("neumann_bilinear", Region.NEUMANN_SURFACE, True),
     ("neumann_linear", Region.NEUMANN_SURFACE, False),
 )
+
+
+class Datum(NamedTuple):
+    """A surface datum's kernel name; component i of a vector is ``name:i``."""
+    name: str
+    vector: bool
+
+    def names(self, dimension):
+        """Its kernel names: one per component of a vector."""
+        return ([f"{self.name}:{axis}" for axis in range(dimension)]
+                if self.vector else [self.name])
+
+
+class Boundary(NamedTuple):
+    """A condition kind's block call, surface region and value datum."""
+    block: str
+    region: Region
+    value: str
+
+
+# Every surface data call of the weak form. The assembler's face data and
+# the code generator's C names follow this row order.
+SURFACE_DATA = {
+    "normal": Datum("special:nt", True),                # surrogate face normal
+    "trueNormal": Datum("special:ntrue", True),         # true boundary normal
+    "distanceToBoundary": Datum("special:d", True),     # surrogate-to-true shift
+    "elementDiameter": Datum("special:h", False),       # owner edge length
+    "dirichletValue": Datum("special:gd", False),       # at the true point
+    "neumannValue": Datum("special:gn", False),         # at the true point
+}
+
+BOUNDARY_KINDS = {
+    BCKind.DIRICHLET: Boundary("dirichletBoundary", Region.DIRICHLET_SURFACE,
+                               "dirichletValue"),
+    BCKind.NEUMANN: Boundary("neumannBoundary", Region.NEUMANN_SURFACE,
+                             "neumannValue"),
+}
+
+# each kernel name's SURFACE_DATA call, and each block call's region
+_DATUM_CALL = {datum.name: call for call, datum in SURFACE_DATA.items()}
+_BLOCK_REGION = {kind.block: kind.region for kind in BOUNDARY_KINDS.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +250,6 @@ def _product(factors):
 # ---------------------------------------------------------------------------
 # Expansion
 
-_SPECIAL_VECTORS = {
-    "normal": "special:nt",
-    "trueNormal": "special:ntrue",
-    "distanceToBoundary": "special:d",
-}
-_SPECIAL_SCALARS = {
-    "elementDiameter": "special:h",
-    "dirichletValue": "special:gd",
-    "neumannValue": "special:gn",
-}
-
 # Expansion factor tags.
 _TEST = "test"
 _TRIAL = "trial"
@@ -227,20 +257,12 @@ _DT = "dt"
 _SCALAR = "scalar"
 
 
-class _Ctx:
-    def __init__(self, dimension, unknowns, test, coefficients):
-        self.dimension = dimension
-        self.unknowns = frozenset(unknowns)
-        self.test = test
-        self.coefficients = dict(coefficients or {})
-
-    def coef_kind(self, name):
-        value = self.coefficients.get(name)
-        if value is None:
-            return None
-        if isinstance(value, tuple):
-            return "vector"
-        return "scalar"
+class _Ctx(NamedTuple):
+    dimension: int
+    unknowns: frozenset
+    test: str
+    scalars: frozenset          # scalar and expression coefficients
+    vectors: frozenset          # vector coefficients
 
 
 def expand(weak_form, dimension, unknowns=("u",), test="v", coefficients=None):
@@ -252,33 +274,29 @@ def expand(weak_form, dimension, unknowns=("u",), test="v", coefficients=None):
     """
     if dimension not in (2, 3):
         raise FormError(f"dimension must be 2 or 3, got {dimension}")
-    ctx = _Ctx(dimension, unknowns, test, coefficients)
-    terms = []
-    for region, factors in _alternatives(weak_form, Region.VOLUME, ctx):
-        terms.append(_build_term(region, factors, ctx))
-    return tuple(terms)
+    coefficients = coefficients or {}
+    vectors = frozenset(n for n, v in coefficients.items() if isinstance(v, tuple))
+    ctx = _Ctx(dimension, frozenset(unknowns), test,
+               frozenset(coefficients) - vectors, vectors)
+    return tuple(_build_term(region, factors, ctx) for region, factors
+                 in _alternatives(weak_form, Region.VOLUME, ctx))
 
 
 def _alternatives(node, region, ctx):
     """Sum-of-products form: a list of (region, factor list) alternatives."""
-    if isinstance(node, ex.Num):
-        return [(region, [(_SCALAR, node)])]
-    if isinstance(node, ex.Bool):
-        raise FormError("boolean literals are not allowed in a weak form")
-    if isinstance(node, ex.Name):
-        return [(region, [_name_factor(node.id, ctx)])]
+    if isinstance(node, ex.Name) and node.id == ctx.test:
+        return [(region, [(_TEST, VALUE)])]
+    if isinstance(node, ex.Name) and node.id in ctx.unknowns:
+        return [(region, [(_TRIAL, node.id, VALUE)])]
     if isinstance(node, ex.Neg):
         return [(reg, [(_SCALAR, ex.Num(-1.0))] + factors)
                 for reg, factors in _alternatives(node.arg, region, ctx)]
     if isinstance(node, ex.Bin):
         op = node.op
-        if op == "+":
+        if op in ("+", "-"):
+            right = node.right if op == "+" else ex.Neg(node.right)
             return (_alternatives(node.left, region, ctx)
-                    + _alternatives(node.right, region, ctx))
-        if op == "-":
-            right = [(reg, [(_SCALAR, ex.Num(-1.0))] + factors)
-                     for reg, factors in _alternatives(node.right, region, ctx)]
-            return _alternatives(node.left, region, ctx) + right
+                    + _alternatives(right, region, ctx))
         if op == "*":
             out = []
             for reg_l, fac_l in _alternatives(node.left, region, ctx):
@@ -292,7 +310,7 @@ def _alternatives(node, region, ctx):
         raise FormError(f"operator '{op}' is not allowed in a weak form")
     if isinstance(node, ex.Call):
         return _call_alternatives(node, region, ctx)
-    raise TypeError(f"not an expression node: {node!r}")
+    return [(region, [(_SCALAR, _scalar_expr(node, ctx))])]
 
 
 def _merge_regions(a, b):
@@ -305,31 +323,16 @@ def _merge_regions(a, b):
     raise FormError("cannot multiply two different boundary integrals")
 
 
-def _name_factor(name, ctx):
-    if name == ctx.test:
-        return (_TEST, VALUE)
-    if name in ctx.unknowns:
-        return (_TRIAL, name, VALUE)
-    kind = ctx.coef_kind(name)
-    if kind == "vector":
-        raise FormError(f"vector coefficient '{name}' can only appear inside dot()")
-    if kind == "scalar" or name == "pi":
-        return (_SCALAR, ex.Name(name))
-    raise FormError(f"'{name}' is neither a field nor a declared coefficient")
-
-
 def _call_alternatives(node, region, ctx):
     fn = node.fn
-    if fn in ("dirichletBoundary", "neumannBoundary"):
+    if fn in _BLOCK_REGION:
         if region is not Region.VOLUME:
             raise FormError(f"{fn}(...) cannot be nested inside another boundary block")
-        target = Region.DIRICHLET_SURFACE if fn == "dirichletBoundary" \
-            else Region.NEUMANN_SURFACE
-        return _alternatives(node.args[0], target, ctx)
+        return _alternatives(node.args[0], _BLOCK_REGION[fn], ctx)
     if fn == "surface":
         raise FormError(
-            "surface(...) integrals over interior faces are not supported; "
-            "use dirichletBoundary(...) or neumannBoundary(...)")
+            "surface(...) integrals over interior faces are not supported; use "
+            + " or ".join(f"{block}(...)" for block in _BLOCK_REGION))
     if fn == "Dt":
         if region is not Region.VOLUME:
             raise FormError("Dt(...) only makes sense in a volume integral")
@@ -340,13 +343,9 @@ def _call_alternatives(node, region, ctx):
         return [(region, [left[axis], right[axis]]) for axis in range(ctx.dimension)]
     if fn == "grad":
         raise FormError("grad(...) must appear inside dot()")
-    if fn in _SPECIAL_VECTORS:
+    if fn in SURFACE_DATA and SURFACE_DATA[fn].vector:
         raise FormError(f"{fn}() is vector valued and must appear inside dot()")
-    if fn in _SPECIAL_SCALARS:
-        return [(region, [(_SCALAR, ex.Name(_SPECIAL_SCALARS[fn]))])]
-    if fn in ex._MATH_CALLS:
-        return [(region, [(_SCALAR, _scalar_expr(node, ctx))])]
-    raise FormError(f"unsupported call '{fn}' in a weak form")
+    return [(region, [(_SCALAR, _scalar_expr(node, ctx))])]
 
 
 def _dt_factors(arg, ctx):
@@ -377,34 +376,33 @@ def _vector_components(node, ctx):
                     return [(_TRIAL, arg.id, BasisSel("dN", axis))
                             for axis in range(ctx.dimension)]
             raise FormError("grad(...) takes the unknown or the test function")
-        if node.fn in _SPECIAL_VECTORS:
-            base = _SPECIAL_VECTORS[node.fn]
-            return [(_SCALAR, ex.Name(f"{base}:{axis}"))
-                    for axis in range(ctx.dimension)]
-    if isinstance(node, ex.Name) and ctx.coef_kind(node.id) == "vector":
+        if node.fn in SURFACE_DATA and SURFACE_DATA[node.fn].vector:
+            return [(_SCALAR, ex.Name(name))
+                    for name in SURFACE_DATA[node.fn].names(ctx.dimension)]
+    if isinstance(node, ex.Name) and node.id in ctx.vectors:
         return [(_SCALAR, ex.Name(f"{node.id}:{axis}"))
                 for axis in range(ctx.dimension)]
-    raise FormError(
-        "dot() arguments must be grad(...), normal(), trueNormal(), "
-        "distanceToBoundary(), or a vector coefficient")
+    raise FormError("dot() arguments must be grad(...), " + "".join(
+        f"{fn}(), " for fn, datum in SURFACE_DATA.items() if datum.vector)
+        + "or a vector coefficient")
 
 
 def _scalar_expr(node, ctx):
-    """Convert a sub-expression with no test/unknown content to IR names."""
+    """Convert a sub-expression with no test/unknown content to IR names:
+    every number, coefficient, ``pi``, scalar datum and math call of a
+    weak form passes here."""
     if isinstance(node, ex.Num):
         return node
     if isinstance(node, ex.Bool):
         raise FormError("boolean literals are not allowed in a weak form")
     if isinstance(node, ex.Name):
-        if node.id == "pi":
-            return node
         if node.id == ctx.test or node.id in ctx.unknowns:
             raise FormError(
                 f"'{node.id}' cannot appear inside a call or denominator "
                 "(the weak form must stay linear)")
-        if ctx.coef_kind(node.id) == "vector":
+        if node.id in ctx.vectors:
             raise FormError(f"vector coefficient '{node.id}' can only appear inside dot()")
-        if ctx.coef_kind(node.id) is None:
+        if node.id not in ctx.scalars and node.id != "pi":
             raise FormError(f"'{node.id}' is neither a field nor a declared coefficient")
         return node
     if isinstance(node, ex.Neg):
@@ -417,8 +415,8 @@ def _scalar_expr(node, ctx):
     if isinstance(node, ex.Call):
         if node.fn in ex._MATH_CALLS:
             return ex.Call(node.fn, tuple(_scalar_expr(a, ctx) for a in node.args))
-        if node.fn in _SPECIAL_SCALARS:
-            return ex.Name(_SPECIAL_SCALARS[node.fn])
+        if node.fn in SURFACE_DATA and not SURFACE_DATA[node.fn].vector:
+            return ex.Name(SURFACE_DATA[node.fn].name)
         raise FormError(f"{node.fn}(...) cannot appear inside a scalar sub-expression")
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -456,16 +454,16 @@ def _build_term(region, factors, ctx):
 
 def _check_specials(region, scalar):
     for name in ex.names_in(scalar):
-        if not name.startswith("special:"):
+        call = _DATUM_CALL.get(name) or _DATUM_CALL.get(name.rpartition(":")[0])
+        if call is None:
             continue
         if region is Region.VOLUME:
             raise FormError(
                 "surface quantities (normals, boundary values, element diameter) "
                 "are only available inside boundary blocks")
-        if name == "special:gd" and region is not Region.DIRICHLET_SURFACE:
-            raise FormError("dirichletValue() belongs inside dirichletBoundary(...)")
-        if name == "special:gn" and region is not Region.NEUMANN_SURFACE:
-            raise FormError("neumannValue() belongs inside neumannBoundary(...)")
+        for kind in BOUNDARY_KINDS.values():
+            if call == kind.value and region is not kind.region:
+                raise FormError(f"{call}() belongs inside {kind.block}(...)")
 
 
 # ---------------------------------------------------------------------------

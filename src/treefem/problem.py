@@ -22,8 +22,9 @@ Sections and keys:
     polyline in 2-D, ``.stl`` triangle surface in 3-D); optional ``name``,
     ``position`` (translation), ``outer_boundary`` (default ``true``:
     the surface encloses the domain; ``false``: a carved void),
-    ``refine_level``, ``boundary_types`` (tags, e.g. ``sbm``),
-    ``bids`` (region ids the tags refer to).
+    ``refine_level``, ``boundary_types`` (tags, e.g. ``sbm``) and ``bids``
+    (region ids the tags refer to), which are only checked against the
+    conditions: faces are routed by the ``[boundary_regions]`` predicates.
 
 ``[time]`` (optional; absent means steady)
     ``scheme`` = ``euler_implicit`` | ``bdf2``, ``dt``, ``steps``.
@@ -535,9 +536,7 @@ def _validate(spec):
     for geom in spec.geometries:
         _validate_geometry(spec, geom)
 
-    region_ids = set()
-    for rid, _ in spec.boundary_regions:
-        region_ids.add(rid)
+    region_ids = {rid for rid, _ in spec.boundary_regions}
     for (var, rid), bc in spec.boundary_conditions.items():
         if var not in spec.variables:
             raise ValidationError(f"boundary condition references unknown field '{var}'")
@@ -576,6 +575,13 @@ def _validate(spec):
 
 
 def _validate_geometry(spec, geom):
+    wanted = _SHAPE_KEYS.get(geom.kind)
+    if wanted is None:
+        raise ValidationError(f"unknown geometry shape '{geom.kind}'")
+    for key in ("center", "radius", "mesh_file"):
+        if (getattr(geom, key) is None) == (key in wanted):
+            need = "needs" if key in wanted else "takes no"
+            raise ValidationError(f"{geom.kind} geometry {need} {key}")
     if geom.kind == "circle" and spec.dimension != 2:
         raise ValidationError("circle geometry requires dimension = 2")
     if geom.kind == "sphere" and spec.dimension != 3:
@@ -584,7 +590,7 @@ def _validate_geometry(spec, geom):
         if len(geom.center) != spec.dimension:
             raise ValidationError(
                 f"geometry center needs {spec.dimension} components, got {len(geom.center)}")
-        if geom.radius is None or geom.radius <= 0:
+        if geom.radius <= 0:
             raise ValidationError("geometry radius must be positive")
     else:
         lowered = geom.mesh_file.lower()
@@ -625,8 +631,8 @@ def with_levels(spec, level):
 
     Base and geometry boundary levels are all set to ``level`` and the
     adaptive refinement criteria are cleared, which is what a convergence
-    study needs to make the element size unambiguous.
+    study needs to make the element size unambiguous. The copy is validated.
     """
     geoms = tuple(replace(g, refine_level=level) for g in spec.geometries)
     return replace(spec, base_refine_level=level, geometries=geoms,
-                   refine_where=None, wall_refine_level=None, refine_walls=())
+                   refine_where=None, wall_refine_level=None, refine_walls=()).validate()

@@ -207,6 +207,21 @@ def test_level_past_the_depth_cap_exits_2(tmp_path, capsys):
     assert "level 19" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "mesh", "converge"])
+def test_levels_past_the_depth_cap_exit_2_before_any_mesh_work(
+        command, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mesh work started")
+    monkeypatch.setattr("treefem.cli.build_mesh", refuse)
+    monkeypatch.setattr("treefem.cli.run_problem", refuse)
+    script = write_script(tmp_path, sphere_script(base=2, glevel=4))
+    extra = ["--exact", "0"] if command == "converge" else []
+    out = tmp_path / ("c.csv" if command == "converge" else "out")
+    assert main([command, str(script), "--levels", "25", "--out", str(out),
+                 *extra]) == 2
+    assert "level 19" in capsys.readouterr().err
+
+
 def test_missing_script_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.prob")]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -7,19 +7,27 @@ it exactly (bilinear total minus right-hand-side total). A second oracle
 counts product terms by the distribution law alone.
 """
 
+import dataclasses
 import math
+import re
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, assume, settings, strategies as st
 
 import treefem.expr as ex
+from treefem.assemble import Assembler
+from treefem.codegen import c_scalar
 from treefem.errors import FormError
 from treefem.forms import (
-    BasisSel, Contribution, KernelIR, Region, Term, VALUE,
-    compile_kernel, discretize_time, expand, fold, lower, required_names,
+    BOUNDARY_KINDS, SURFACE_DATA, BasisSel, Contribution, KernelIR, Region,
+    Term, VALUE, compile_kernel, discretize_time, expand, fold, lower,
+    required_names,
 )
-from treefem.problem import TimeScheme, parse_problem
+from treefem.mesh import build_mesh
+from treefem.problem import BCKind, TimeScheme, parse_problem
+
+from test_assemble import MIXED_PATCH, MIXED_PATCH_3D
 
 
 DIRICHLET_FORM = (
@@ -691,3 +699,85 @@ steps = 4
     spec = parse_problem(steady)
     ir = compile_kernel(spec)
     assert ir.steady and ir.scheme is None and ir.prelude == ()
+
+
+# ---------------------------------------------------------------------------
+# The shifted-boundary vocabulary: every SURFACE_DATA and BOUNDARY_KINDS row
+# parses, compiles, renders to C and is bound by the assembler.
+
+@pytest.fixture(scope="module")
+def sbm_assemblers():
+    """An Assembler per dimension on a carved disk or ball whose faces are
+    routed to one Dirichlet and one Neumann region."""
+    assemblers = {}
+    for script in (MIXED_PATCH, MIXED_PATCH_3D):
+        spec = parse_problem(script)
+        assemblers[spec.dimension] = Assembler(build_mesh(spec), spec)
+    return assemblers
+
+
+def _parses_with_its_arity(call):
+    arity = ex.BUILTIN_CALLS[call]
+    args = ", ".join(["u"] * arity)
+    assert ex.parse(f"{call}({args})") == ex.Call(call, (ex.Name("u"),) * arity)
+
+
+def _with_form(spec, text):
+    return dataclasses.replace(spec, weak_form=ex.parse(text))
+
+
+@pytest.mark.parametrize("call", SURFACE_DATA)
+def test_each_surface_datum_is_compiled_rendered_and_bound(call,
+                                                           sbm_assemblers):
+    datum = SURFACE_DATA[call]
+    _parses_with_its_arity(call)
+    use = f"dot({call}(), grad(u))" if datum.vector else f"{call}()*u"
+    # a boundary value belongs to its own block; other data to any block
+    kinds = [kind for kind in BOUNDARY_KINDS.values() if kind.value == call]
+    is_value = bool(kinds)
+    for dim, assembler in sbm_assemblers.items():
+        names = datum.names(dim)
+        assert len(names) == (dim if datum.vector else 1)
+        for name in names:
+            assert re.fullmatch(r"[a-z_]+(\[[0-2]\])?", c_scalar(ex.Name(name)))
+        # fixed data sit in every face batch; boundary values come from routing
+        for batch in assembler.face_batches:
+            assert all((name in batch.surface) != is_value for name in names)
+        base = assembler.assemble(compile_kernel(_with_form(
+            assembler.spec, "dot(grad(u), grad(v))")))[0]
+        for kind in kinds or BOUNDARY_KINDS.values():
+            ir = compile_kernel(_with_form(
+                assembler.spec, f"dot(grad(u), grad(v)) + {kind.block}({use}*v)"))
+            assert required_names(ir) == set(names)
+            assert [bool(group[2]) for group in ir.groups()] == [
+                region in (Region.VOLUME, kind.region) and bilinear
+                for region, bilinear, _ in ir.groups()]
+            # the assembler binds every name: the datum changes the matrix
+            A, _ = assembler.assemble(ir)
+            assert abs(A - base).sum() > 0
+
+
+@pytest.mark.parametrize("kind", list(BCKind), ids=lambda k: k.value)
+def test_each_boundary_kind_has_a_block_region_and_value(kind):
+    boundary = BOUNDARY_KINDS[kind]
+    _parses_with_its_arity(boundary.block)
+    assert not SURFACE_DATA[boundary.value].vector
+    [term] = expand(form(f"{boundary.block}({boundary.value}()*u*v)"), 2)
+    assert term.region is boundary.region
+    assert ex.names_in(term.scalar) == {SURFACE_DATA[boundary.value].name}
+    for other in BOUNDARY_KINDS.values():
+        if other is not boundary:
+            with pytest.raises(FormError, match=re.escape(
+                    f"{boundary.value}() belongs inside {boundary.block}(...)")):
+                expand(form(f"{other.block}({boundary.value}()*v)"), 2)
+
+
+def test_surface_vocabulary_names_are_distinct():
+    calls = list(SURFACE_DATA) + [k.block for k in BOUNDARY_KINDS.values()]
+    assert len(set(calls)) == len(calls) and set(calls) <= set(ex.BUILTIN_CALLS)
+    names = [n for datum in SURFACE_DATA.values() for n in datum.names(3)]
+    c_names = [c_scalar(ex.Name(n)) for n in names]
+    assert len(set(names)) == len(names) and len(set(c_names)) == len(c_names)
+    regions = [k.region for k in BOUNDARY_KINDS.values()]
+    assert sorted(r.value for r in regions) == sorted(
+        r.value for r in Region if r is not Region.VOLUME)

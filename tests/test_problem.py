@@ -11,8 +11,10 @@ from treefem import expr as ex
 from treefem import problem
 from treefem.errors import ParseError, ValidationError
 from treefem.problem import (
-    BCKind, TimeScheme, parse_problem, with_levels,
+    BCKind, GeometrySpec, TimeScheme, parse_problem, with_levels,
 )
+
+from test_acceptance import sphere_script
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -426,6 +428,27 @@ class TestValidation:
         with pytest.raises(ValidationError, match="field 'w'"):
             parse_problem(script)
 
+    @pytest.mark.parametrize("geometry, want", [
+        (GeometrySpec(kind="circle", refine_level=4), "circle geometry needs center"),
+        (GeometrySpec(kind="circle", refine_level=7, center=(0.5, 0.5)),
+         "circle geometry needs radius"),
+        (GeometrySpec(kind="mesh", refine_level=4), "mesh geometry needs mesh_file"),
+        (GeometrySpec(kind="square", refine_level=4),
+         "unknown geometry shape 'square'"),
+        (GeometrySpec(kind="circle", refine_level=7, center=(0.5, 0.5),
+                      radius=0.5, mesh_file="disk.msh"),
+         "circle geometry takes no mesh_file"),
+        (GeometrySpec(kind="mesh", refine_level=7, mesh_file="disk.msh",
+                      radius=0.5), "mesh geometry takes no radius"),
+    ], ids=["circle_no_center", "circle_no_radius", "mesh_no_file", "square",
+            "circle_with_file", "mesh_with_radius"])
+    def test_geometry_built_in_code_is_checked_against_its_shape_keys(
+            self, geometry, want):
+        spec = dataclasses.replace(parse_problem(CIRCLE_SCRIPT),
+                                   geometries=(geometry,))
+        with pytest.raises(ValidationError, match=f"^{want}$"):
+            spec.validate()
+
 
 class TestLevelOverride:
     def test_with_levels(self):
@@ -435,6 +458,13 @@ class TestLevelOverride:
         assert uniform.geometries[0].refine_level == 6
         assert uniform.refine_where is None
         uniform.validate()
+
+    def test_level_past_the_depth_cap_is_rejected(self):
+        spec = parse_problem(sphere_script(base=2, glevel=4))
+        with pytest.raises(ValidationError, match="base_refine_level 20 exceeds "
+                           "the maximum depth of a 3-D tree, level 19"):
+            with_levels(spec, 20)
+        assert with_levels(spec, 19).base_refine_level == 19
 
     def test_original_unchanged(self):
         spec = parse_problem(CIRCLE_SCRIPT)
