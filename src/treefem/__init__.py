@@ -8,9 +8,9 @@ from .errors import (
     Error, ParseError, EvalError, ValidationError, FormError, GeometryError,
     MeshError, EmptyMeshError, AssemblyError, SolverError, CodegenError,
 )
-from .forms import KernelIR, compile_kernel
+from .forms import KernelIR, TimeScheme, compile_kernel
 from .mesh import IncompleteMesh, build_mesh
-from .problem import ProblemSpec, TimeScheme, parse_problem, with_levels
+from .problem import ProblemSpec, parse_problem, with_levels
 from .solve import bicgstab, reduce_system
 from .vtkio import write_diagnostics_csv, write_fields_vtk, write_mesh_vtk
 

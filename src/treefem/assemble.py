@@ -47,10 +47,10 @@ import scipy.sparse as sp
 
 from . import expr as ex
 from .errors import AssemblyError, ValidationError
-from .forms import BOUNDARY_KINDS, SURFACE_DATA, Region, compile_kernel
+from .forms import (BOUNDARY_KINDS, SURFACE_DATA, Region, TimeScheme,
+                    compile_kernel)
 from .kernel import basis_table, face_reference_points, tensor_rule
 from .mesh import KIND_GEOMETRY, build_mesh
-from .problem import TimeScheme
 # run_problem calls these by this module's names, which benchmark probes swap
 from .solve import SolveInfo, bicgstab, reduce_system
 

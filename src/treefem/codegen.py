@@ -35,8 +35,7 @@ from string import Template
 from . import expr as ex
 from .errors import CodegenError
 from .forms import (GROUPS, SURFACE_DATA, BasisSel, Contribution, KernelIR,
-                    required_names)
-from .problem import TimeScheme
+                    TimeScheme, required_names)
 
 __all__ = ["DEFAULT_TEMPLATE", "c_scalar", "emit_kernels", "parse_ir",
            "serialize_ir"]

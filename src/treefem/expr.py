@@ -482,11 +482,6 @@ def is_predicate(expr):
         isinstance(expr, Bin) and _BINARY[expr.op][0] <= _LEVEL_CMP)
 
 
-def has_comparison(expr):
-    """True when ``expr`` contains a comparison or boolean operator."""
-    return any(is_predicate(node) for node in _nodes(expr))
-
-
 # ---------------------------------------------------------------------------
 # S-expression form (used by the kernel IR serializer)
 

@@ -37,13 +37,25 @@ from typing import NamedTuple
 
 from . import expr as ex
 from .errors import FormError
-from .problem import BCKind, TimeScheme
 
 __all__ = [
-    "Region", "BasisSel", "Term", "Contribution", "KernelIR", "GROUPS",
-    "Datum", "Boundary", "SURFACE_DATA", "BOUNDARY_KINDS", "expand",
-    "discretize_time", "lower", "compile_kernel", "fold", "required_names",
+    "BCKind", "TimeScheme", "Region", "BasisSel", "Term", "Contribution",
+    "KernelIR", "GROUPS", "Datum", "Boundary", "SURFACE_DATA", "BOUNDARY_KINDS",
+    "expand", "discretize_time", "lower", "compile_kernel", "fold",
+    "required_names",
 ]
+
+
+# A boundary condition's kind and a transient script's scheme: the keys of
+# BOUNDARY_KINDS and _SCHEME_WEIGHTS.
+class BCKind(Enum):
+    DIRICHLET = "dirichlet"
+    NEUMANN = "neumann"
+
+
+class TimeScheme(Enum):
+    EULER_IMPLICIT = "euler_implicit"
+    BDF2 = "bdf2"
 
 
 class Region(Enum):

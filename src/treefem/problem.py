@@ -5,7 +5,10 @@ A problem script is a UTF-8 text document made of ``[section]`` headers and
 ``[geometry]`` may appear more than once. The ``[weak_form]`` section is
 special: its lines are joined verbatim into one expression. The keyed
 sections are read first, in script order: the first bad row of a section
-in line order is reported, and a missing required key at its header line.
+in line order is reported, and a key the section's schema requires at the
+section's header line. Whether a geometry has the ``center``/``radius`` or
+``mesh_file`` its shape needs is checked with the rest of the spec, after
+parsing, so that error carries no line.
 Sections and keys:
 
 ``[domain]`` (required)
@@ -65,12 +68,14 @@ the test symbol and every coefficient.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
-from enum import Enum
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from . import expr as ex
 from .errors import ParseError, ValidationError
+from .forms import BCKind, TimeScheme, compile_kernel
 from .mesh import MAX_LEVEL
 from .solve import KSP_TYPES, PRECONDITIONERS, SolverOptions
 
@@ -87,16 +92,6 @@ WALL_NAMES_3D = WALL_NAMES_2D + ("z-", "z+")
 RESERVED_NAMES = frozenset(
     ("x", "y", "z", "t", "level", "pi", "true", "false", "dt")
 ) | frozenset(ex.BUILTIN_CALLS)
-
-
-class BCKind(Enum):
-    DIRICHLET = "dirichlet"
-    NEUMANN = "neumann"
-
-
-class TimeScheme(Enum):
-    EULER_IMPLICIT = "euler_implicit"
-    BDF2 = "bdf2"
 
 
 @dataclass(frozen=True)
@@ -134,11 +129,11 @@ class ProblemSpec:
     base_refine_level: int
     variables: tuple
     test_symbol: str
-    weak_form: object               # Expr
+    weak_form: ex.Expr
     geometries: tuple = ()
     wall_refine_level: int = None
     refine_walls: tuple = ()
-    refine_where: object = None     # Expr or None
+    refine_where: ex.Expr = None
     time: TimeConfig = None
     coefficients: dict = field(default_factory=dict)
     boundary_regions: tuple = ()    # ((id, predicate Expr), ...) in order
@@ -147,7 +142,9 @@ class ProblemSpec:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def validate(self):
-        """Check the cross-field rules; raises ValidationError. Idempotent."""
+        """Check every field's type, the cross-field rules, and that the
+        weak form compiles; raises ValidationError, or FormError for a weak
+        form :func:`treefem.forms.compile_kernel` rejects. Idempotent."""
         _validate(self)
         return self
 
@@ -292,13 +289,6 @@ def _scan(text):
     return sections
 
 
-def _require(name, present, keys, header_line):
-    for key in keys:
-        if key not in present:
-            raise ParseError(f"[{name}] is missing required key '{key}'",
-                             line=header_line)
-
-
 def _read_section(name, header_line, rows):
     """Read a keyed section's rows, in line order, against :data:`_SCHEMA`.
 
@@ -314,7 +304,10 @@ def _read_section(name, header_line, rows):
             raise ParseError(f"duplicate key '{key}' in [{name}]", line=line_no)
         values[_FIELD.get(key, key)] = readers[key](text, line_no, key)
         lines[key] = line_no
-    _require(name, lines, required, header_line)
+    for key in required:
+        if key not in lines:
+            raise ParseError(f"[{name}] is missing required key '{key}'",
+                             line=header_line)
     return values, lines
 
 
@@ -341,25 +334,10 @@ def _parse_expr(text, line_no, names=None, predicate=None):
     return expr
 
 
-def _split_top_level(text):
-    """Split on commas that are not nested inside parentheses."""
-    parts = []
-    depth = 0
-    start = 0
-    for i, c in enumerate(text):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return [p.strip() for p in parts]
-
-
 def _parse_coefficient(text, line_no, key, names):
-    parts = _split_top_level(text)
+    # no value expression holds a comma: dot(), the one call of more than
+    # one argument, belongs to the weak form alone
+    parts = text.split(",")
     if len(parts) > 1:
         try:
             return tuple(_finite(p) for p in parts)
@@ -413,7 +391,8 @@ def parse_problem(text):
         coefficients[key] = _parse_coefficient(
             value, line_no, key, _scope(dimension, coefficients))
 
-    geometries = tuple(_geometry(*entry) for entry in read.get("geometry", ()))
+    geometries = tuple(GeometrySpec(**values)
+                       for _, values, _ in read.get("geometry", ()))
     time_config = TimeConfig(**read["time"][0][1]) if "time" in read else None
     solver = SolverOptions(**read["solver"][0][1]) if "solver" in read else SolverOptions()
 
@@ -432,12 +411,12 @@ def parse_problem(text):
                 "boundary condition keys look like 'var @ region'", line=line_no)
         var, _, region = (part.strip() for part in key.partition("@"))
         rid = _parse_int(region, line_no, "region id")
-        parts = _split_top_level(value)
+        parts = value.split(",")
         if len(parts) != 2:
             raise ParseError(
                 "boundary condition values look like 'dirichlet, expression'",
                 line=line_no)
-        kind = BCKind(_choice(parts[0], line_no, "boundary condition kind",
+        kind = BCKind(_choice(parts[0].strip(), line_no, "boundary condition kind",
                               [k.value for k in BCKind]))
         if (var, rid) in boundary_conditions:
             raise ParseError(
@@ -472,24 +451,38 @@ def parse_problem(text):
     ).validate()
 
 
-def _geometry(header_line, values, lines):
-    """A geometry section's spec, once its shape's keys are checked."""
-    wanted = _SHAPE_KEYS[values["kind"]]
-    _require("geometry", lines, wanted, header_line)
-    for key in ("center", "radius", "mesh_file"):
-        if key in values and key not in wanted:
-            where = "shape = mesh" if key == "mesh_file" else "analytic shapes"
-            raise ParseError(f"{key} is only valid for {where}", line=lines[key])
-    return GeometrySpec(**values)
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
 _BOUNDARY_TYPE_KIND = {"sbm": BCKind.DIRICHLET, "neumann_sbm": BCKind.NEUMANN}
 
 
+_declared_types = functools.cache(typing.get_type_hints)    # per spec class
+
+
+def _check_types(record):
+    """Raise ValidationError at the first field of the spec dataclass
+    ``record``, or of a spec it holds, whose value is not of the declared
+    type. A field that defaults to None may be None, and a float field an
+    int; no number field takes a bool."""
+    hints = _declared_types(type(record))
+    for item in fields(record):
+        value, want = getattr(record, item.name), hints[item.name]
+        if value is None and item.default is None:
+            continue
+        if (not isinstance(value, (int, float) if want is float else want)
+                or isinstance(value, bool) and want in (int, float)):
+            noun = want.__name__ if isinstance(want, type) else "an expression"
+            raise ValidationError(f"{type(record).__name__}.{item.name} must be "
+                                  f"{noun}, got {value!r}")
+        if is_dataclass(want):
+            _check_types(value)
+
+
 def _validate(spec):
+    _check_types(spec)
+    for geom in spec.geometries:
+        _check_types(geom)
     if spec.dimension not in (2, 3):
         raise ValidationError(f"dimension must be 2 or 3, got {spec.dimension}")
     if len(spec.domain_min) != spec.dimension or len(spec.domain_max) != spec.dimension:
@@ -563,15 +556,11 @@ def _validate(spec):
     if sol.abs_tol <= 0 or sol.rel_tol <= 0:
         raise ValidationError("solver tolerances must be positive")
 
-    if ex.has_comparison(spec.weak_form):
-        raise ValidationError("comparison operators are not allowed inside a weak form")
     used = ex.names_in(spec.weak_form)
-    if spec.test_symbol not in used:
-        raise ValidationError(
-            f"the weak form never references the test function '{spec.test_symbol}'")
     for var in spec.variables:
         if var not in used:
             raise ValidationError(f"the weak form never references the field '{var}'")
+    compile_kernel(spec)
 
 
 def _validate_geometry(spec, geom):

@@ -517,3 +517,39 @@ def test_assembly_time_linear_in_element_count():
     assert all(value >= 0.0 for value in result.timings.values())
     print(f"per-element time ratio {ratio:.3f}; phases "
           + ", ".join(f"{k}={v:.3f}s" for k, v in sorted(result.timings.items())))
+
+
+# ---------------------------------------------------------------------------
+# 8. shifted Neumann conditions converge at first order; on a wall, second
+
+NEUMANN_EXACT = "exp(x)*sin(y)"   # harmonic, so the volume form has no source
+
+
+def test_shifted_neumann_is_first_order_and_wall_neumann_second():
+    from test_assemble import BOX_PATCH, MIXED_PATCH, NEUMANN_BLOCK
+
+    # the disk of MIXED_PATCH: Dirichlet on x < 0.5, shifted Neumann elsewhere;
+    # the Neumann value is -grad(u).n on the circle of radius 0.4
+    mixed = MIXED_PATCH.replace(
+        "dirichlet, x", f"dirichlet, {NEUMANN_EXACT}").replace(
+        "neumann, -(x - 0.5) / 0.4",
+        "neumann, -exp(x)*(sin(y)*(x - 0.5) + cos(y)*(y - 0.5)) / 0.4")
+    # the unit square, Neumann on the x+ wall (no shift), Dirichlet elsewhere
+    wall = BOX_PATCH.format(base=3, extra="", value=NEUMANN_EXACT).replace(
+        "1 = true", "2 = x > 1 - 1e-9\n1 = true").replace(
+        "[solver]", "u @ 2 = neumann, -exp(x)*sin(y)\n\n[solver]") + NEUMANN_BLOCK
+    exact = ex.parse(NEUMANN_EXACT)
+    slopes = {}
+    for name, script, levels in (("mixed", mixed, (4, 5, 6, 7)),
+                                 ("wall", wall, (3, 4, 5, 6, 7))):
+        spec0 = parse_problem(script)
+        hs, errors = [], []
+        for level in levels:
+            result = run_problem(with_levels(spec0, level))
+            hs.append(1.0 / (1 << level))
+            errors.append(l2_error(result.mesh, result.values, exact))
+        slopes[name] = fit_slope(hs, errors)
+    assert slopes["mixed"] >= 0.85, f"shifted Neumann L2 slope {slopes['mixed']:.3f}"
+    assert slopes["wall"] >= 1.9, f"wall Neumann L2 slope {slopes['wall']:.3f}"
+    print(f"L2 slopes: shifted Neumann disk {slopes['mixed']:.3f}, "
+          f"wall Neumann {slopes['wall']:.3f}")

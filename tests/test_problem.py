@@ -9,7 +9,7 @@ import pytest
 
 from treefem import expr as ex
 from treefem import problem
-from treefem.errors import ParseError, ValidationError
+from treefem.errors import FormError, ParseError, ValidationError
 from treefem.problem import (
     BCKind, GeometrySpec, TimeScheme, parse_problem, with_levels,
 )
@@ -229,13 +229,18 @@ class TestParseErrors:
     @pytest.mark.parametrize("script, header, row", [
         (CIRCLE_SCRIPT, "[domain]", "dimension = 2"),
         (CIRCLE_SCRIPT, "[variables]", "names = u"),
-        (CIRCLE_SCRIPT, "[geometry]", "radius = 0.5"),
+        (CIRCLE_SCRIPT, None, "radius = 0.5"),
         (HEAT3D_SCRIPT, "[time]", "dt = 0.01"),
     ], ids=["domain", "variables", "geometry", "time"])
     def test_missing_required_key_names_the_section_header(self, script, header,
                                                            row):
         script = edit(script, row + "\n", "")
         key = row.split(" =")[0]
+        if header is None:
+            # a key only the shape requires is checked with the spec, unlined
+            with pytest.raises(ValidationError, match=f"^circle geometry needs {key}$"):
+                parse_problem(script)
+            return
         with pytest.raises(ParseError, match=f"missing required key '{key}'") as err:
             parse_problem(script)
         assert err.value.line == line_of(script, header)
@@ -387,7 +392,7 @@ class TestValidation:
 
     def test_comparison_in_weak_form(self):
         script = edit(CIRCLE_SCRIPT, "- f*v", "- (f < 1)*v")
-        with pytest.raises(ValidationError, match="comparison"):
+        with pytest.raises(FormError, match="^operator '<' is not allowed in a weak form$"):
             parse_problem(script)
 
     def test_reserved_coefficient_name(self):
@@ -416,7 +421,8 @@ class TestValidation:
         # A weak form that only ever mentions the unknown.
         head = CIRCLE_SCRIPT.split("[weak_form]")[0]
         script = head + "[weak_form]\ndot(grad(u), grad(u)) - f*u\n"
-        with pytest.raises(ValidationError, match="'v'"):
+        with pytest.raises(FormError,
+                           match="^a term has no factor of the test function 'v'$"):
             parse_problem(script)
 
     @pytest.mark.parametrize("names", ["w, u", "u, w"],
