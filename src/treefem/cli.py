@@ -301,10 +301,9 @@ def main(argv=None):
         if args.command == "codegen":
             return cmd_codegen(args.script, template=args.template,
                                out_dir=args.out)
-        if args.command == "mesh":
-            return cmd_mesh(args.script, args.out,
-                            level=_single_level(parser, args))
-        raise AssertionError(args.command)
+        # argparse admits no command but the four subcommands
+        return cmd_mesh(args.script, args.out,
+                        level=_single_level(parser, args))
     except Error as err:
         print(f"error: {err}", file=sys.stderr)
         return _exit_code(err)

@@ -33,7 +33,7 @@ from .errors import EvalError, ParseError
 
 __all__ = [
     "Num", "Bool", "Name", "Neg", "Bin", "Call",
-    "parse", "to_text", "eval_scalar", "point_env", "names_in",
+    "parse", "to_text", "eval_scalar", "point_env", "names_in", "calls_in",
     "to_sexpr", "from_sexpr", "BUILTIN_CALLS",
 ]
 
@@ -473,6 +473,11 @@ def names_in(expr):
     """Set of plain identifiers referenced by ``expr`` (``pi`` excluded)."""
     return {node.id for node in _nodes(expr)
             if isinstance(node, Name) and node.id != "pi"}
+
+
+def calls_in(expr):
+    """Set of the functions ``expr`` calls."""
+    return {node.fn for node in _nodes(expr) if isinstance(node, Call)}
 
 
 def is_predicate(expr):

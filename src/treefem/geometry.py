@@ -114,9 +114,9 @@ class _Faceted:
     coordinates a subclass sets as ``_corners``; ``_columns`` are the axes
     across its side-test rays. For ``kept`` it supplies ``_inside(points)``,
     the ray parity of each point. For ``closest`` it supplies ``_project(p,
-    facet)``, the closest point of ``facet[i]`` to ``p[i]`` and the feature
-    that holds it, and ``_feature_normal(facet, feature)``. Each subclass
-    binds both methods in its own namespace, where perfbench wraps them."""
+    facet)``, the closest point of ``facet[i]`` to ``p[i]`` and its feature
+    code, and ``_normals[facet, feature]``, the unit normals. Each subclass
+    binds both queries in its own namespace, where perfbench wraps them."""
 
     @cached_property
     def _scale(self):
@@ -174,6 +174,9 @@ class _Faceted:
             normals[at] = self._feature_normal(facet[best], feature[best])
         return ClosestPoint(projections, normals, distances)
 
+    def _feature_normal(self, facet, feature):
+        return self._normals[facet, feature]
+
 
 def _centroid_search(corners):
     centroids = corners.mean(axis=1)
@@ -218,6 +221,9 @@ class Polyline(_Faceted):
         norms = np.linalg.norm(accum, axis=1)
         norms[norms == 0] = 1.0
         self.vertex_normals = accum / norms[:, None]
+        self._normals = np.concatenate(
+            [self.vertex_normals[self.segments], self.edge_normals[:, None]],
+            axis=1)
 
     def _inside(self, points):
         """Ray parity along +x."""
@@ -226,20 +232,14 @@ class Polyline(_Faceted):
         return np.bincount(row, minlength=len(points)) % 2 == 1
 
     def _project(self, p, segment):
-        """The closest point of ``segment[i]`` to ``p[i]``, and its
-        parameter along the segment."""
+        """The closest point of ``segment[i]`` to ``p[i]``, and its feature:
+        end 0 or 1 when within 1e-12 of it along the segment, else 2."""
         a = np.take(self._corners[:, 0], segment, axis=0)
         ab = np.take(self._corners[:, 1], segment, axis=0) - a
         t = np.einsum("ij,ij->i", p, ab) - np.einsum("ij,ij->i", a, ab)
         t = np.clip(t / np.einsum("ij,ij->i", ab, ab), 0.0, 1.0)
-        return a + t[:, None] * ab, t
-
-    def _feature_normal(self, segment, t):
-        """The edge normal, or the vertex normal at either end."""
-        normals = self.edge_normals[segment]
-        for end, at in ((0, t <= 1e-12), (1, t >= 1.0 - 1e-12)):
-            normals[at] = self.vertex_normals[self.segments[segment[at], end]]
-        return normals
+        feature = np.select([t >= 1.0 - 1e-12, t <= 1e-12], [1, 0], 2)
+        return a + t[:, None] * ab, feature
 
 
 def _crossings(points, corners, search, scale):
@@ -369,27 +369,24 @@ class TriSurface(_Faceted):
         area2 = np.linalg.norm(cross, axis=1)
         if np.any(area2 == 0):
             raise GeometryError("triangle surface has a degenerate face")
-        self.face_normals = cross / area2[:, None]
-        self.vertex_normals = _angle_weighted_normals(vertices, faces,
-                                                      self.face_normals)
-        self.edge_slot_normals = _edge_slot_normals(faces, self.face_normals)
-        if not self.outer_boundary:
-            self.face_normals = -self.face_normals
-            self.vertex_normals = -self.vertex_normals
-            self.edge_slot_normals = -self.edge_slot_normals
+        face_normals = cross / area2[:, None]
+        normals = np.concatenate([
+            _angle_weighted_normals(vertices, faces, face_normals)[faces],
+            _edge_slot_normals(faces, face_normals), face_normals[:, None]],
+            axis=1)
+        normals /= np.linalg.norm(normals, axis=2)[..., None]
+        self._normals = normals if self.outer_boundary else -normals
 
     # -- side classification ------------------------------------------------
 
     def _inside(self, points):
         """Ray parity along +z, one shared ray per (x, y) column."""
-        order = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
-        x, y, z = (np.take(points[:, k], order) for k in range(3))
-        # sorted, a column is one run and a distinct point one run inside it
+        order = np.lexsort((points[:, 1], points[:, 0]))
+        x, y, heights = (np.take(points[:, k], order) for k in range(3))
+        # sorted, a column is one run
         fresh = np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1])]
-        first = np.flatnonzero(fresh | np.r_[True, z[1:] != z[:-1]])
         columns = np.column_stack([x[fresh], y[fresh]])
-        column_of = np.cumsum(fresh[first]) - 1     # of each distinct point
-        heights = z[first]
+        column_of = np.cumsum(fresh) - 1        # of each sorted point
         grid, radius = self._column_search
         scale = self._scale
         # Faces whose projection comes this close to a column are tested
@@ -431,32 +428,15 @@ class TriSurface(_Faceted):
         passed = np.cumsum(~kind[ranked])[kind[ranked]]
         at = ranked[kind[ranked]] - len(hit_col)
         per_column = np.bincount(hit_col, minlength=len(columns))
-        above = np.empty(len(heights), np.intp)
-        above[at] = passed - (np.cumsum(per_column) - per_column)[column_of[at]]
+        above = passed - (np.cumsum(per_column) - per_column)[column_of[at]]
         inside = np.empty(len(points), bool)
-        inside[order] = (above % 2 == 1).repeat(np.diff(first, append=len(x)))
+        inside[order[at]] = above % 2 == 1
         return inside
 
     def _project(self, p, face):
         return _closest_on_triangles(p, *(
             np.take(self.vertices, self.faces[face, k], axis=0)
             for k in range(3)))
-
-    def _feature_normal(self, face_index, feature):
-        out = np.empty((len(face_index), 3))
-        for code in range(7):
-            rows = feature == code
-            if not rows.any():
-                continue
-            faces = face_index[rows]
-            if code == 6:
-                out[rows] = self.face_normals[faces]
-            elif code < 3:
-                out[rows] = self.vertex_normals[self.faces[faces, code]]
-            else:
-                out[rows] = self.edge_slot_normals[faces, code - 3]
-        norms = np.linalg.norm(out, axis=1)
-        return out / norms[:, None]
 
 
 # Most grid rows and (query, point) pairs read at once; bounds the arrays.
@@ -590,6 +570,13 @@ def _ray_crossings(xy, a, b, c, scale):
     return ambiguous, strict, z
 
 
+# Per triangle feature code: the corner (0 a, 1 b, 2 c) its closest point
+# starts from, the corner it steps toward, and the step (t_ab, t_ac, t_bc, v);
+# a corner takes no step, and the interior a second one, w along ac.
+_FEATURE_STEPS = np.array([[0, 0, 0], [1, 1, 0], [2, 2, 0],
+                           [0, 1, 0], [0, 2, 1], [1, 2, 2], [0, 1, 3]])
+
+
 def _closest_on_triangles(p, a, b, c):
     """Closest point from each ``p[i]`` onto triangle ``(a[i], b[i], c[i])``,
     plus the feature it lies on.
@@ -599,47 +586,42 @@ def _closest_on_triangles(p, a, b, c):
     """
     ab = b - a
     ac = c - a
-    ap = p - a
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
-    bp = p - b
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
-    cp = p - c
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
+    # p[i] less each corner, against each edge from a; the differences are
+    # freed before the point is picked
+    d1, d2, d3, d4, d5, d6 = (np.einsum("ij,ij->i", e, q)
+                              for q in (p - a, p - b, p - c) for e in (ab, ac))
     vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
 
     # the first region in this list that holds p[i] names its feature
-    feature = np.full(len(p), 6, dtype=np.int8)
-    for mask, code in reversed((
-            ((d1 <= 0) & (d2 <= 0), 0),
-            ((d3 >= 0) & (d4 <= d3), 1),
-            ((vc <= 0) & (d1 >= 0) & (d3 <= 0), 3),
-            ((d6 >= 0) & (d5 <= d6), 2),
-            ((vb <= 0) & (d2 >= 0) & (d6 <= 0), 4),
-            ((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0), 5))):
-        feature[mask] = code
+    feature = np.select([
+        (d1 <= 0) & (d2 <= 0),
+        (d3 >= 0) & (d4 <= d3),
+        (vc <= 0) & (d1 >= 0) & (d3 <= 0),
+        (d6 >= 0) & (d5 <= d6),
+        (vb <= 0) & (d2 >= 0) & (d6 <= 0),
+        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)], [0, 1, 3, 2, 4, 5], 6)
 
+    # the steps along the edges (t_ab, t_ac, t_bc) and inside (v, w)
+    total = va + vb + vc
+    fractions = ((d1, d1 - d3), (d2, d2 - d6),
+                 (d4 - d3, (d4 - d3) + (d5 - d6)), (vb, total), (vc, total))
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_ab = np.where(d1 - d3 != 0, d1 / (d1 - d3), 0.0)
-        t_ac = np.where(d2 - d6 != 0, d2 / (d2 - d6), 0.0)
-        seam = (d4 - d3) + (d5 - d6)
-        t_bc = np.where(seam != 0, (d4 - d3) / seam, 0.0)
-        total = va + vb + vc
-        v = np.where(total != 0, vb / total, 0.0)
-        w = np.where(total != 0, vc / total, 0.0)
+        t_ab, t_ac, t_bc, v, w = (np.where(over != 0, top / over, 0.0)
+                                  for top, over in fractions)
 
-    cand = a + v[:, None] * ab + w[:, None] * ac      # interior default
-    for code, point in (
-        (0, a), (1, b), (2, c),
-        (3, a + t_ab[:, None] * ab),
-        (4, a + t_ac[:, None] * ac),
-        (5, b + t_bc[:, None] * (c - b)),
-    ):
-        cand = np.where((feature == code)[:, None], point, cand)
+    # row k*n + i of the corners and of the steps holds item k of pair i
+    n = len(p)
+    from_row, to_row, step_row = (np.take(_FEATURE_STEPS, feature, axis=0).T
+                                  * n + np.arange(n))
+    start, toward = np.take(np.concatenate((a, b, c)), np.r_[from_row, to_row],
+                            axis=0).reshape(2, n, 3)
+    step = np.take(np.concatenate((t_ab, t_ac, t_bc, v)), step_row)
+    cand = np.where((feature < 3)[:, None], start,
+                    start + step[:, None] * (toward - start))
+    inside = np.flatnonzero(feature == 6)
+    cand[inside] += w[inside, None] * ac[inside]
     return cand, feature
 
 

@@ -61,9 +61,10 @@ Sections and keys:
 
 Every expression outside the weak form may name the coordinates of the
 script's dimension (``x``, ``y``, and ``z`` in 3-D), ``t``, and the scalar
-and expression coefficients declared before it. ``refine_where`` is read
-with ``[domain]``, before any coefficient. The weak form names the fields,
-the test symbol and every coefficient.
+and expression coefficients declared before it, and call only ``sin``,
+``cos``, ``exp``, ``sqrt`` and ``abs``. ``refine_where`` is read with
+``[domain]``, before any coefficient. The weak form names the fields, the
+test symbol and every coefficient, and calls any function.
 """
 
 from __future__ import annotations
@@ -322,12 +323,19 @@ def _scope(dimension, coefficients):
 def _parse_expr(text, line_no, names=None, predicate=None):
     """Parse one expression of the script. ``predicate`` True demands a
     boolean root (a comparison, ``&&``/``||``, ``true``/``false``), False
-    forbids one, and None (the weak form) checks neither."""
+    forbids one, and None (the weak form) checks neither; any but the weak
+    form may call only the math functions."""
     try:
         expr = ex.parse(text, names=names)
     except ParseError as err:
         raise ParseError(err.message, line=line_no, col=err.col) from None
-    if predicate is not None and ex.is_predicate(expr) != predicate:
+    if predicate is None:
+        return expr
+    weak_only = sorted(ex.calls_in(expr) - ex._MATH_CALLS.keys())
+    if weak_only:
+        raise ParseError(f"{weak_only[0]}(...) is only meaningful inside a "
+                         "weak form", line=line_no)
+    if ex.is_predicate(expr) != predicate:
         want = ("a predicate (a comparison, '&&', '||', true or false)"
                 if predicate else "a numeric value, not a predicate")
         raise ParseError(f"expected {want}: '{text.strip()}'", line=line_no)

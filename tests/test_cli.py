@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -394,3 +398,15 @@ def test_run_never_builds_the_hanging_map(tmp_path):
     mesh, = built
     assert "hanging" not in vars(mesh)
     assert len(mesh.hanging) > 0 and "hanging" in vars(mesh)
+
+
+def test_module_runs_as_a_command_with_its_exit_code(tmp_path):
+    # `python -m treefem.cli` needs no installed console script
+    script = write_script(tmp_path, "[domain]\ndimension = 4\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "treefem.cli", "mesh", str(script)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")

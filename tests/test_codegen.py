@@ -193,6 +193,30 @@ def test_output_directory_is_created(tmp_path):
     assert path.exists()
 
 
+def test_vector_coefficient_is_listed_with_its_width(tmp_path):
+    script = (STEADY_PLAIN.replace("[boundary_regions]",
+                                   "[coefficients]\nb = 1, 2\n\n[boundary_regions]")
+              .replace("dot(grad(u), grad(v))",
+                       "dot(grad(u), grad(v)) + dot(b, grad(u)) * v"))
+    [path] = emit_kernels(compile_kernel(parse_problem(script)),
+                          out_dir=tmp_path)
+    assert "b[2]         vector coefficient" in path.read_text()
+
+
+def test_template_with_malformed_placeholder(tmp_path):
+    template = tmp_path / "dollar.tmpl"
+    template.write_text(DEFAULT_TEMPLATE.read_text() + "\ncosts $5\n")
+    with pytest.raises(CodegenError, match="malformed '\\$' placeholder"):
+        emit_kernels(heat_ir(), template=template, out_dir=tmp_path)
+
+
+def test_unwritable_output_is_reported(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(CodegenError, match="cannot write kernel file"):
+        emit_kernels(heat_ir(), out_dir=blocker / "out")
+
+
 # -- the C expression printer ----------------------------------------------
 
 def test_scalar_printer_names():

@@ -276,6 +276,35 @@ def test_comma_in_a_value_call_exits_2_with_its_line(tmp_path, capsys):
     assert f"error: line {line}: vector coefficient 'c'" in capsys.readouterr().err
 
 
+# A weak-form call in each kind of value or predicate expression: (fixture,
+# the edit, the function named in the error, the edited line).
+WEAK_CALLS_IN_VALUES = {
+    "boundary_value": (DISK, ("u @ 1 = dirichlet, 0.01", "u @ 1 = dirichlet, grad(x)"),
+                       "grad", "u @ 1 = dirichlet, grad(x)"),
+    "coefficient": (DISK, ("alpha = 400", "alpha = 400\nf = Dt(x)"), "Dt", "f = Dt(x)"),
+    "region": (DISK, ("1 = true", "1 = dirichletValue() < 1"), "dirichletValue",
+               "1 = dirichletValue() < 1"),
+    "refine_where": (DISK, ("base_refine_level = 4",
+                            "base_refine_level = 4\nrefine_where = normal() < 1"),
+                     "normal", "refine_where = normal() < 1"),
+    "initial_condition": (HEAT, ("u = 0.0", "u = sin(x) * normal()"), "normal",
+                          "u = sin(x) * normal()"),
+}
+
+
+@pytest.mark.usefixtures("no_work")
+@pytest.mark.parametrize("fixture, edit, fn, line", WEAK_CALLS_IN_VALUES.values(),
+                         ids=WEAK_CALLS_IN_VALUES)
+def test_weak_form_call_in_a_value_exits_2_with_its_line(fixture, edit, fn, line,
+                                                          tmp_path, capsys):
+    text = edited(fixture.format(radius=0.5) if fixture is DISK else fixture, (edit,))
+    script = write_script(tmp_path, text)
+    assert main(["run", str(script), "--out", str(tmp_path / "out")]) == 2
+    number = text.splitlines().index(line) + 1
+    want = f"error: line {number}: {fn}(...) is only meaningful inside a weak form"
+    assert want in capsys.readouterr().err
+
+
 @pytest.mark.usefixtures("no_work")
 @pytest.mark.parametrize("levels, want", [
     ("3,25", "base_refine_level 25 exceeds the maximum depth of a 3-D tree, level 19"),

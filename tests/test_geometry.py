@@ -238,6 +238,23 @@ def scan_edge_slot_normals(faces, face_normals):
     return out
 
 
+def scan_normal_table(surf):
+    """``surf``'s (face, feature) normal table, one row at a time: corners,
+    the scan's edge slots, then the face; flipped for a void, then each row
+    normalized."""
+    a, b, c = (surf.vertices[surf.faces[:, k]] for k in range(3))
+    cross = np.cross(b - a, c - a)
+    face_normals = cross / np.linalg.norm(cross, axis=1)[:, None]
+    vertex = geometry._angle_weighted_normals(surf.vertices, surf.faces,
+                                              face_normals)
+    edge = scan_edge_slot_normals(surf.faces, face_normals)
+    rows = []
+    for f, face in enumerate(surf.faces):
+        rows += [*vertex[face], *edge[f], face_normals[f]]
+    rows = np.array(rows) * (1.0 if surf.outer_boundary else -1.0)
+    return (rows / np.linalg.norm(rows, axis=1)[:, None]).reshape(-1, 7, 3)
+
+
 # ---------------------------------------------------------------------------
 # Analytic ball
 
@@ -795,8 +812,7 @@ def test_candidate_search_matches_full_scan(shape, outer, seed, kinds, budget):
     assert np.array_equal(hit.normals, normals)
     assert np.array_equal(hit.distances, distances)
     assert np.array_equal(kept, scan_kept(surf, pts))
-    assert np.array_equal(surf.edge_slot_normals,
-                          scan_edge_slot_normals(surf.faces, surf.face_normals))
+    assert np.array_equal(surf._normals, scan_normal_table(surf))
 
 
 def same_bits(a, b):
@@ -926,8 +942,7 @@ def test_20k_triangle_surface_meshes_and_sets_up(tmp_path):
     mesh = build_mesh(spec, base_dir=str(tmp_path))
     asm = Assembler(mesh, spec)
     surf = mesh.geometries[0]
-    assert np.array_equal(surf.edge_slot_normals,
-                          scan_edge_slot_normals(surf.faces, surf.face_normals))
+    assert np.array_equal(surf._normals, scan_normal_table(surf))
     # the sphere touches no wall, so every face batch is a geometry batch
     assert (mesh.faces.kind == KIND_GEOMETRY).all()
     batches = asm.face_batches
@@ -1060,3 +1075,107 @@ def test_load_geometry_stl(tmp_path):
     geom = load_geometry(spec, 3, base_dir=str(tmp_path))
     assert isinstance(geom, TriSurface)
     assert not geom.kept(np.array([[0.5, 0.5, 0.5]]))[0]
+
+
+def test_carving_asks_the_side_test_about_distinct_points_only(tmp_path):
+    # the side test counts the crossings of every point it is given,
+    # repeated ones too; carving asks about each distinct corner once
+    write_stl(tmp_path / "bumpy.stl", *bumpy_sphere((0.5, 0.5, 0.5), 0.35))
+    spec = parse_problem(sphere_script(base=3, glevel=4, shape="mesh",
+                                       shape_lines="mesh_file = bumpy.stl"))
+    seen = []
+    kept = TriSurface.kept
+
+    def recording(surf, points):
+        seen.append(np.array(points))
+        return kept(surf, points)
+
+    with mock.patch.object(TriSurface, "kept", recording):
+        build_mesh(spec, base_dir=str(tmp_path))
+    assert sum(len(points) for points in seen) > 0
+    for points in seen:
+        assert len(np.unique(points, axis=0)) == len(points)
+
+
+# ---------------------------------------------------------------------------
+# Every input error of this module, one row each
+
+# a tetrahedron, and the midpoint (1, 0, 0) of its edge (0, 1)
+TETRA = np.array([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 0, 0)], float)
+TETRA_FACES = [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)]
+
+
+def gmsh_without_lines(path):
+    path.write_text("\n".join(["$MeshFormat", "2.2 0 8", "$EndMeshFormat",
+                               "$Nodes", "1", "1 0.5 0.5 0", "$EndNodes",
+                               "$Elements", "1", "1 15 2 0 1 1",
+                               "$EndElements", ""]))
+    return read_gmsh_lines(path)
+
+
+def stl_file(path, content):
+    if isinstance(content, str):
+        path.write_text(content)
+    else:
+        path.write_bytes(content)
+    return read_stl(path)
+
+
+def classify_while_every_ray_grazes():
+    def grazing(xy, a, b, c, scale):
+        return np.ones(len(xy), bool), np.zeros(len(xy), bool), np.zeros(len(xy))
+
+    with mock.patch.object(geometry, "_ray_crossings", grazing):
+        TriSurface(*SURFACES["cube"]).kept(np.array([[0.5, 0.5, 0.5]]))
+
+
+INPUT_ERRORS = {
+    "polyline_no_segments": (
+        lambda path: Polyline(SQUARE, np.zeros((0, 2), int)),
+        "polyline has no segments"),
+    "polyline_repeated_end": (
+        lambda path: Polyline(SQUARE, [(0, 1), (1, 1), (1, 2), (2, 0)]),
+        "polyline has a degenerate segment"),
+    "polyline_two_segment_loop": (
+        lambda path: Polyline([(0, 0), (1, 0)], [(0, 1), (1, 0)]),
+        "polyline loop has zero area"),
+    # the segment's squared length underflows to zero
+    "polyline_underflowing_segment": (
+        lambda path: Polyline([(0, 0), (1e-170, 0), (0, 1)],
+                              [(0, 1), (1, 2), (2, 0)]),
+        "polyline has a zero-length segment"),
+    "gmsh_no_line_elements": (
+        lambda path: gmsh_without_lines(path / "points.msh"),
+        "points.msh: no line elements found"),
+    "trisurface_no_faces": (
+        lambda path: TriSurface(TETRA, np.zeros((0, 3), int)),
+        "triangle surface has no faces"),
+    "trisurface_repeated_corner": (
+        lambda path: TriSurface(TETRA, TETRA_FACES + [(1, 1, 3)]),
+        "triangle surface has a degenerate face"),
+    "trisurface_collinear_face": (
+        lambda path: TriSurface(TETRA, TETRA_FACES + [(0, 4, 1)]),
+        "triangle surface has a degenerate face"),
+    "stl_neither_binary_nor_text": (
+        lambda path: stl_file(path / "noise.stl", b"\xff" * 100),
+        "noise.stl: not a valid STL file"),
+    "stl_short_vertex_line": (
+        lambda path: stl_file(path / "short.stl",
+                              "solid s\nvertex 0 0\nendsolid s\n"),
+        "short.stl: malformed vertex line"),
+    "stl_partial_triangle": (
+        lambda path: stl_file(path / "partial.stl",
+                              "solid s\nvertex 0 0 0\nvertex 1 0 0\nendsolid s\n"),
+        "partial.stl: not a valid STL file"),
+    "side_test_keeps_grazing": (
+        lambda path: classify_while_every_ray_grazes(),
+        "side classification failed: ray through the triangle surface keeps "
+        "hitting edges"),
+}
+
+
+@pytest.mark.parametrize("make, fragment", INPUT_ERRORS.values(),
+                         ids=INPUT_ERRORS)
+def test_input_error(make, fragment, tmp_path):
+    with pytest.raises(GeometryError, match=re.escape(fragment)):
+        make(tmp_path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from treefem.assemble import Assembler, run_problem
-from treefem.errors import ValidationError
+from treefem.errors import SolverError, ValidationError
 from treefem.problem import parse_problem
 from treefem.solve import (
     KSP_TYPES, PRECONDITIONERS, SolverOptions, bicgstab, reduce_system,
@@ -57,3 +57,35 @@ def test_bicgstab_defaults_are_the_solver_options():
     options = SolverOptions()
     for name in ("abs_tol", "rel_tol", "max_iterations", "pc_type"):
         assert parameters[name].default == getattr(options, name)
+
+
+# Hand-made 2 x 2 systems on which unpreconditioned BiCGStab breaks down:
+# (A, b, message, the residual norms recorded before the breakdown).
+BREAKDOWNS = {
+    # after two iterations the residual is orthogonal to b
+    "rho": ([[-3, -2], [-1, 0]], [1, 1], "rho vanished",
+            [2 ** 0.5, (8 / 9) ** 0.5, (8 / 9) ** 0.5]),
+    # A is skew-symmetric, so b . Ab = 0 at once
+    "search_direction": ([[0, 1], [-1, 0]], [1, 0],
+                         "search direction collapsed", [1.0]),
+    # the half-step residual s = (-1, 1) lies in A's null space
+    "stabilizer": ([[1, 1], [0, 0]], [1, 1], "stabilizer vanished",
+                   [2 ** 0.5]),
+    # s = (0, -1) and As = (2, 0) are orthogonal
+    "omega": ([[-2, -2], [-2, 0]], [1, 0], "omega vanished", [1.0]),
+}
+
+
+@pytest.mark.parametrize("A, b, message, history", BREAKDOWNS.values(),
+                         ids=BREAKDOWNS)
+def test_bicgstab_breakdown_reports_its_history(A, b, message, history):
+    with pytest.raises(SolverError,
+                       match=f"^solver breakdown: {message}$") as info:
+        bicgstab(np.array(A, float), np.array(b, float), pc_type="none")
+    assert info.value.history == pytest.approx(history, rel=1e-12)
+
+
+def test_bicgstab_rejects_an_unknown_preconditioner():
+    # a script's pc_type is checked at parse; a direct call meets this check
+    with pytest.raises(SolverError, match="^unsupported preconditioner 'ilu'$"):
+        bicgstab(np.eye(2), np.ones(2), pc_type="ilu")
