@@ -171,11 +171,8 @@ class _Faceted:
             at = row[best]
             projections[at] = cand[best]
             distances[at] = np.sqrt(d2[best])
-            normals[at] = self._feature_normal(facet[best], feature[best])
+            normals[at] = self._normals[facet[best], feature[best]]
         return ClosestPoint(projections, normals, distances)
-
-    def _feature_normal(self, facet, feature):
-        return self._normals[facet, feature]
 
 
 def _centroid_search(corners):
@@ -211,19 +208,18 @@ class Polyline(_Faceted):
             raise GeometryError("polyline has a zero-length segment")
         tangents /= lengths[:, None]
         # enclosed side on the left: the tangent turned clockwise points out
-        self.edge_normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
+        edge = np.column_stack([tangents[:, 1], -tangents[:, 0]])
         if not self.outer_boundary:
-            self.edge_normals = -self.edge_normals
+            edge = -edge
         # Pseudo-normal at each endpoint: mean of the adjacent edge normals.
-        accum = np.zeros_like(self.points)
-        np.add.at(accum, self.segments[:, 0], self.edge_normals)
-        np.add.at(accum, self.segments[:, 1], self.edge_normals)
-        norms = np.linalg.norm(accum, axis=1)
+        vertex = np.zeros_like(self.points)
+        np.add.at(vertex, self.segments[:, 0], edge)
+        np.add.at(vertex, self.segments[:, 1], edge)
+        norms = np.linalg.norm(vertex, axis=1)
         norms[norms == 0] = 1.0
-        self.vertex_normals = accum / norms[:, None]
-        self._normals = np.concatenate(
-            [self.vertex_normals[self.segments], self.edge_normals[:, None]],
-            axis=1)
+        vertex /= norms[:, None]
+        self._normals = np.concatenate([vertex[self.segments], edge[:, None]],
+                                       axis=1)
 
     def _inside(self, points):
         """Ray parity along +x."""

@@ -29,8 +29,9 @@ refined box. Construction runs in four stages:
    values to all node values is built from them in one sparse step: an
    identity row per free node and a row of midpoint weights per hanging
    node. The balance of stage 2 keeps every parent of a hanging node
-   free, so no constraint refers to another hanging node. The
-   ``IncompleteMesh.hanging`` dict is built from the arrays only when read.
+   free, so no constraint refers to another hanging node. That matrix is
+   the mesh's one record of its hanging nodes: ``IncompleteMesh.hanging``
+   lists the node numbers that are not free.
 
 Anchors are integer cell coordinates at the cell's own level; lattice
 coordinates are at the fixed normalization level 30, so all point
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,7 +63,7 @@ __all__ = [
     "EXTERIOR", "INTERIOR", "INTERCEPTED", "KIND_WALL", "KIND_GEOMETRY",
     "SurrogateFaces", "IncompleteMesh",
     "build_tree", "balance", "carve", "classify_elements", "surrogate_faces",
-    "number_nodes", "build_mesh", "corner_bits", "MAX_LEVEL",
+    "number_nodes", "build_mesh", "corner_bits", "MAX_LEVEL", "WALL_AXIS",
 ]
 
 EXTERIOR = 0
@@ -78,8 +78,8 @@ _NL = 30          # normalization level for lattice coordinates
 # ``dim`` anchor columns fit in 63 bits, and so do the corner keys.
 MAX_LEVEL = {dim: (63 - 5) // dim for dim in (2, 3)}
 
-_WALL_AXIS = {"x-": (0, 0), "x+": (0, 1), "y-": (1, 0), "y+": (1, 1),
-              "z-": (2, 0), "z+": (2, 1)}
+WALL_AXIS = {"x-": (0, 0), "x+": (0, 1), "y-": (1, 0), "y+": (1, 1),
+             "z-": (2, 0), "z+": (2, 1)}
 
 
 def corner_bits(dim):
@@ -256,7 +256,7 @@ def build_tree(spec, geometries):
     anchors = np.zeros((1, dim), np.int64)
     done_levels = []
     done_anchors = []
-    walls = [_WALL_AXIS[name] for name in spec.refine_walls]
+    walls = [WALL_AXIS[name] for name in spec.refine_walls]
     deepest = max((gspec.refine_level for gspec in spec.geometries), default=0)
     while len(levels):
         refine = levels < spec.base_refine_level
@@ -499,8 +499,8 @@ def number_nodes(levels, anchors, dim, corners):
     where hanging holds one ``(nodes, parents, weight)`` per midpoint
     probe: the hanging nodes it found, ascending, the ``(k, m)`` node
     numbers of the corners of the face or edge each sits on, in
-    corner-bit order, and their weight ``1 / m``. A node that several
-    probes find takes the last one's parents (``_hanging_map``).
+    corner-bit order, and their weight ``1 / m``. A node may be found by
+    several probes; ``_constraint_matrix`` takes the last one's parents.
     """
     # node number of each corner position, -1 for a corner of no element;
     # the extra last entry maps a missed probe's -1 to -1
@@ -524,17 +524,6 @@ def number_nodes(levels, anchors, dim, corners):
         hanging.append((nodes, elem_nodes[rows[hit[first]]][:, parent_corners],
                         1.0 / len(parent_corners)))
     return node_lattice, elem_nodes, hanging
-
-
-def _hanging_map(hanging):
-    """``number_nodes``' per-probe pairs as a dict: node index -> tuple of
-    (parent node index, weight) pairs; a later probe's pairs win."""
-    out = {}
-    for nodes, parents, weight in hanging:
-        # one iterator zipped with itself groups each row's (parent, weight)
-        pairs = zip(parents.ravel().tolist(), itertools.repeat(weight))
-        out.update(zip(nodes.tolist(), zip(*[pairs] * parents.shape[1])))
-    return out
 
 
 def _constraint_matrix(n_nodes, hanging):
@@ -581,17 +570,15 @@ class IncompleteMesh:
     anchors: np.ndarray         # (n_e, dim)
     node_lattice: np.ndarray    # (n_n, dim) at normalization level 30
     elem_nodes: np.ndarray      # (n_e, 2**dim) in corner-bit order
-    hanging_pairs: list         # number_nodes' (nodes, parents, weight)
     free_nodes: np.ndarray      # (n_free,)
     constraint: object          # csr (n_n, n_free)
     faces: SurrogateFaces
     geometries: list = field(default_factory=list)
 
-    @cached_property
+    @property
     def hanging(self):
-        """node -> ((parent, weight), ...), ``_hanging_map`` of
-        ``hanging_pairs``, built on first access; solving never reads it."""
-        return _hanging_map(self.hanging_pairs)
+        """The constrained node numbers, ascending: those not free."""
+        return np.delete(np.arange(self.n_nodes), self.free_nodes)
 
     @property
     def n_elements(self):
@@ -664,7 +651,6 @@ def build_mesh(spec, base_dir="."):
         anchors=anchors,
         node_lattice=node_lattice,
         elem_nodes=elem_nodes,
-        hanging_pairs=hanging,
         free_nodes=free_nodes,
         constraint=constraint,
         faces=faces,

@@ -71,13 +71,14 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from . import expr as ex
 from .errors import ParseError, ValidationError
 from .forms import BCKind, TimeScheme, compile_kernel
-from .mesh import MAX_LEVEL
+from .mesh import MAX_LEVEL, WALL_AXIS
 from .solve import KSP_TYPES, PRECONDITIONERS, SolverOptions
 
 __all__ = [
@@ -86,8 +87,6 @@ __all__ = [
 ]
 
 COORD_NAMES = ("x", "y", "z")
-WALL_NAMES_2D = ("x-", "x+", "y-", "y+")
-WALL_NAMES_3D = WALL_NAMES_2D + ("z-", "z+")
 
 # Names a coefficient or variable may never shadow.
 RESERVED_NAMES = frozenset(
@@ -106,40 +105,40 @@ class TimeConfig:
 class GeometrySpec:
     kind: str                       # circle | sphere | mesh
     refine_level: int
-    center: tuple = None            # analytic shapes
+    center: tuple[float, ...] = None    # analytic shapes
     radius: float = None
     mesh_file: str = None           # mesh shapes
     name: str = ""
-    position: tuple = None
+    position: tuple[float, ...] = None
     outer_boundary: bool = True
-    boundary_types: tuple = ()
-    bids: tuple = ()
+    boundary_types: tuple[str, ...] = ()
+    bids: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class BoundaryCondition:
     kind: BCKind
-    value: object                   # Expr
+    value: ex.Expr
 
 
 @dataclass
 class ProblemSpec:
     dimension: int
-    domain_min: tuple
-    domain_max: tuple
+    domain_min: tuple[float, ...]
+    domain_max: tuple[float, ...]
     base_refine_level: int
-    variables: tuple
+    variables: tuple[str, ...]
     test_symbol: str
     weak_form: ex.Expr
-    geometries: tuple = ()
+    geometries: tuple[GeometrySpec, ...] = ()
     wall_refine_level: int = None
-    refine_walls: tuple = ()
+    refine_walls: tuple[str, ...] = ()
     refine_where: ex.Expr = None
     time: TimeConfig = None
-    coefficients: dict = field(default_factory=dict)
-    boundary_regions: tuple = ()    # ((id, predicate Expr), ...) in order
-    boundary_conditions: dict = field(default_factory=dict)  # (var, id) -> BoundaryCondition
-    initial_conditions: dict = field(default_factory=dict)   # var -> Expr
+    coefficients: dict[str, float | tuple[float, ...] | ex.Expr] = field(default_factory=dict)
+    boundary_regions: tuple[tuple[int, ex.Expr], ...] = ()    # (id, predicate) in order
+    boundary_conditions: dict[tuple[str, int], BoundaryCondition] = field(default_factory=dict)
+    initial_conditions: dict[str, ex.Expr] = field(default_factory=dict)
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def validate(self):
@@ -468,29 +467,48 @@ _BOUNDARY_TYPE_KIND = {"sbm": BCKind.DIRICHLET, "neumann_sbm": BCKind.NEUMANN}
 _declared_types = functools.cache(typing.get_type_hints)    # per spec class
 
 
+def _holds(value, want):
+    """Whether ``value`` is of the declared type ``want``: a class (a float
+    may be an int; no number is a bool), a spec dataclass whose own fields
+    pass ``_check_types``, a union, or a tuple or dict generic whose items
+    hold in turn."""
+    origin, args = typing.get_origin(want), typing.get_args(want)
+    if origin is types.UnionType:
+        return any(_holds(value, arg) for arg in args)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _holds(key, args[0]) and _holds(item, args[1])
+            for key, item in value.items())
+    if origin is tuple:
+        if isinstance(value, tuple) and args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return (isinstance(value, tuple) and len(value) == len(args)
+                and all(map(_holds, value, args)))
+    if is_dataclass(want) and isinstance(value, want):
+        _check_types(value)     # raises at the record's first bad field
+        return True
+    return (isinstance(value, (int, float) if want is float else want)
+            and not (isinstance(value, bool) and want in (int, float)))
+
+
 def _check_types(record):
     """Raise ValidationError at the first field of the spec dataclass
     ``record``, or of a spec it holds, whose value is not of the declared
-    type. A field that defaults to None may be None, and a float field an
-    int; no number field takes a bool."""
+    type. A field that defaults to None may be None."""
     hints = _declared_types(type(record))
     for item in fields(record):
         value, want = getattr(record, item.name), hints[item.name]
         if value is None and item.default is None:
             continue
-        if (not isinstance(value, (int, float) if want is float else want)
-                or isinstance(value, bool) and want in (int, float)):
-            noun = want.__name__ if isinstance(want, type) else "an expression"
+        if not _holds(value, want):
+            noun = ("an expression" if want == ex.Expr else want.__name__
+                    if isinstance(want, type) else item.type)
             raise ValidationError(f"{type(record).__name__}.{item.name} must be "
                                   f"{noun}, got {value!r}")
-        if is_dataclass(want):
-            _check_types(value)
 
 
 def _validate(spec):
     _check_types(spec)
-    for geom in spec.geometries:
-        _check_types(geom)
     if spec.dimension not in (2, 3):
         raise ValidationError(f"dimension must be 2 or 3, got {spec.dimension}")
     if len(spec.domain_min) != spec.dimension or len(spec.domain_max) != spec.dimension:
@@ -510,9 +528,8 @@ def _validate(spec):
             raise ValidationError(f"{name} {level} exceeds the maximum depth "
                                   f"of a {spec.dimension}-D tree, level {cap}")
 
-    wall_names = WALL_NAMES_2D if spec.dimension == 2 else WALL_NAMES_3D
     for wall in spec.refine_walls:
-        if wall not in wall_names:
+        if wall not in WALL_AXIS or WALL_AXIS[wall][0] >= spec.dimension:
             raise ValidationError(f"unknown wall '{wall}' for dimension {spec.dimension}")
     if spec.refine_walls and spec.wall_refine_level is None:
         raise ValidationError("refine_walls given without wall_refine_level")

@@ -7,7 +7,10 @@ point, with one lexsort over the (x, y) columns and one over crossings
 plus every point; the triangle closest-point selection that sorted each
 chunk's pairs by (point, distance, face) and kept the first pair per
 point; and the polyline queries that tested every point against every
-segment in fixed-size chunks.
+segment in fixed-size chunks. The closest-point oracles build their own
+feature normals, one facet at a time (``scan_normal_table``,
+``scan_polyline_normals``), so a wrong row of a shape's ``_normals``
+table cannot pass them.
 """
 
 import numpy as np
@@ -15,6 +18,44 @@ import numpy as np
 from treefem import geometry
 from treefem.errors import GeometryError
 from treefem.geometry import ClosestPoint
+
+
+def scan_edge_slot_normals(faces, face_normals):
+    """Each face's edge-slot normals: the two faces' normals at the edge,
+    summed and normalized, or the face's own where they cancel."""
+    edge_faces = {}
+    slots = ((0, 1), (0, 2), (1, 2))
+    for f, face in enumerate(faces):
+        for i, j in slots:
+            key = tuple(sorted((int(face[i]), int(face[j]))))
+            edge_faces.setdefault(key, []).append(f)
+    out = np.empty((len(faces), 3, 3))
+    for f, face in enumerate(faces):
+        for s, (i, j) in enumerate(slots):
+            # a closed surface has two faces at each edge; their plain sum
+            # keeps -0.0 + -0.0 = -0.0, which a sum from 0.0 turns into +0.0
+            one, two = edge_faces[tuple(sorted((int(face[i]), int(face[j]))))]
+            normal = face_normals[one] + face_normals[two]
+            length = np.linalg.norm(normal)
+            out[f, s] = normal / length if length > 0 else face_normals[f]
+    return out
+
+
+def scan_normal_table(surf):
+    """``surf``'s (face, feature) normal table, one row at a time: corners,
+    the scan's edge slots, then the face; flipped for a void, then each row
+    normalized."""
+    a, b, c = (surf.vertices[surf.faces[:, k]] for k in range(3))
+    cross = np.cross(b - a, c - a)
+    face_normals = cross / np.linalg.norm(cross, axis=1)[:, None]
+    vertex = geometry._angle_weighted_normals(surf.vertices, surf.faces,
+                                              face_normals)
+    edge = scan_edge_slot_normals(surf.faces, face_normals)
+    rows = []
+    for f, face in enumerate(surf.faces):
+        rows += [*vertex[face], *edge[f], face_normals[f]]
+    rows = np.array(rows) * (1.0 if surf.outer_boundary else -1.0)
+    return (rows / np.linalg.norm(rows, axis=1)[:, None]).reshape(-1, 7, 3)
 
 
 def column_sort_kept(surf, points):
@@ -78,6 +119,7 @@ def lexsort_closest(surf, points):
     distances = np.empty(n)
     if n == 0:
         return ClosestPoint(projections, normals, distances)
+    table = scan_normal_table(surf)
     grid, radius = surf._face_search
     bound = grid.bound(points)
     reach = bound + radius + 1e-9 * (surf._scale + bound)
@@ -95,7 +137,7 @@ def lexsort_closest(surf, points):
         best = order[first]
         projections[row[best]] = cand[best]
         distances[row[best]] = np.sqrt(d2[best])
-        normals[row[best]] = surf._feature_normal(face[best], feature[best])
+        normals[row[best]] = table[face[best], feature[best]]
     return ClosestPoint(projections, normals, distances)
 
 
@@ -120,11 +162,32 @@ def scan_polyline_kept(poly, points):
     return inside if poly.outer_boundary else ~inside
 
 
+def scan_polyline_normals(poly):
+    """Edge normals, each segment's unit tangent turned clockwise (flipped
+    for a void), and vertex normals, the normalized sum of the normals of
+    a vertex's segments, one segment at a time."""
+    sign = 1.0 if poly.outer_boundary else -1.0
+    edge = np.empty((len(poly.segments), 2))
+    vertex = np.zeros((len(poly.points), 2))
+    for s, (i, j) in enumerate(poly.segments):
+        tx, ty = poly.points[j] - poly.points[i]
+        length = np.sqrt(tx * tx + ty * ty)
+        edge[s] = sign * ty / length, sign * -tx / length
+        vertex[i] += edge[s]
+        vertex[j] += edge[s]
+    for v, normal in enumerate(vertex):
+        length = np.sqrt((normal * normal).sum())
+        if length > 0:
+            vertex[v] = normal / length
+    return edge, vertex
+
+
 def scan_polyline_closest(poly, points):
     """``Polyline.closest``: every point against every segment, the lowest
     segment index winning ties."""
     points = np.asarray(points, float)
     n = len(points)
+    edge_normals, vertex_normals = scan_polyline_normals(poly)
     a = poly.points[poly.segments[:, 0]]
     b = poly.points[poly.segments[:, 1]]
     ab = b - a
@@ -144,10 +207,10 @@ def scan_polyline_closest(poly, points):
         tb = t[rows, best]
         projections[start:start + chunk] = cand[rows, best]
         distances[start:start + chunk] = np.sqrt(d2[rows, best])
-        nrm = poly.edge_normals[best].copy()
+        nrm = edge_normals[best]
         at_a = tb <= 1e-12
         at_b = tb >= 1.0 - 1e-12
-        nrm[at_a] = poly.vertex_normals[poly.segments[best[at_a], 0]]
-        nrm[at_b] = poly.vertex_normals[poly.segments[best[at_b], 1]]
+        nrm[at_a] = vertex_normals[poly.segments[best[at_a], 0]]
+        nrm[at_b] = vertex_normals[poly.segments[best[at_b], 1]]
         normals[start:start + chunk] = nrm
     return ClosestPoint(projections, normals, distances)

@@ -19,6 +19,7 @@ from treefem.geometry import write_stl
 from treefem.mesh import build_mesh
 from treefem.problem import parse_problem, with_levels
 
+from mesh_oracles import hanging_map
 from shapes import bumpy_sphere
 from test_acceptance import DISK_POISSON, sphere_script
 
@@ -38,7 +39,7 @@ def mesh_digests(mesh):
     digests = {name: array_digest(getattr(mesh, name)) for name in (
         "levels", "anchors", "node_lattice", "elem_nodes", "free_nodes")}
     digests["hanging"] = hashlib.sha256(
-        repr(sorted(mesh.hanging.items())).encode()).hexdigest()
+        repr(sorted(hanging_map(mesh).items())).encode()).hexdigest()
     for part in ("indptr", "indices", "data"):
         digests[f"constraint.{part}"] = array_digest(
             getattr(mesh.constraint, part))

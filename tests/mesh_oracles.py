@@ -13,7 +13,9 @@ asked ``kept`` for every cell's corners, and the numbering built a
 second index over the kept cells' rows. The newest are the balance that
 asked every leaf in every sweep, once per leaf, and the numbering that
 built the hanging map as a dict, which the constraint matrix then took
-apart row by row.
+apart row by row. The mesh once kept that dict itself, built on first
+read from the numbering's per-probe pairs (``pairs_map``); ``hanging_map``
+reads the same dict back from the constraint matrix.
 """
 
 import itertools
@@ -24,9 +26,9 @@ import scipy.sparse as sp
 from treefem import expr as ex
 from treefem.errors import MeshError
 from treefem.mesh import (
-    _NL, _WALL_AXIS, EXTERIOR, INTERCEPTED, INTERIOR, TreeIndex,
+    _NL, EXTERIOR, INTERCEPTED, INTERIOR, TreeIndex,
     _balance_directions, _cell_index, _children, _lattice_coords,
-    _probe_table, corner_bits, MAX_LEVEL,
+    _probe_table, corner_bits, MAX_LEVEL, WALL_AXIS,
 )
 
 
@@ -244,7 +246,7 @@ def build_tree(spec, geometries):
     anchors = np.zeros((1, dim), np.int64)
     done_levels = []
     done_anchors = []
-    walls = [_WALL_AXIS[name] for name in spec.refine_walls]
+    walls = [WALL_AXIS[name] for name in spec.refine_walls]
     while len(levels):
         refine = levels < spec.base_refine_level
         _, per_geom = classify_elements(levels, anchors, spec, geometries)
@@ -357,3 +359,29 @@ def map_constraint_matrix(n_nodes, hanging):
     vals = np.concatenate([np.ones(len(free)), entry["weight"]])
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n_nodes, len(free)))
     return free, matrix
+
+
+def pairs_map(hanging):
+    """``number_nodes``' per-probe pairs as a dict: node index -> tuple of
+    (parent node index, weight) pairs; a later probe's pairs win."""
+    out = {}
+    for nodes, parents, weight in hanging:
+        # one iterator zipped with itself groups each row's (parent, weight)
+        pairs = zip(parents.ravel().tolist(), itertools.repeat(weight))
+        out.update(zip(nodes.tolist(), zip(*[pairs] * parents.shape[1])))
+    return out
+
+
+def hanging_map(mesh):
+    """``pairs_map`` of a mesh's numbering, read back from its constraint:
+    each hanging row's columns mapped through ``free_nodes``, the parents
+    put in corner-bit order by their lattice points (z, then y, then x)."""
+    constraint = mesh.constraint
+    out = {}
+    for node in mesh.hanging.tolist():
+        row = slice(constraint.indptr[node], constraint.indptr[node + 1])
+        parents = mesh.free_nodes[constraint.indices[row]]
+        order = np.lexsort(mesh.node_lattice[parents].T)
+        out[node] = tuple(zip(parents[order].tolist(),
+                              constraint.data[row][order].tolist()))
+    return out

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -382,22 +381,6 @@ def test_run_and_converge_files_match_golden_digests():
     assert not differ, (
         f"files differ from golden/run_digests.json: {differ}; recorded "
         f"with {golden['versions']}, run with {versions()}")
-
-
-def test_run_never_builds_the_hanging_map(tmp_path):
-    """``cmd_run`` solves through the mesh's hanging pairs; the
-    ``mesh.hanging`` dict is built only when something reads it."""
-    built = []
-
-    def build(*args):
-        built.append(build_mesh(*args))
-        return built[-1]
-    script = write_script(tmp_path, sphere_script(base=2, glevel=4))
-    with mock.patch("treefem.cli.build_mesh", build):
-        assert main(["run", str(script), "--out", str(tmp_path / "out")]) == 0
-    mesh, = built
-    assert "hanging" not in vars(mesh)
-    assert len(mesh.hanging) > 0 and "hanging" in vars(mesh)
 
 
 def test_module_runs_as_a_command_with_its_exit_code(tmp_path):

@@ -311,6 +311,13 @@ def test_parsed_document_assembles_identically():
     ("term N N 1.5@term - N 1.5", "test selector"),
     ("term N N 1.5@term N N", "bad term line"),
     ("term N N 1.5@term N N (* dt", "bad term scalar"),
+    ("term N N 1.5@term N N 1.5 2", "bad term scalar: trailing tokens"),
+    ("term N N 1.5@term N N (", "bad term scalar: unterminated"),
+    ("term N N 1.5@term N N )", "bad term scalar: unexpected '\\)'"),
+    ("term N N 1.5@term N N (neg 1 2)", "bad term scalar: neg takes one"),
+    ("term N N 1.5@term N N (call 1)", "bad term scalar: call head"),
+    ("term N N 1.5@term N N (* 1)", "bad term scalar: operator \\* takes two"),
+    ("term N N 1.5@term N N (pow 1 2)", "bad term scalar: unknown s-expression"),
     ("term N N 1.5@term N - 1.5", "does not fit group"),
 ])
 def test_parse_rejects_malformed_documents(mangle, complaint):

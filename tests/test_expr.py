@@ -293,6 +293,10 @@ class TestEval:
         with pytest.raises(EvalError):
             ex.eval_scalar(ex.parse("(x < 1) + 1"), {"x": 0.0})
 
+    def test_boolean_operator_rejects_a_numeric_right_operand(self):
+        with pytest.raises(EvalError, match="'&&' requires boolean operands"):
+            ex.eval_scalar(ex.parse("x < 1 && 2"), {"x": 0.0})
+
     def test_division_by_zero(self):
         with pytest.raises(EvalError, match="division by zero"):
             ex.eval_scalar(ex.parse("1 / x"), {"x": 0.0})
@@ -345,6 +349,11 @@ class TestSexpr:
             ex.from_sexpr(text)
         assert str(err.value) == f"bad s-expression atom '{atom}'"
 
+    def test_empty_text_is_unterminated(self):
+        # parse_ir never passes empty text: its term lines split off a word
+        with pytest.raises(ParseError, match="unterminated s-expression"):
+            ex.from_sexpr("")
+
     @pytest.mark.parametrize("name", [
         "special:nt:0", "prev:u:1", "_a1", "x²", "κ"])
     def test_script_names_are_atoms(self, name):
@@ -360,3 +369,18 @@ class TestSexpr:
         assert len(terms) > 20
         for text in terms:
             assert ex.to_sexpr(ex.from_sexpr(text)) == text
+
+
+@pytest.mark.parametrize("printer", [ex.to_text, ex.to_sexpr])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_number_does_not_print(printer, value):
+    with pytest.raises(EvalError, match="cannot print a non-finite number"):
+        printer(ex.Bin("*", ex.Num(value), ex.Name("x")))
+
+
+@pytest.mark.parametrize("walk", [
+    ex.to_text, ex.to_sexpr, lambda tree: ex.eval_scalar(tree, {})],
+    ids=["to_text", "to_sexpr", "eval_scalar"])
+def test_a_tree_holding_a_non_node_is_a_type_error(walk):
+    with pytest.raises(TypeError, match="not an expression node: 'x'"):
+        walk(ex.Neg("x"))

@@ -268,6 +268,11 @@ EQUIV_CASES = [
      2, TimeScheme.BDF2, {"alpha": 200.0}),
     ("c*Dt(u*v) + u*v/tau - sin(pi*q)*v",
      2, TimeScheme.EULER_IMPLICIT, {"c": 2.5, "tau": 3.0, "q": 0.3}),
+    # a lone -1 times a reciprocal; a negated call argument
+    ("dot(grad(u), grad(v)) - (-1)*(1/q)*v + sin(-q)*v", 2, None, {"q": 0.3}),
+    # a boundary block times a volume coefficient
+    ("dot(grad(u), grad(v)) + dirichletBoundary(u*v)*alpha",
+     2, None, {"alpha": 400.0}),
 ]
 
 
@@ -517,6 +522,10 @@ REJECT_CASES = [
     ("neumannBoundary(dirichletValue()*v)", "belongs inside dirichletBoundary"),
     ("dirichletBoundary(neumannValue()*v)", "belongs inside neumannBoundary"),
     ("true*v", "boolean"),
+    ("dot(grad(2*u), grad(v))", "takes the unknown or the test function"),
+    ("sin(1 < 2)*v", "operator '<' is not allowed"),
+    ("sin(grad(u))*v", "grad.*cannot appear inside a scalar sub-expression"),
+    ("Dt(u*v)*u", "with further unknown factors"),
 ]
 
 
@@ -524,6 +533,12 @@ REJECT_CASES = [
 def test_rejected_forms(text, match):
     with pytest.raises(FormError, match=match):
         expand(form(text), 2)
+
+
+def test_a_tree_holding_a_non_node_is_a_type_error():
+    tree = ex.Bin("*", ex.Call("sin", ("q",)), ex.Name("v"))
+    with pytest.raises(TypeError, match="not an expression node: 'q'"):
+        expand(tree, 2, coefficients={"q": 1.0})
 
 
 def test_vector_coefficient_outside_dot_rejected():
@@ -575,6 +590,7 @@ def test_fold_basics():
     assert fold(ex.Neg(ex.Neg(a))) == a
     assert fold(ex.Neg(ex.Bin("*", ex.Num(2.0), a))) == ex.Bin("*", ex.Num(-2.0), a)
     assert fold(ex.Bin("+", a, ex.Num(0.0))) == a
+    assert fold(ex.Bin("+", ex.Num(0.0), a)) == a
     assert fold(ex.Bin("-", a, ex.Num(0.0))) == a
     assert fold(ex.Bin("/", a, ex.Num(1.0))) == a
     # x * (1/y) renders as a plain division

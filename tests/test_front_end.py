@@ -19,7 +19,8 @@ import pytest
 from treefem.cli import main
 from treefem.errors import FormError, ParseError, ValidationError
 from treefem.problem import (
-    SolverOptions, TimeConfig, TimeScheme, parse_problem, with_levels,
+    BCKind, BoundaryCondition, SolverOptions, TimeConfig, TimeScheme,
+    parse_problem, with_levels,
 )
 
 from test_acceptance import sphere_script
@@ -115,6 +116,9 @@ SCRIPT_ROWS = [
     row("unknown_wall", C, (("base_refine_level = 5", "base_refine_level = 5\n"
                              "wall_refine_level = 6\nrefine_walls = z-"),),
         ValidationError, "unknown wall 'z-' for dimension 2"),
+    row("unnamed_wall", C, (("base_refine_level = 5", "base_refine_level = 5\n"
+                             "wall_refine_level = 6\nrefine_walls = x-, w+"),),
+        ValidationError, "unknown wall 'w+' for dimension 2"),
     row("walls_without_level", C, (("base_refine_level = 5",
                                     "base_refine_level = 5\nrefine_walls = x-"),),
         ValidationError, "refine_walls given without wall_refine_level"),
@@ -221,6 +225,30 @@ CODE_ROWS = {
                       "ProblemSpec.solver must be SolverOptions, got None"),
     "weak_form_text": (lambda s: dataclasses.replace(s, weak_form="u*v"),
                        "ProblemSpec.weak_form must be an expression, got 'u*v'"),
+    "domain_min_text": (lambda s: dataclasses.replace(s, domain_min=("0", 0)),
+                        "ProblemSpec.domain_min must be tuple[float, ...], "
+                        "got ('0', 0)"),
+    "domain_max_list": (lambda s: dataclasses.replace(s, domain_max=[1.0, 1.0]),
+                        "ProblemSpec.domain_max must be tuple[float, ...], "
+                        "got [1.0, 1.0]"),
+    "region_predicate_text": (
+        lambda s: dataclasses.replace(s, boundary_regions=((1, "x<1"),)),
+        "ProblemSpec.boundary_regions must be tuple[tuple[int, ex.Expr], ...], "
+        "got ((1, 'x<1'),)"),
+    "initial_condition_text": (
+        lambda s: dataclasses.replace(s, initial_conditions={"u": "x"}),
+        "ProblemSpec.initial_conditions must be dict[str, ex.Expr], "
+        "got {'u': 'x'}"),
+    "coefficient_text": (
+        lambda s: dataclasses.replace(s, coefficients={"f": "1"}),
+        "ProblemSpec.coefficients must be dict[str, float | tuple[float, ...] "
+        "| ex.Expr], got {'f': '1'}"),
+    "condition_value_text": (lambda s: dataclasses.replace(
+        s, boundary_conditions={("u", 1): BoundaryCondition(BCKind.DIRICHLET,
+                                                            "0")}),
+        "BoundaryCondition.value must be an expression, got '0'"),
+    "bids_text": (lambda s: _geometry(s, bids=("1",)),
+                  "GeometrySpec.bids must be tuple[int, ...], got ('1',)"),
     "dimension": (lambda s: dataclasses.replace(s, dimension=4),
                   "dimension must be 2 or 3, got 4"),
     "uniform_level_none": (lambda s: with_levels(s, None),

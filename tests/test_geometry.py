@@ -28,8 +28,8 @@ from shapes import (
     regular_polygon,
 )
 from geometry_oracles import (
-    column_sort_kept, lexsort_closest, scan_polyline_closest,
-    scan_polyline_kept,
+    column_sort_kept, lexsort_closest, scan_normal_table,
+    scan_polyline_closest, scan_polyline_kept,
 )
 from test_acceptance import sphere_script
 
@@ -99,6 +99,7 @@ def brute_closest_triangles(vertices, faces, p):
 
 def scan_closest(surf, points):
     """TriSurface.closest by testing every point against every triangle."""
+    table = scan_normal_table(surf)
     n = len(points)
     projections = np.empty((n, 3))
     normals = np.empty((n, 3))
@@ -112,8 +113,7 @@ def scan_closest(surf, points):
         rows = np.arange(len(p))
         projections[start:start + chunk] = cand[rows, best]
         distances[start:start + chunk] = np.sqrt(d2[rows, best])
-        normals[start:start + chunk] = surf._feature_normal(
-            best, feature[rows, best])
+        normals[start:start + chunk] = table[best, feature[rows, best]]
     return projections, normals, distances
 
 
@@ -219,40 +219,6 @@ def scan_crossings_once(surf, cx, cy, scale):
                 break
     zs = (a[:, 2] + s * (b[:, 2] - a[:, 2]) + t * (c[:, 2] - a[:, 2]))[strict]
     return zs, ambiguous
-
-
-def scan_edge_slot_normals(faces, face_normals):
-    edge_faces = {}
-    slots = ((0, 1), (0, 2), (1, 2))
-    for f, face in enumerate(faces):
-        for i, j in slots:
-            key = tuple(sorted((int(face[i]), int(face[j]))))
-            edge_faces.setdefault(key, []).append(f)
-    out = np.empty((len(faces), 3, 3))
-    for f, face in enumerate(faces):
-        for s, (i, j) in enumerate(slots):
-            adjacent = edge_faces[tuple(sorted((int(face[i]), int(face[j]))))]
-            normal = face_normals[adjacent].sum(axis=0)
-            length = np.linalg.norm(normal)
-            out[f, s] = normal / length if length > 0 else face_normals[f]
-    return out
-
-
-def scan_normal_table(surf):
-    """``surf``'s (face, feature) normal table, one row at a time: corners,
-    the scan's edge slots, then the face; flipped for a void, then each row
-    normalized."""
-    a, b, c = (surf.vertices[surf.faces[:, k]] for k in range(3))
-    cross = np.cross(b - a, c - a)
-    face_normals = cross / np.linalg.norm(cross, axis=1)[:, None]
-    vertex = geometry._angle_weighted_normals(surf.vertices, surf.faces,
-                                              face_normals)
-    edge = scan_edge_slot_normals(surf.faces, face_normals)
-    rows = []
-    for f, face in enumerate(surf.faces):
-        rows += [*vertex[face], *edge[f], face_normals[f]]
-    rows = np.array(rows) * (1.0 if surf.outer_boundary else -1.0)
-    return (rows / np.linalg.norm(rows, axis=1)[:, None]).reshape(-1, 7, 3)
 
 
 # ---------------------------------------------------------------------------

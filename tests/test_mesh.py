@@ -12,12 +12,13 @@ from treefem.errors import EmptyMeshError, MeshError
 from treefem.geometry import load_geometry, write_stl
 from treefem.mesh import (
     INTERIOR, KIND_GEOMETRY, KIND_WALL, _constraint_matrix, _corner_index,
-    _hanging_map, balance, build_mesh, build_tree, carve, classify_elements,
-    corner_bits, number_nodes,
+    balance, build_mesh, build_tree, carve, classify_elements, corner_bits,
+    number_nodes,
 )
 from treefem.problem import parse_problem
 
 import mesh_oracles as oracle
+from mesh_oracles import hanging_map
 from shapes import bumpy_sphere, gmsh_polygon_text, regular_polygon
 from test_acceptance import sphere_script
 from test_tree_index import box_spec
@@ -165,7 +166,7 @@ def test_uniform_counts():
     assert mesh.n_elements == 64
     assert mesh.n_nodes == 81
     assert mesh.n_free == 81
-    assert not mesh.hanging
+    assert len(mesh.hanging) == 0
     assert len(mesh.faces) == 32
     assert (mesh.faces.kind == KIND_WALL).all()
     assert (mesh.faces.geom == -1).all()
@@ -215,7 +216,7 @@ def test_half_domain_refinement_counts():
     levels, counts = np.unique(mesh.levels, return_counts=True)
     assert (levels.tolist(), counts.tolist()) == ([3, 4], [32, 128])
     assert len(mesh.hanging) == 8
-    for node, constraint in mesh.hanging.items():
+    for node, constraint in hanging_map(mesh).items():
         assert len(constraint) == 2
         assert all(w == 0.5 for _, w in constraint)
         mid = mesh.node_coords()[node]
@@ -255,7 +256,7 @@ def test_analytic_geometry_position_translates_center(script, center,
 
 def test_hanging_nodes_on_interface_line():
     mesh = mesh_2d(base=3, extra="refine_where = x < 0.5 && level < 4")
-    coords = mesh.node_coords()[sorted(mesh.hanging)]
+    coords = mesh.node_coords()[mesh.hanging]
     assert np.allclose(coords[:, 0], 0.5)
 
 
@@ -274,11 +275,12 @@ names = u
 [weak_form]
 dot(grad(u), grad(v)) - 1.0 * v
 """))
-    assert mesh.hanging
+    hanging = hanging_map(mesh)
+    assert hanging
     patterns = {tuple(sorted(w for _, w in cons))
-                for cons in mesh.hanging.values()}
+                for cons in hanging.values()}
     assert patterns == {(0.5, 0.5), (0.25, 0.25, 0.25, 0.25)}
-    for node, constraint in mesh.hanging.items():
+    for node, constraint in hanging.items():
         mid = mesh.node_coords()[node]
         ends = mesh.node_coords()[[p for p, _ in constraint]]
         assert np.allclose(ends.mean(axis=0), mid)
@@ -293,7 +295,7 @@ def test_steep_corner_gradation_reproduces_linears():
         "refine_where = x < exp(-0.6 * level) && y < exp(-0.6 * level) "
         "&& level < 7"))
     assert mesh.levels.max() == 7
-    assert mesh.hanging
+    assert len(mesh.hanging) > 0
     check_linear_reproduction(mesh)
     assert two_to_one_ok(mesh)
 
@@ -354,7 +356,7 @@ def test_numbering_and_constraint_match_oracles(dim, seed):
     corners = _corner_index(levels, anchors)
     node_lattice, elem_nodes, pairs = number_nodes(levels, anchors, dim,
                                                    corners)
-    hanging = _hanging_map(pairs)
+    hanging = oracle.pairs_map(pairs)
     index = oracle.lattice_index(oracle.corner_lattice(levels, anchors),
                                  levels)
     assert hanging == oracle.fill_hanging(levels, anchors, elem_nodes,
@@ -456,7 +458,7 @@ def test_last_probe_wins():
     did."""
     pairs = [(np.array([1, 4]), np.array([[0, 2], [0, 3]]), 0.5),
              (np.array([1]), np.array([[0, 2, 3, 5]]), 0.25)]
-    hanging = _hanging_map(pairs)
+    hanging = oracle.pairs_map(pairs)
     assert hanging == {1: ((0, 0.25), (2, 0.25), (3, 0.25), (5, 0.25)),
                        4: ((0, 0.5), (3, 0.5))}
     assert list(hanging) == [1, 4]
@@ -683,15 +685,16 @@ def assert_carve_and_numbering_match_oracles(spec, base_dir):
                                                geometries)
     mesh = build_mesh(spec, base_dir)
     assert len(kept_levels) < len(levels) or not geometries
-    for numbered in (number_nodes(kept_levels, kept_anchors, dim, corners),
-                     number_nodes(kept_levels, kept_anchors, dim,
-                                  _corner_index(kept_levels, kept_anchors)),
-                     (mesh.node_lattice, mesh.elem_nodes, mesh.hanging_pairs)):
+    numberings = (number_nodes(kept_levels, kept_anchors, dim, corners),
+                  number_nodes(kept_levels, kept_anchors, dim,
+                               _corner_index(kept_levels, kept_anchors)))
+    for numbered in (*numberings, (mesh.node_lattice, mesh.elem_nodes)):
         for got, expected in zip(numbered[:2], (node_lattice, elem_nodes)):
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
-        assert _hanging_map(numbered[2]) == hanging
-    assert mesh.hanging == hanging
+    for numbered in numberings:
+        assert oracle.pairs_map(numbered[2]) == hanging
+    assert hanging_map(mesh) == hanging
     for got, expected in ((kept_levels, oracle_levels),
                           (kept_anchors, oracle_anchors),
                           (mesh.levels, oracle_levels),

@@ -19,7 +19,8 @@ from treefem.mesh import (
 from treefem.problem import parse_problem
 
 from mesh_digests import GOLDEN, case_meshes, mesh_digests
-from mesh_oracles import corner_lattice, fill_hanging, lattice_index, pack
+from mesh_oracles import (
+    corner_lattice, fill_hanging, hanging_map, lattice_index, pack)
 
 
 def _keys(levels, anchors):
@@ -232,7 +233,13 @@ def test_out_of_range_rows_never_match_through_key_collisions():
 
 def test_mesh_arrays_match_golden_digests():
     golden = json.loads((GOLDEN / "mesh_digests.json").read_text())
-    assert {name: mesh_digests(mesh) for name, mesh in case_meshes()} == golden
+    digests = {}
+    for name, mesh in case_meshes():
+        # the constraint is the one record: hanging means not free
+        assert np.array_equal(mesh.hanging, np.setdiff1d(
+            np.arange(mesh.n_nodes), mesh.free_nodes))
+        digests[name] = mesh_digests(mesh)
+    assert digests == golden
 
 
 def test_corner_refinement_at_depth_cap_matches_oracle():
@@ -242,7 +249,7 @@ def test_corner_refinement_at_depth_cap_matches_oracle():
         mesh.levels, mesh.anchors, 3)
     assert np.array_equal(mesh.node_lattice, node_lattice)
     assert np.array_equal(mesh.elem_nodes, elem_nodes)
-    assert mesh.hanging == hanging
+    assert hanging_map(mesh) == hanging
     assert len(hanging) > 0
     # every same-level neighbor lookup agrees with the oracle as well
     index = _cell_index(mesh.levels, mesh.anchors)
