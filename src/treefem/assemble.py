@@ -16,21 +16,32 @@ points (computed from the origins). Its weighted scalars are summed per
 sums gives one block ``ke`` of shape ``(n_e, nc, nc)``; the linear ones,
 summed per test table, one ``be`` of shape ``(n_e, nc)``. The generated
 C++ kernels, too, add all terms into one ``Ae``/``be``. Sums that are
-constant over the batch give one cell block, broadcast. A cell batch
-binds the history fields. A face batch routes each point through the
-ordered boundary-region predicates, evaluated at the true boundary
-point: the first that holds claims it, and its condition decides which
-surface blocks apply and supplies the boundary value. When no surface
-scalar, region predicate or boundary value reads ``t``, directly or
-through the coefficients it names, a face batch's blocks are set-up
-work, kept from the first assembly that visits the batch under all that
-they read of a kernel: its surface groups, unknown and steadiness. Later
-assemblies of any kernel with that key skip the batch, routing included.
-All blocks go through one scatter: one ``np.bincount`` for ``b``, and
-``tocsr()`` one slab of rows (about 2^17 triplets) at a time for ``A``.
-A slab's triplets come in the order of one triplet list over all blocks,
-so ``A`` has that list's bits, while the scatter holds one slab's
-triplets at a time, never the whole list.
+constant over the batch give one cell block, broadcast. A face batch
+routes each point through the ordered boundary-region predicates,
+evaluated at the true boundary point: the first that holds claims it,
+and its condition decides which surface blocks apply and supplies the
+boundary value. When no surface scalar, region predicate or boundary
+value reads ``t``, directly or through the coefficients it names, a face
+batch's blocks are set-up work, kept from the first assembly that visits
+the batch under all that they read of a kernel: its surface groups,
+unknown and steadiness. Later assemblies of any kernel with that key
+skip the batch, routing included. All blocks go through one scatter: one
+``np.bincount`` for ``b``, and ``tocsr()`` one slab of rows (about 2^17
+triplets) at a time for ``A``. A slab's triplets come in the order of
+one triplet list over all blocks, so ``A`` has that list's bits, while
+the scatter holds one slab's triplets at a time, never the whole list.
+
+A history term ``c·S·prev:u:k`` of a transient kernel is linear in the
+history field, so it is ``c·(H @ history[k])`` for the sparse operator
+``H``, the (test, ``N``) block of weight ``S``, assembled through the
+same scatter. ``c`` is the scalar's leading constant and ``S`` the rest
+with ``prev:u:k`` bound to 1, so backward Euler's ``1·M`` and BDF2's
+``2·M`` and ``-0.5·M`` share one ``M``. An operator whose ``S`` cannot
+read ``t`` is kept under ``S`` and its test table. The other linear
+terms sum to ``b_rest``, kept as one vector when they cannot read ``t``;
+a right-hand side is ``b_rest + Σ c·(H @ history[k])``. So a ``t``-free
+right-hand-side-only step costs one mat-vec per history term and
+integrates nothing.
 
 A NaN or infinite nodal value (``nodal_values``' result, ``run_problem``'s
 ``initial``) or exact value (a callable ``exact`` of ``l2_error``) fails
@@ -47,8 +58,8 @@ import scipy.sparse as sp
 
 from . import expr as ex
 from .errors import AssemblyError, ValidationError
-from .forms import (BOUNDARY_KINDS, SURFACE_DATA, Region, TimeScheme,
-                    compile_kernel)
+from .forms import (BOUNDARY_KINDS, SURFACE_DATA, VALUE, Contribution,
+                    Region, TimeScheme, compile_kernel, fold)
 from .kernel import basis_table, face_reference_points, tensor_rule
 from .mesh import KIND_GEOMETRY, build_mesh
 # run_problem calls these by this module's names, which benchmark probes swap
@@ -195,6 +206,25 @@ def _face_batches(mesh):
     return batches
 
 
+@dataclass
+class _Operator:
+    """A history operator ``H``: the cell blocks of the one bilinear
+    volume ``group``. Kept in ``matrix`` when its scalar cannot read ``t``."""
+    group: tuple
+    kept: bool
+    matrix: object = None
+
+
+@dataclass
+class _Kernel:
+    """What assembly derives from a kernel IR on its first assembly."""
+    groups: tuple               # ir.groups(), history terms taken out
+    faces: dict                 # kept face blocks, None if they read t
+    history: tuple              # (c, k, _Operator) per term c·S·prev:u:k
+    keep_rest: bool             # whether b_rest cannot read t
+    rest: np.ndarray = None     # the kept b_rest
+
+
 class Assembler:
     """Caches mesh batches; assembles any kernel IR for this problem.
 
@@ -202,9 +232,13 @@ class Assembler:
     assembled one after another in a fixed order, so repeated assemblies
     give bit-identical ``A`` and ``b``. Face blocks that cannot read ``t``
     are kept from the first assembly that visits them, and kernels with
-    equal surface groups, unknown and steadiness share them. The matrix
-    is scattered one slab of rows at a time, so the triplets in flight
-    are one slab's, whatever the size of the mesh.
+    equal surface groups, unknown and steadiness share them. History
+    terms become sparse operators applied to the history fields; an
+    operator that cannot read ``t`` is kept, shared by every kernel whose
+    term has its weight, and so is a kernel's ``t``-free remaining
+    right-hand side. The matrix is scattered one slab of rows at a time,
+    so the triplets in flight are one slab's, whatever the size of the
+    mesh.
     """
 
     def __init__(self, mesh, spec):
@@ -213,9 +247,38 @@ class Assembler:
         self.cell_batches = _cell_batches(
             mesh, tensor_rule(_ASSEMBLY_QUAD, mesh.dimension))
         self.face_batches = _face_batches(mesh)
-        # kernel -> its kept face blocks, {face batch index: (conn, ke, be)},
-        # shared through _kept by the kernels of one key; None if they read t
-        self._faces, self._kept = {}, {}
+        # kernel -> its _Kernel; face blocks {face batch index: (conn, ke,
+        # be)} by surface groups, unknown and steadiness; history operators
+        # by their group
+        self._kernels, self._kept, self._operators = {}, {}, {}
+
+    def _derive(self, ir):
+        """The ``_Kernel`` of ``ir``: each volume linear term that reads a
+        history field ``prev:u:k`` becomes ``(c, k, H)``."""
+        surface = tuple(g for g in ir.groups() if g[0] is not Region.VOLUME)
+        faces = None if _reads_time(surface, self.spec) else \
+            self._kept.setdefault((surface, ir.unknown, ir.steady), {})
+        fields = {f"prev:{var}:{back}": back for var, back in ir.prelude}
+        rest, history = [], []
+        for c in ir.volume_linear:
+            name = next((name for name in ex.names_in(c.scalar)
+                         if name in fields), None)
+            if name is None:
+                rest.append(c)
+                continue
+            constant, weight = _history_weight(c.scalar, name)
+            group = ((Region.VOLUME, True,
+                      (Contribution(c.test, VALUE, weight),)),)
+            if group not in self._operators:
+                self._operators[group] = _Operator(
+                    group, not _reads_time(group, self.spec))
+            history.append((constant, fields[name], self._operators[group]))
+        groups = tuple((region, bilinear, tuple(rest)) if
+                       region is Region.VOLUME and not bilinear else
+                       (region, bilinear, contributions)
+                       for region, bilinear, contributions in ir.groups())
+        keep_rest = not _reads_time([g for g in groups if not g[1]], self.spec)
+        return _Kernel(groups, faces, tuple(history), keep_rest)
 
     @staticmethod
     def _integrate(groups, env, weights, batch):
@@ -279,29 +342,32 @@ class Assembler:
                 f"(near {tuple(round(float(c), 6) for c in where)})")
         return masks
 
-    def _blocks(self, ir, groups, batch, t, dt, history):
+    def _blocks(self, groups, batch, t, dt, unknown):
         """Element blocks ``(conn, ke, be)`` of one batch: the owners'
         connectivity, and the ``groups``' blocks from ``_integrate``."""
         env = ex.point_env(batch.coords(), t, self.spec.coefficients, dt)
         if batch.surface is None:
-            for var, back in ir.prelude:
-                name = f"prev:{var}:{back}"
-                if history is None or back not in history:
-                    raise AssemblyError(
-                        f"kernel needs history field '{name}' but none was given")
-                env[name] = np.einsum("qc,ec->eq", batch.values,
-                                      history[back][batch.conn])
             weights = {Region.VOLUME: batch.weights}
         else:
             env.update(batch.surface)
             weights = {}
             for kind, (sel, value) in self._route_regions(
-                    batch, t, ir.unknown).items():
+                    batch, t, unknown).items():
                 boundary = BOUNDARY_KINDS[kind]
                 env[SURFACE_DATA[boundary.value].name] = value
                 weights[boundary.region] = sel * batch.weights[None, :]
         ke, be = self._integrate(groups, env, weights, batch)
         return batch.conn, ke, be
+
+    def _operator(self, op, t, dt):
+        """The matrix of the history operator ``op`` at ``t``."""
+        if op.matrix is not None:
+            return op.matrix
+        matrix = _scatter([self._blocks(op.group, batch, t, dt, None)[:2]
+                           for batch in self.cell_batches], self.mesh.n_nodes)
+        if op.kept:
+            op.matrix = matrix
+        return matrix
 
     def assemble(self, ir, t=0.0, history=None, matrix=True):
         """Assemble the full-space system for one kernel.
@@ -311,27 +377,41 @@ class Assembler:
         """
         n = self.mesh.n_nodes
         dt = None if ir.steady else self.spec.time.dt
-        if ir not in self._faces:
-            surface = tuple(g for g in ir.groups() if g[0] is not Region.VOLUME)
-            self._faces[ir] = None if _reads_time(surface, self.spec) else \
-                self._kept.setdefault((surface, ir.unknown, ir.steady), {})
-        kept = self._faces[ir]
-        groups = [g for g in ir.groups() if g[2] and (matrix or not g[1])]
-        results = [self._blocks(ir, groups, batch, t, dt, history)
-                   for batch in self.cell_batches]
+        for var, back in ir.prelude:
+            if history is None or back not in history:
+                raise AssemblyError(f"kernel needs history field "
+                                    f"'prev:{var}:{back}' but none was given")
+        if ir not in self._kernels:
+            self._kernels[ir] = self._derive(ir)
+        kernel = self._kernels[ir]
+        rest = kernel.rest
+        groups = [g for g in kernel.groups
+                  if g[2] and (matrix if g[1] else rest is None)]
+        results = []
+        if any(region is Region.VOLUME for region, _, _ in groups):
+            results = [self._blocks(groups, batch, t, dt, ir.unknown)
+                       for batch in self.cell_batches]
         if any(region is not Region.VOLUME for region, _, _ in groups):
+            kept = kernel.faces
             for i, batch in enumerate(self.face_batches):
                 if kept is not None and i not in kept:
                     # all groups, so that a later matrix assembly finds ke
-                    kept[i] = self._blocks(ir, ir.groups(), batch, t, dt,
-                                           history)
+                    kept[i] = self._blocks(kernel.groups, batch, t, dt,
+                                           ir.unknown)
                 results.append(kept[i] if kept is not None else
-                               self._blocks(ir, groups, batch, t, dt, history))
+                               self._blocks(groups, batch, t, dt, ir.unknown))
 
-        rhs = [(conn, be) for conn, _, be in results if be is not None]
-        b = np.bincount(np.concatenate([conn for conn, _ in rhs]).ravel(),
-                        np.concatenate([be for _, be in rhs]).ravel(),
-                        minlength=n) if rhs else np.zeros(n)
+        if rest is None:
+            rhs = [(conn, be) for conn, _, be in results if be is not None]
+            rest = np.bincount(
+                np.concatenate([conn for conn, _ in rhs]).ravel(),
+                np.concatenate([be for _, be in rhs]).ravel(),
+                minlength=n) if rhs else np.zeros(n)
+            if kernel.keep_rest:
+                kernel.rest = rest
+        b = rest.copy()
+        for constant, back, op in kernel.history:
+            b += constant * (self._operator(op, t, dt) @ history[back])
         if not matrix:
             return None, b
         blocks = [(conn, ke) for conn, ke, _ in results if ke is not None]
@@ -435,6 +515,26 @@ def _reads_time(groups, spec):
     return "t" in names
 
 
+def _history_weight(scalar, name):
+    """``(c, S)`` with ``scalar`` equal to ``c·S·name``. ``forms.lower``
+    made ``scalar`` the ``fold`` of a product with ``name``: a chain of
+    factors, under a negation and the divisions, that a number ``c``
+    opens unless it is 1 and ``name`` closes. ``S`` is the chain without
+    them, ``scalar`` with ``name`` bound to 1 and ``c`` taken out."""
+    if isinstance(scalar, ex.Num):
+        return scalar.value, ex.Num(1.0)
+    if scalar == ex.Name(name):
+        return 1.0, ex.Num(1.0)
+    if isinstance(scalar, ex.Neg):
+        constant, weight = _history_weight(scalar.arg, name)
+        return -constant, weight
+    if isinstance(scalar, ex.Bin) and scalar.op in ("*", "/"):
+        constant, left = _history_weight(scalar.left, name)
+        right = ex.Num(1.0) if scalar.right == ex.Name(name) else scalar.right
+        return constant, fold(ex.Bin(scalar.op, left, right))
+    return 1.0, scalar
+
+
 # ---------------------------------------------------------------------------
 # driver
 
@@ -443,6 +543,8 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None, on_step=None):
 
     A steady problem is one step at ``t = 0`` without history. A transient
     one takes steps 1..N; under BDF2 step 1 uses the backward-Euler kernel.
+    Each solve starts from the previous state, the first from the initial
+    one.
     ``mesh`` optionally supplies an already built mesh of ``spec``.
     ``initial`` optionally overrides the scripted initial condition with a
     nodal array of shape ``(mesh.n_nodes,)``. ``on_step(step, time,
@@ -461,7 +563,7 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None, on_step=None):
     constraint = mesh.constraint
     assembler = Assembler(mesh, spec)
     ir = compile_kernel(spec)
-    state = None
+    state = solution = None
     if ir.steady:
         schedule = [(0, 0.0, ir)]
     else:
@@ -479,16 +581,19 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None, on_step=None):
             raise ValueError(f"initial has shape {initial.shape}, expected "
                              f"({mesh.n_nodes},)")
         _finite(initial, "argument 'initial'")
-        # make the start state consistent with the constraints
-        state = constraint @ initial[mesh.free_nodes]
+        # make the start state consistent with the constraints; the first
+        # solve starts from it
+        solution = initial[mesh.free_nodes]
+        state = constraint @ solution
     previous = state
-    # kernel -> kept reduced matrix, for each kernel no step can change
-    kept = {kernel: None for kernel in {kernel for _, _, kernel in schedule}
+    # kernel -> kept reduced matrix, for each kernel no step can change,
+    # while a later step of the kernel reads it
+    last = {kernel: k for k, _, kernel in schedule}
+    kept = {kernel: None for kernel in last
             if not _matrix_reads_time(kernel, spec)}
     timings["assemble"] = time.perf_counter() - tick
 
     steps = []
-    solution = None
     options = spec.solver
     for k, t_k, kernel in schedule:
         tick = time.perf_counter()
@@ -500,10 +605,10 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None, on_step=None):
             assembler = None    # its kept face blocks go before the solve
         if reduced is None:
             reduced, rhs = reduce_system(A, b, constraint)
-            if kernel in kept:
-                kept[kernel] = reduced
         else:
             rhs = constraint.T @ b
+        if kernel in kept:
+            kept[kernel] = reduced if k < last[kernel] else None
         A = None                # the full-space matrix goes once reduced
         timings["assemble"] += time.perf_counter() - tick
         tick = time.perf_counter()

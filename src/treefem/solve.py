@@ -8,6 +8,7 @@ declared once, here: the ``[solver]`` defaults (``SolverOptions``), the
 (``PRECONDITIONERS``, each with the builder of its ``precondition(v)``).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,12 +80,20 @@ def _is_identity(matrix):
 
 def bicgstab(A, b, x0=None, abs_tol=_DEFAULT.abs_tol, rel_tol=_DEFAULT.rel_tol,
              max_iterations=_DEFAULT.max_iterations, pc_type=_DEFAULT.pc_type):
-    """Preconditioned BiCGStab on the reduced system."""
+    """Preconditioned BiCGStab on the reduced system.
+
+    A NaN or infinite value in ``b`` or ``x0``, or a residual norm that
+    is not finite, raises ``SolverError``: no answer is returned for it.
+    """
     n = len(b)
     x = np.zeros(n) if x0 is None else np.asarray(x0, float).copy()
+    if not (np.isfinite(b).all() and np.isfinite(x).all()):
+        raise SolverError("the right-hand side or the start vector holds "
+                          "a NaN or infinite value")
     r = b - A @ x
     norm0 = float(np.linalg.norm(r))
     history = [norm0]
+    _check_finite(norm0, history)
     target = max(abs_tol, rel_tol * norm0)
     if norm0 <= target:
         return x, SolveInfo(0, norm0, history)
@@ -115,6 +124,7 @@ def bicgstab(A, b, x0=None, abs_tol=_DEFAULT.abs_tol, rel_tol=_DEFAULT.rel_tol,
         s = r - alpha * v
         x = x + alpha * p_hat
         norm_s = float(np.linalg.norm(s))
+        _check_finite(norm_s, history)
         if norm_s <= target:
             history.append(norm_s)
             return x, SolveInfo(iteration, norm_s, history)
@@ -130,9 +140,17 @@ def bicgstab(A, b, x0=None, abs_tol=_DEFAULT.abs_tol, rel_tol=_DEFAULT.rel_tol,
         r = s - omega * t_vec
         norm_r = float(np.linalg.norm(r))
         history.append(norm_r)
+        _check_finite(norm_r, history)
         if norm_r <= target:
             return x, SolveInfo(iteration, norm_r, history)
         rho_prev = rho
     raise SolverError(
         f"no convergence within {max_iterations} iterations "
         f"(residual {history[-1]:.3e}, target {target:.3e})", history)
+
+
+def _check_finite(norm, history):
+    """A residual norm that is NaN or infinite fails the solve."""
+    if not math.isfinite(norm):
+        raise SolverError(f"solver breakdown: the residual norm is {norm}",
+                          history)

@@ -549,6 +549,13 @@ def _heat_script(base, glevel):
         "refine_level = 5", f"refine_level = {glevel}")
 
 
+def _weighted_decay(scheme, form, weight):
+    """The decay with ``form`` for its ``Dt(u*v)`` and the coefficient
+    ``k = weight``."""
+    return DECAY.format(scheme=scheme, steps=2).replace(
+        "c = 3.0", f"c = 3.0\nk = {weight}").replace("Dt(u*v) +", f"{form} +")
+
+
 ORACLE_CASES = {
     # name: (script, pass history, assemble the matrix)
     "mixed_patch": (MIXED_PATCH, False, True),
@@ -562,6 +569,16 @@ ORACLE_CASES = {
     "bdf2_rhs_only": (_heat_script(base=2, glevel=3), True, False),
     "one_linear_term": (DECAY.format(scheme="euler_implicit", steps=1),
                         True, True),
+    # history operators of weight k (kept unless k reads t), -k (under a
+    # negation) and sin(k) (a call); BDF2's two terms share one operator
+    "history_t_free": (_weighted_decay("bdf2", "k*Dt(u*v)", "1 + x"),
+                       True, True),
+    "history_reads_t": (_weighted_decay("bdf2", "k*Dt(u*v)", "1 + t"),
+                        True, True),
+    "history_negated": (_weighted_decay("euler_implicit", "-k*Dt(u*v)",
+                                        "1 + x"), True, True),
+    "history_call": (_weighted_decay("euler_implicit", "sin(k)*Dt(u*v)",
+                                     "1 + x"), True, True),
 }
 
 
@@ -633,14 +650,14 @@ def test_single_block_assembly_matches_per_term_oracle(case):
             scalars[c.test, c.trial].add(type(c.scalar))
         assert all(kinds == {ex.Name, ex.Num} for kinds in scalars.values())
     if case == "one_linear_term":
-        # one linear term per batch: the single bincount makes the same
-        # additions in the same order as the per-term np.add.at loop
+        # its one linear term is a history term: a mat-vec, not a bincount
         assert len(ir.volume_linear) == 1
         assert not (ir.dirichlet_linear or ir.neumann_linear)
-        assert np.array_equal(b, b_ref)
-    else:
-        # several linear terms per batch are summed per element first
-        assert np.abs(b - b_ref).max() <= 1e-14 * np.abs(b_ref).max()
+    if case == "history_reads_t":
+        # no kept matrix either: the kernel is assembled anew every step
+        assert _matrix_reads_time(ir, spec)
+    # linear terms are summed per element first, history terms by mat-vec
+    assert np.abs(b - b_ref).max() <= 1e-14 * np.abs(b_ref).max()
     if not matrix:
         assert A is None and A_ref is None
         return
@@ -774,7 +791,7 @@ def test_reduction_with_hanging_nodes_is_the_product():
                                     DECAY.format(scheme="bdf2", steps=3)],
                          ids=["steady_disk", "decay_bdf2"])
 def test_run_frees_assembly_work_before_the_last_solve(script, monkeypatch):
-    assemblers, matrices, alive = [], [], []
+    assemblers, matrices, systems, alive = [], [], [], []
 
     class Tracked(Assembler):
         def __init__(self, mesh, spec):
@@ -783,12 +800,15 @@ def test_run_frees_assembly_work_before_the_last_solve(script, monkeypatch):
 
     def reduce(A, b, constraint):
         matrices.append(weakref.ref(A))
-        return reduce_system(A, b, constraint)
+        reduced, rhs = reduce_system(A, b, constraint)
+        systems.append(weakref.ref(reduced))
+        return reduced, rhs
 
     def solve(A, b, **options):
         full = matrices[-1]()
         alive.append((assemblers[0]() is not None,
-                      full is not None and full is not A))
+                      full is not None and full is not A,
+                      sum(system() is not None for system in systems)))
         return bicgstab(A, b, **options)
 
     monkeypatch.setattr("treefem.assemble.Assembler", Tracked)
@@ -796,8 +816,10 @@ def test_run_frees_assembly_work_before_the_last_solve(script, monkeypatch):
     monkeypatch.setattr("treefem.assemble.bicgstab", solve)
     result = run_problem(parse_problem(script))
     assert len(assemblers) == 1 and len(alive) == len(result.steps)
-    assert [held for held, _ in alive] == [True] * (len(alive) - 1) + [False]
-    assert not any(full for _, full in alive)
+    assert [held for held, _, _ in alive] == [True] * (len(alive) - 1) + [False]
+    assert not any(full for _, full, _ in alive)
+    # BDF2's backward-Euler matrix goes after step 1, its only step
+    assert [reduced for _, _, reduced in alive] == [1] * len(alive)
 
 
 def test_patch_3d():
@@ -1046,7 +1068,7 @@ def _history(mesh):
 
 def _assert_same_system(got, expected):
     (A, b), (A_ref, b_ref) = got, expected
-    assert np.array_equal(b, b_ref)
+    assert b.dtype == b_ref.dtype and b.tobytes() == b_ref.tobytes()
     if A_ref is None:
         assert A is None
         return
@@ -1061,7 +1083,8 @@ def test_kept_face_rhs_gives_the_bits_of_a_fresh_assembler(case):
     ir = compile_kernel(spec)
     history = _history(mesh) if with_history else None
     asm = Assembler(mesh, spec)
-    # the last call is right-hand side only, so it reads the kept blocks
+    # the last call is right-hand side only, so it reads the kept blocks,
+    # right-hand side and history operators
     for t, with_matrix in ((0.25, matrix), (0.75, matrix), (0.75, False)):
         _assert_same_system(
             asm.assemble(ir, t=t, history=history, matrix=with_matrix),
@@ -1227,6 +1250,33 @@ def test_later_assemblies_derive_nothing_from_the_kernel(monkeypatch):
     assert calls == []
 
 
+def test_euler_and_bdf2_build_one_history_operator(monkeypatch):
+    # the heat script with a source, so that b_rest has cell blocks too
+    spec = parse_problem(_heat_script(base=2, glevel=3).replace(
+        "Dt(u*v) +", "Dt(u*v) - v +"))
+    mesh = build_mesh(spec)
+    history = _history(mesh)
+    euler = compile_kernel(spec, scheme=TimeScheme.EULER_IMPLICIT)
+    bdf2 = compile_kernel(spec)
+    asm = Assembler(mesh, spec)
+    scatters, integrals = [], []
+    monkeypatch.setattr("treefem.assemble._scatter", lambda blocks, n: (
+        scatters.append(n) or _scatter(blocks, n)))
+    integrate = Assembler._integrate
+    monkeypatch.setattr(Assembler, "_integrate", staticmethod(
+        lambda *args: integrals.append(args) or integrate(*args)))
+    # right-hand sides only: each scatter builds a history operator
+    asm.assemble(euler, t=0.01, history=history, matrix=False)
+    asm.assemble(bdf2, t=0.02, history=history, matrix=False)
+    assert len(scatters) == 1 and integrals
+    integrals.clear()
+    _, b = asm.assemble(bdf2, t=0.03, history=history, matrix=False)
+    assert len(scatters) == 1 and integrals == []
+    _, b_ref = reference_assemble(mesh, spec, bdf2, t=0.03, history=history,
+                                  matrix=False)
+    assert np.abs(b - b_ref).max() <= 1e-14 * np.abs(b_ref).max()
+
+
 def test_steady_state_is_transient_fixed_point():
     steady = solve(DISK_POISSON, base=4, glevel=5)
     transient_script = DISK_POISSON.format(base=4, glevel=5).replace(
@@ -1246,7 +1296,8 @@ def test_steady_state_is_transient_fixed_point():
 def reference_run_problem(spec, base_dir=".", mesh=None, initial=None,
                           on_step=None):
     """The old ``run_problem``; it reuses a transient matrix unless a
-    bilinear scalar names ``t`` itself."""
+    bilinear scalar names ``t`` itself, and starts each solve from the
+    previous state, the first from the initial one."""
     options = spec.solver
 
     def solve_reduced(A, b, x0=None):
@@ -1285,7 +1336,8 @@ def reference_run_problem(spec, base_dir=".", mesh=None, initial=None,
     else:
         state = nodal_values(mesh, spec.initial_conditions.get(unknown, 0.0),
                              t=0.0, coefficients=spec.coefficients)
-    state = constraint @ state[mesh.free_nodes]
+    warm = state[mesh.free_nodes]
+    state = constraint @ warm
     previous = state.copy()
     kernels = {"main": ir}
     if ir.scheme is TimeScheme.BDF2:
@@ -1293,7 +1345,6 @@ def reference_run_problem(spec, base_dir=".", mesh=None, initial=None,
             spec, scheme=TimeScheme.EULER_IMPLICIT)
     matrix_cache = {}
     reuse_matrix = not bilinear_references_time(ir)
-    warm = None
     for k in range(1, num_steps + 1):
         t_k = k * dt
         key = "bootstrap" if (k == 1 and "bootstrap" in kernels) else "main"

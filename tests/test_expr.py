@@ -118,6 +118,10 @@ class TestParse:
         with pytest.raises(ParseError):
             ex.parse("x^2")
 
+    def test_unclosed_parenthesis(self):
+        with pytest.raises(ParseError, match=r"^column 7: expected '\)'$"):
+            ex.parse("(x + 1")
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError, match="trailing"):
             ex.parse("x + 1 2")

@@ -89,3 +89,29 @@ def test_bicgstab_rejects_an_unknown_preconditioner():
     # a script's pc_type is checked at parse; a direct call meets this check
     with pytest.raises(SolverError, match="^unsupported preconditioner 'ilu'$"):
         bicgstab(np.eye(2), np.ones(2), pc_type="ilu")
+
+
+# Non-finite input: (b, x0, message); a solve never returns an answer for it.
+NON_FINITE = {
+    "infinite_rhs": ([1.0, np.inf], None, "right-hand side"),
+    "nan_rhs": ([np.nan, 1.0], None, "right-hand side"),
+    "nan_start": ([1.0, 1.0], [0.0, np.nan], "start vector"),
+}
+
+
+@pytest.mark.parametrize("b, x0, message", NON_FINITE.values(),
+                         ids=NON_FINITE)
+def test_bicgstab_rejects_non_finite_input(b, x0, message):
+    with pytest.raises(SolverError, match=message):
+        bicgstab(np.eye(2), np.array(b), x0=x0)
+
+
+def test_bicgstab_stops_at_the_first_non_finite_residual():
+    # Jacobi's inverse of a subnormal diagonal entry overflows to inf, so
+    # the first half-step residual is NaN
+    A = np.diag([1e-310, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            SolverError, match="^solver breakdown: the residual norm is nan$"
+    ) as info:
+        bicgstab(A, np.ones(2))
+    assert info.value.history == [2 ** 0.5]
