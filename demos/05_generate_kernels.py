@@ -10,7 +10,7 @@ the text is the product.
 
 from pathlib import Path
 
-from treefem import compile_kernel, emit_kernels, parse_ir, parse_problem, serialize_ir
+from treefem import compile_kernel, emit_kernels, parse_problem, serialize_ir
 
 SCRIPT = """
 [domain]
@@ -71,10 +71,7 @@ for line in text.splitlines():
     if "wdetj * 1.5" in line or "value_u_prev" in line:
         print("   ", line.strip())
 
-# the IR round-trips through its serialized document byte for byte
+# the kernel program itself, as a deterministic line-oriented document
 document = serialize_ir(ir)
 Path("generated/kernel_ir.txt").write_text(document)
-assert parse_ir(document) == ir
-assert serialize_ir(parse_ir(document)) == document
-print("wrote generated/kernel_ir.txt "
-      f"({len(document.splitlines())} lines, round-trip exact)")
+print(f"wrote generated/kernel_ir.txt ({len(document.splitlines())} lines)")

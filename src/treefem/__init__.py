@@ -3,7 +3,7 @@
 from .assemble import (
     Assembler, RunResult, StepRecord, l2_error, nodal_values, run_problem,
 )
-from .codegen import emit_kernels, parse_ir, serialize_ir
+from .codegen import emit_kernels, serialize_ir
 from .errors import (
     Error, ParseError, EvalError, ValidationError, FormError, GeometryError,
     MeshError, EmptyMeshError, AssemblyError, SolverError, CodegenError,
@@ -22,7 +22,7 @@ __all__ = [
     "MeshError", "ParseError", "ProblemSpec", "RunResult", "SolverError",
     "StepRecord", "TimeScheme", "ValidationError", "bicgstab",
     "build_mesh", "compile_kernel", "emit_kernels", "l2_error",
-    "nodal_values", "parse_ir", "parse_problem", "reduce_system",
+    "nodal_values", "parse_problem", "reduce_system",
     "run_problem", "serialize_ir", "with_levels", "write_diagnostics_csv",
     "write_fields_vtk", "write_mesh_vtk",
 ]

@@ -23,8 +23,9 @@ The serialized document is line oriented and versioned:
     term <test> <trial> <scalar>      (zero or more per group)
 
 Selectors are ``N`` or ``dN:<axis>``; a linear term's trial slot holds
-``-``. Scalars are prefix s-expressions over the kernel name space. The
-format is canonical: serialize, parse, serialize returns identical bytes.
+``-``. Scalars are prefix s-expressions over the kernel name space.
+Serializing is deterministic: equal kernels give identical bytes. The package
+writes the document and never reads it back.
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ from string import Template
 
 from . import expr as ex
 from .errors import CodegenError
-from .forms import (GROUPS, SURFACE_DATA, BasisSel, Contribution, KernelIR,
-                    TimeScheme, required_names)
+from .forms import GROUPS, SURFACE_DATA, required_names
 
-__all__ = ["DEFAULT_TEMPLATE", "c_scalar", "emit_kernels", "parse_ir",
-           "serialize_ir"]
+__all__ = ["DEFAULT_TEMPLATE", "c_scalar", "emit_kernels", "serialize_ir"]
 
 DEFAULT_TEMPLATE = Path(__file__).parent / "templates" / "dendro_kernels.cpp.tmpl"
 
@@ -194,21 +193,6 @@ def _sel_text(sel):
     return "N" if sel.kind == "N" else f"dN:{sel.axis}"
 
 
-def _parse_sel(token, slot):
-    if token == "-":
-        if slot == "test":
-            raise CodegenError("a term's test selector cannot be '-'")
-        return None
-    if token == "N":
-        return BasisSel("N")
-    if token.startswith("dN:"):
-        try:
-            return BasisSel("dN", int(token[3:]))
-        except ValueError:
-            pass
-    raise CodegenError(f"bad {slot} selector '{token}'")
-
-
 def serialize_ir(ir):
     """Canonical text document for ``ir``; stable byte for byte."""
     lines = ["kernelir 1",
@@ -224,73 +208,3 @@ def serialize_ir(ir):
                          f"{ex.to_sexpr(c.scalar)}")
     return "\n".join(lines) + "\n"
 
-
-def parse_ir(text):
-    """Rebuild a kernel from its serialized document."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "kernelir 1":
-        raise CodegenError(
-            "not a serialized kernel document (expected a 'kernelir 1' "
-            "header line)")
-    fields = {}
-    prelude = []
-    buckets = {field: [] for field, _, _ in GROUPS}
-    bilinear = {field: side for field, _, side in GROUPS}
-    current = None
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        head, _, rest = line.strip().partition(" ")
-        rest = rest.strip()
-        if head in ("dimension", "steady", "scheme", "unknown"):
-            fields[head] = rest
-        elif head == "prelude":
-            words = rest.split()
-            if len(words) != 2 or not words[1].isdecimal():
-                raise CodegenError(f"bad prelude line: {line!r}")
-            prelude.append((words[0], int(words[1])))
-        elif head == "group":
-            if rest not in buckets:
-                raise CodegenError(f"unknown contribution group '{rest}'")
-            current = rest
-        elif head == "term":
-            if current is None:
-                raise CodegenError("term line appears before a group header")
-            words = rest.split(None, 2)
-            if len(words) != 3:
-                raise CodegenError(f"bad term line: {line!r}")
-            try:
-                scalar = ex.from_sexpr(words[2])
-            except ex.ParseError as err:
-                raise CodegenError(f"bad term scalar: {err}")
-            trial = _parse_sel(words[1], "trial")
-            if bilinear[current] != (trial is not None):
-                raise CodegenError(
-                    f"term trial selector '{words[1]}' does not fit group "
-                    f"'{current}'")
-            buckets[current].append(Contribution(
-                _parse_sel(words[0], "test"), trial, scalar))
-        else:
-            raise CodegenError(f"unrecognized line in serialized kernel: "
-                               f"{line!r}")
-
-    for key in ("dimension", "steady", "scheme", "unknown"):
-        if key not in fields:
-            raise CodegenError(f"serialized kernel lacks a '{key}' line")
-    try:
-        dimension = int(fields["dimension"])
-    except ValueError:
-        raise CodegenError(f"bad dimension '{fields['dimension']}'")
-    if fields["steady"] not in ("true", "false"):
-        raise CodegenError(f"bad steady flag '{fields['steady']}'")
-    if fields["scheme"] == "none":
-        scheme = None
-    else:
-        try:
-            scheme = TimeScheme(fields["scheme"])
-        except ValueError:
-            raise CodegenError(f"unknown time scheme '{fields['scheme']}'")
-    return KernelIR(dimension=dimension, steady=fields["steady"] == "true",
-                    scheme=scheme, unknown=fields["unknown"],
-                    prelude=tuple(prelude),
-                    **{name: tuple(rows) for name, rows in buckets.items()})

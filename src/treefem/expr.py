@@ -34,7 +34,7 @@ from .errors import EvalError, ParseError
 __all__ = [
     "Num", "Bool", "Name", "Neg", "Bin", "Call",
     "parse", "to_text", "eval_scalar", "point_env", "names_in", "calls_in",
-    "to_sexpr", "from_sexpr", "BUILTIN_CALLS",
+    "to_sexpr", "BUILTIN_CALLS",
 ]
 
 # Plain math calls, evaluated directly: name -> (scalar, array) function.
@@ -68,9 +68,9 @@ BUILTIN_CALLS = {
  _LEVEL_ATOM) = range(1, 8)
 
 # Every binary operator, token -> (precedence level, value function). The
-# lexer, parser, printer, evaluator and s-expression reader all read these
-# rows. ``&&`` and ``||`` have no value function: eval_scalar checks that
-# their operands are boolean and short-circuits them on scalars.
+# lexer, parser, printer and evaluator all read these rows. ``&&`` and ``||``
+# have no value function: eval_scalar checks that their operands are boolean
+# and short-circuits them on scalars.
 _BINARY = {
     "||": (_LEVEL_OR, None),
     "&&": (_LEVEL_AND, None),
@@ -230,8 +230,7 @@ class _Parser:
         return left
 
     def parse_unary(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
+        if self.peek()[1] == "-":
             self.advance()
             return Neg(self.parse_unary())
         return self.parse_primary()
@@ -249,8 +248,7 @@ class _Parser:
                 return Bool(True)
             if value == "false":
                 return Bool(False)
-            nk, nv, _ = self.peek()
-            if nk == "op" and nv == "(":
+            if self.peek()[1] == "(":
                 return self.parse_call(value, col)
             if value == "pi":
                 return Name("pi")
@@ -266,16 +264,12 @@ class _Parser:
             raise ParseError(f"unknown function '{fn}'", col=col)
         self.expect_op("(")
         args = []
-        kind, value, _ = self.peek()
-        if not (kind == "op" and value == ")"):
+        # only an "op" token's value can be ")" or ","
+        if self.peek()[1] != ")":
             args.append(self.parse_binary())
-            while True:
-                kind, value, _ = self.peek()
-                if kind == "op" and value == ",":
-                    self.advance()
-                    args.append(self.parse_binary())
-                else:
-                    break
+            while self.peek()[1] == ",":
+                self.advance()
+                args.append(self.parse_binary())
         self.expect_op(")")
         want = BUILTIN_CALLS[fn]
         if len(args) != want:
@@ -488,7 +482,7 @@ def is_predicate(expr):
 
 
 # ---------------------------------------------------------------------------
-# S-expression form (used by the kernel IR serializer)
+# S-expression printer (the scalars of the serialized kernel document)
 
 def to_sexpr(expr):
     """Canonical prefix form, e.g. ``(* dt (+ a 1.5))``."""
@@ -507,67 +501,3 @@ def to_sexpr(expr):
         return f"(call {expr.fn} {inner})" if inner else f"(call {expr.fn})"
     raise TypeError(f"not an expression node: {expr!r}")
 
-
-def from_sexpr(text):
-    """Inverse of :func:`to_sexpr`."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    expr, rest = _read_sexpr(tokens, 0)
-    if rest != len(tokens):
-        raise ParseError("trailing tokens in s-expression")
-    return expr
-
-
-def _read_sexpr(tokens, i):
-    if i >= len(tokens):
-        raise ParseError("unterminated s-expression")
-    tok = tokens[i]
-    if tok == ")":
-        raise ParseError("unexpected ')' in s-expression")
-    if tok != "(":
-        return _sexpr_atom(tok), i + 1
-    i += 1
-    if i >= len(tokens):
-        raise ParseError("unterminated s-expression")
-    head = tokens[i]
-    i += 1
-    args = []
-    while i < len(tokens) and tokens[i] != ")":
-        node, i = _read_sexpr(tokens, i)
-        args.append(node)
-    if i >= len(tokens):
-        raise ParseError("unterminated s-expression")
-    i += 1  # consume ')'
-    if head == "neg":
-        if len(args) != 1:
-            raise ParseError("neg takes one argument")
-        return Neg(args[0]), i
-    if head == "call":
-        if not args or not isinstance(args[0], Name):
-            raise ParseError("call head must carry a function name")
-        return Call(args[0].id, tuple(args[1:])), i
-    if head in _BINARY:
-        if len(args) != 2:
-            raise ParseError(f"operator {head} takes two arguments")
-        return Bin(head, args[0], args[1]), i
-    raise ParseError(f"unknown s-expression head '{head}'")
-
-
-def _sexpr_atom(tok):
-    if tok == "true":
-        return Bool(True)
-    if tok == "false":
-        return Bool(False)
-    first = tok[0]
-    if first.isdigit() or (first in "+-." and len(tok) > 1):
-        try:
-            return Num(float(tok))
-        except ValueError:
-            pass
-    # a script identifier as ``_tokenize`` reads one, then ``:``-joined
-    # segments of identifier characters (``special:nt:0``, ``prev:u:1``)
-    parts = tok.split(":")
-    if ((first.isalpha() or first == "_")
-            and all(part and all(c.isalnum() or c == "_" for c in part)
-                    for part in parts)):
-        return Name(tok)
-    raise ParseError(f"bad s-expression atom '{tok}'")

@@ -31,6 +31,7 @@ the assembler and the code generator read them from here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -194,7 +195,7 @@ def fold(expr):
         op = expr.op
         if (isinstance(left, ex.Num) and isinstance(right, ex.Num)
                 and _arithmetic(op) and (op != "/" or right.value != 0.0)):
-            return ex.Num(ex._BINARY[op][1](left.value, right.value))
+            return _held(ex._BINARY[op][1](left.value, right.value), expr)
         if op == "*":
             # Canonical product: flatten the chain, merge every numeric
             # factor into one leading constant, turn 1/y factors into
@@ -222,7 +223,7 @@ def fold(expr):
             flatten(right)
             if constant == 0.0:
                 return ex.Num(0.0)
-            out = None if constant in (1.0, -1.0) else ex.Num(constant)
+            out = None if constant in (1.0, -1.0) else _held(constant, expr)
             for factor in rest:
                 out = factor if out is None else ex.Bin("*", out, factor)
             if out is None:
@@ -245,6 +246,13 @@ def fold(expr):
     if isinstance(expr, ex.Call):
         return ex.Call(expr.fn, tuple(fold(a) for a in expr.args))
     return expr
+
+
+def _held(value, expr):
+    """``Num(value)``; a FormError if folding ``expr`` gave a non-finite value."""
+    if not math.isfinite(value):
+        raise FormError(f"constant '{ex.to_text(expr)}' overflows to {value}")
+    return ex.Num(value)
 
 
 def _arithmetic(op):

@@ -43,7 +43,8 @@ Sections and keys:
 ``[boundary_regions]``
     ``id = predicate`` lines; order matters, the first satisfied predicate
     claims the point. A predicate's root is a comparison, ``&&``/``||``,
-    ``true`` or ``false``; a value's root is none of these.
+    ``true`` or ``false``; a value's root is none of these. In both,
+    ``&&`` and ``||`` join only predicates.
 
 ``[boundary_conditions]``
     ``var @ region = dirichlet|neumann, value-expression``.
@@ -323,7 +324,8 @@ def _parse_expr(text, line_no, names=None, predicate=None):
     """Parse one expression of the script. ``predicate`` True demands a
     boolean root (a comparison, ``&&``/``||``, ``true``/``false``), False
     forbids one, and None (the weak form) checks neither; any but the weak
-    form may call only the math functions."""
+    form may call only the math functions and join only predicates with
+    ``&&`` and ``||``."""
     try:
         expr = ex.parse(text, names=names)
     except ParseError as err:
@@ -338,6 +340,11 @@ def _parse_expr(text, line_no, names=None, predicate=None):
         want = ("a predicate (a comparison, '&&', '||', true or false)"
                 if predicate else "a numeric value, not a predicate")
         raise ParseError(f"expected {want}: '{text.strip()}'", line=line_no)
+    for node in ex._nodes(expr):
+        if (isinstance(node, ex.Bin) and node.op in ("&&", "||") and not
+                (ex.is_predicate(node.left) and ex.is_predicate(node.right))):
+            raise ParseError(f"'{node.op}' requires a predicate on each side: "
+                             f"'{text.strip()}'", line=line_no)
     return expr
 
 

@@ -526,21 +526,24 @@ NEUMANN_EXACT = "exp(x)*sin(y)"   # harmonic, so the volume form has no source
 
 
 def test_shifted_neumann_is_first_order_and_wall_neumann_second():
-    from test_assemble import BOX_PATCH, MIXED_PATCH, NEUMANN_BLOCK
+    from test_assemble import BOX_PATCH, MIXED_PATCH, MIXED_PATCH_3D, NEUMANN_BLOCK
 
-    # the disk of MIXED_PATCH: Dirichlet on x < 0.5, shifted Neumann elsewhere;
-    # the Neumann value is -grad(u).n on the circle of radius 0.4
-    mixed = MIXED_PATCH.replace(
-        "dirichlet, x", f"dirichlet, {NEUMANN_EXACT}").replace(
-        "neumann, -(x - 0.5) / 0.4",
-        "neumann, -exp(x)*(sin(y)*(x - 0.5) + cos(y)*(y - 0.5)) / 0.4")
+    # the disk of MIXED_PATCH and the sphere of MIXED_PATCH_3D: Dirichlet on
+    # x < 0.5, shifted Neumann elsewhere; the Neumann value is -grad(u).n on
+    # the surface of radius 0.4 (u does not vary with z)
+    def mixed(script):
+        return script.replace(
+            "dirichlet, x", f"dirichlet, {NEUMANN_EXACT}").replace(
+            "neumann, -(x - 0.5) / 0.4",
+            "neumann, -exp(x)*(sin(y)*(x - 0.5) + cos(y)*(y - 0.5)) / 0.4")
     # the unit square, Neumann on the x+ wall (no shift), Dirichlet elsewhere
     wall = BOX_PATCH.format(base=3, extra="", value=NEUMANN_EXACT).replace(
         "1 = true", "2 = x > 1 - 1e-9\n1 = true").replace(
         "[solver]", "u @ 2 = neumann, -exp(x)*sin(y)\n\n[solver]") + NEUMANN_BLOCK
     exact = ex.parse(NEUMANN_EXACT)
     slopes = {}
-    for name, script, levels in (("mixed", mixed, (4, 5, 6, 7)),
+    for name, script, levels in (("mixed", mixed(MIXED_PATCH), (4, 5, 6, 7)),
+                                 ("mixed_3d", mixed(MIXED_PATCH_3D), (4, 5, 6)),
                                  ("wall", wall, (3, 4, 5, 6, 7))):
         spec0 = parse_problem(script)
         hs, errors = [], []
@@ -550,6 +553,8 @@ def test_shifted_neumann_is_first_order_and_wall_neumann_second():
             errors.append(l2_error(result.mesh, result.values, exact))
         slopes[name] = fit_slope(hs, errors)
     assert slopes["mixed"] >= 0.85, f"shifted Neumann L2 slope {slopes['mixed']:.3f}"
+    assert slopes["mixed_3d"] >= 0.85, (
+        f"3-D shifted Neumann L2 slope {slopes['mixed_3d']:.3f}")
     assert slopes["wall"] >= 1.9, f"wall Neumann L2 slope {slopes['wall']:.3f}"
-    print(f"L2 slopes: shifted Neumann disk {slopes['mixed']:.3f}, "
-          f"wall Neumann {slopes['wall']:.3f}")
+    print(f"L2 slopes: shifted Neumann disk {slopes['mixed']:.3f}, sphere "
+          f"{slopes['mixed_3d']:.3f}, wall Neumann {slopes['wall']:.3f}")

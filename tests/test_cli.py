@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 from treefem.cli import cmd_converge, main
-from treefem.codegen import parse_ir, serialize_ir
+from treefem.codegen import serialize_ir
 from treefem.forms import compile_kernel
 from treefem.mesh import build_mesh
 from treefem.problem import parse_problem, with_levels
 
+from ir_oracle import parse_ir
 from run_digests import GOLDEN, run_digests, versions
 from test_acceptance import sphere_script
 

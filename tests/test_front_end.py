@@ -47,7 +47,9 @@ def solver(line):
     return (("f = 1\n", f"f = 1\n\n[solver]\n{line}\n"),)
 
 
-# The three weak forms the compiler rejects that parse_problem once passed.
+# Weak forms the compiler rejects that parse_problem once passed: three it
+# cannot expand, and three whose constants fold past the float range, two in
+# the fold of two numbers and one in a product's merged constant.
 WEAK_FORM_ERRORS = {
     "nonlinear": (HEAT, ((HEAT_FORM, HEAT_FORM + " + u*u*v"),),
                   "a term is nonlinear in the unknown 'u'"),
@@ -56,6 +58,12 @@ WEAK_FORM_ERRORS = {
                      "the kernel solves a single unknown field, got ['u', 'w']"),
     "dt_without_time": (HEAT, (("[time]\nscheme = bdf2\ndt = 0.01\nsteps = 100\n", ""),),
                         "the weak form has Dt(...) but no time scheme is configured"),
+    "constant_product_overflows": (HEAT, ((HEAT_FORM, HEAT_FORM + " - 1e300*1e300*alpha*v"),),
+                                   "constant '-1 * 1e+300 * 1e+300' overflows to -inf"),
+    "merged_factor_overflows": (HEAT, ((HEAT_FORM, HEAT_FORM + " - 1e300*alpha*v*1e300"),),
+                                "constant '-1 * 1e+300 * alpha * 1e+300' overflows to -inf"),
+    "constant_quotient_overflows": (HEAT, ((HEAT_FORM, HEAT_FORM + " - 1e300/1e-300*v"),),
+                                    "constant '-1 * 1e+300 * (1 / 1e-300)' overflows to -inf"),
 }
 
 C, H = CIRCLE_SCRIPT, HEAT3D_SCRIPT
@@ -95,6 +103,13 @@ SCRIPT_ROWS = [
         "vector coefficient 'c' must have finite numeric components", "c = dot(x, y)"),
     row("region_id", C, (("1 = true", "one = true"),), ParseError,
         "region id must be an integer, got 'one'", "one = true"),
+    row("non_predicate_operand", C, (("1 = true", "1 = x < 2 && 3"),), ParseError,
+        "'&&' requires a predicate on each side: 'x < 2 && 3'", "1 = x < 2 && 3"),
+    row("nested_non_predicate_operand", C,
+        (("1 = true", "1 = true\n2 = x < 1 || (y < 1 && 2)"),), ParseError,
+        "'&&' requires a predicate on each side", "2 = x < 1 || (y < 1 && 2)"),
+    row("predicate_inside_a_value", C, (("f = 1", "f = 1 + (x < 1 && 2)"),), ParseError,
+        "'&&' requires a predicate on each side", "f = 1 + (x < 1 && 2)"),
     row("duplicate_region", C, (("1 = true", "1 = true\n1 = false"),), ParseError,
         "duplicate boundary region 1", "1 = false"),
     row("bc_without_value", C, (("u @ 1 = dirichlet, 0.01", "u @ 1 = dirichlet"),),
@@ -302,6 +317,15 @@ def test_comma_in_a_value_call_exits_2_with_its_line(tmp_path, capsys):
     assert main(["run", str(script), "--out", str(tmp_path / "out")]) == 2
     line = CIRCLE_SCRIPT.splitlines().index("f = 1") + 2
     assert f"error: line {line}: vector coefficient 'c'" in capsys.readouterr().err
+
+
+@pytest.mark.usefixtures("no_work")
+def test_a_non_predicate_operand_exits_2_with_its_line(tmp_path, capsys):
+    script = write_script(tmp_path, edited(CIRCLE_SCRIPT, (("1 = true", "1 = x < 2 && 3"),)))
+    assert main(["run", str(script), "--out", str(tmp_path / "out")]) == 2
+    line = CIRCLE_SCRIPT.splitlines().index("1 = true") + 1
+    assert (f"error: line {line}: '&&' requires a predicate on each side"
+            in capsys.readouterr().err)
 
 
 # A weak-form call in each kind of value or predicate expression: (fixture,
