@@ -63,7 +63,7 @@ from .forms import (BOUNDARY_KINDS, SURFACE_DATA, VALUE, Contribution,
 from .kernel import basis_table, face_reference_points, tensor_rule
 from .mesh import KIND_GEOMETRY, build_mesh
 # run_problem calls these by this module's names, which benchmark probes swap
-from .solve import SolveInfo, bicgstab, reduce_system
+from .solve import SolveInfo, bicgstab, pc_type_for, reduce_system
 
 __all__ = ["Assembler", "SolveInfo", "StepRecord", "RunResult",
            "bicgstab", "reduce_system", "run_problem", "nodal_values",
@@ -333,6 +333,10 @@ class Assembler:
             if bc is None or not sel.any():
                 continue
             value = np.asarray(ex.eval_scalar(bc.value, env), float)
+            if not np.isfinite(np.broadcast_to(value, shape)[sel]).all():
+                raise ValidationError(
+                    f"boundary value '{ex.to_text(bc.value)}' of {unknown} "
+                    f"@ {rid} holds a NaN or infinite value")
             prior_mask, prior_val = masks.get(bc.kind, (False, 0.0))
             masks[bc.kind] = (prior_mask | sel, np.where(sel, value, prior_val))
         if open_rows.any():
@@ -586,18 +590,20 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None, on_step=None):
         solution = initial[mesh.free_nodes]
         state = constraint @ solution
     previous = state
-    # kernel -> kept reduced matrix, for each kernel no step can change,
-    # while a later step of the kernel reads it
+    # kernel -> its kept reduced matrix and preconditioner, for each kernel
+    # no step can change, while a later step of the kernel reads them
     last = {kernel: k for k, _, kernel in schedule}
-    kept = {kernel: None for kernel in last
-            if not _matrix_reads_time(kernel, spec)}
+    keep = {kernel for kernel in last if not _matrix_reads_time(kernel, spec)}
+    kept = {}
+    options = spec.solver
+    pc_type = pc_type_for(options.pc_type, mesh.dimension)
+    nodes = None
     timings["assemble"] = time.perf_counter() - tick
 
     steps = []
-    options = spec.solver
     for k, t_k, kernel in schedule:
         tick = time.perf_counter()
-        reduced = kept.get(kernel)
+        reduced, precondition = kept.pop(kernel, (None, None))
         A, b = assembler.assemble(kernel, t=t_k,
                                   history={1: state, 2: previous},
                                   matrix=reduced is None)
@@ -607,17 +613,23 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None, on_step=None):
             reduced, rhs = reduce_system(A, b, constraint)
         else:
             rhs = constraint.T @ b
-        if kernel in kept:
-            kept[kernel] = reduced if k < last[kernel] else None
         A = None                # the full-space matrix goes once reduced
         timings["assemble"] += time.perf_counter() - tick
         tick = time.perf_counter()
+        if pc_type == "mg" and nodes is None:
+            # made once the assembly's arrays are gone
+            nodes = mesh.free_node_record()
         solution, info = bicgstab(reduced, rhs, x0=solution,
                                   abs_tol=options.abs_tol,
                                   rel_tol=options.rel_tol,
                                   max_iterations=options.max_iterations,
-                                  pc_type=options.pc_type)
+                                  pc_type=pc_type, nodes=nodes,
+                                  precondition=precondition)
         timings["solve"] += time.perf_counter() - tick
+        if kernel in keep and k < last[kernel]:
+            kept[kernel] = (reduced, info.precondition)
+        # the matrix and preconditioner go after their last solve
+        reduced = precondition = info.precondition = None
         previous, state = state, constraint @ solution
         steps.append(StepRecord(k, t_k, info.iterations, info.residual))
         if on_step is not None and not ir.steady:

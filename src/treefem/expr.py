@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalError, ParseError
+from .errors import EvalError, ParseError, ValidationError
 
 __all__ = [
     "Num", "Bool", "Name", "Neg", "Bin", "Call",
@@ -431,6 +431,8 @@ def point_env(coords, t=0.0, coefficients=None, dt=None):
     given, and the coefficients in declaration order, so a coefficient may
     reference the coordinates and every coefficient declared before it.
     A vector coefficient ``name`` binds ``name:0``, ``name:1``, ...
+    An expression coefficient that is NaN or infinite at any point fails
+    with a ``ValidationError`` naming it.
     """
     env = {name: coords[..., d]
            for d, name in enumerate(("x", "y", "z")[:coords.shape[-1]])}
@@ -441,12 +443,22 @@ def point_env(coords, t=0.0, coefficients=None, dt=None):
         if isinstance(value, tuple):
             for i, comp in enumerate(value):
                 env[f"{name}:{i}"] = (float(comp) if isinstance(comp, (int, float))
-                                      else eval_scalar(comp, env))
+                                      else _coefficient(comp, env, name))
         elif isinstance(value, (int, float)):
             env[name] = float(value)
         else:
-            env[name] = eval_scalar(value, env)
+            env[name] = _coefficient(value, env, name)
     return env
+
+
+def _coefficient(value, env, name):
+    """The coefficient expression ``value`` evaluated in ``env``; a NaN
+    or infinite result fails, naming ``name`` and the expression."""
+    out = eval_scalar(value, env)
+    if not np.isfinite(out).all():
+        raise ValidationError(f"coefficient '{name}' = {to_text(value)} "
+                              f"holds a NaN or infinite value")
+    return out
 
 
 def _nodes(expr):

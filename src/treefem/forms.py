@@ -3,7 +3,8 @@
 A weak form arrives as one expression tree. It is flattened into a sum of
 product terms, each tagged with its integration region (volume, Dirichlet
 surface, Neumann surface) and holding exactly one test-function factor, at
-most one unknown factor, and a residual scalar program. Time derivatives
+most one unknown factor, and a residual scalar program; a sum of number
+literals is folded into one number before it distributes. Time derivatives
 ``Dt(u*v)`` become mass and history terms for the configured scheme, the
 whole transient system is scaled by dt, and :func:`lower` splits the terms
 into matrix and vector contributions of a :class:`KernelIR` that both the
@@ -314,6 +315,9 @@ def _alternatives(node, region, ctx):
     if isinstance(node, ex.Bin):
         op = node.op
         if op in ("+", "-"):
+            if _numeric(node):
+                # a sum of numbers is one number, folded before it distributes
+                return [(region, [(_SCALAR, fold(node))])]
             right = node.right if op == "+" else ex.Neg(node.right)
             return (_alternatives(node.left, region, ctx)
                     + _alternatives(right, region, ctx))
@@ -331,6 +335,15 @@ def _alternatives(node, region, ctx):
     if isinstance(node, ex.Call):
         return _call_alternatives(node, region, ctx)
     return [(region, [(_SCALAR, _scalar_expr(node, ctx))])]
+
+
+def _numeric(node):
+    """Whether ``node`` is arithmetic on number literals alone."""
+    if isinstance(node, ex.Bin):
+        return (_arithmetic(node.op) and _numeric(node.left)
+                and _numeric(node.right))
+    return isinstance(node, ex.Num) or (isinstance(node, ex.Neg)
+                                        and _numeric(node.arg))
 
 
 def _merge_regions(a, b):

@@ -600,6 +600,15 @@ class IncompleteMesh:
     def node_coords(self):
         return _lattice_coords(self.node_lattice, self)
 
+    def free_node_record(self):
+        """``(levels, points)`` of the free nodes: each one's level, that of
+        the finest element it is a corner of, and its point on that level's
+        lattice. The tree multigrid coarsens this record."""
+        level = np.zeros(self.n_nodes, np.int64)
+        np.maximum.at(level, self.elem_nodes, self.levels[:, None])
+        level = level[self.free_nodes]
+        return level, self.node_lattice[self.free_nodes] >> (_NL - level)[:, None]
+
     def cell_sizes(self, levels=None):
         """(n, dim) physical edge lengths per element."""
         if levels is None:

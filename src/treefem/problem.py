@@ -581,7 +581,7 @@ def _validate(spec):
     sol = spec.solver
     if sol.ksp_type not in KSP_TYPES:
         raise ValidationError(f"unsupported ksp_type '{sol.ksp_type}'")
-    if sol.pc_type not in PRECONDITIONERS:
+    if sol.pc_type is not None and sol.pc_type not in PRECONDITIONERS:
         raise ValidationError(f"unsupported pc_type '{sol.pc_type}'")
     if sol.max_iterations < 1:
         raise ValidationError("max_iterations must be at least 1")

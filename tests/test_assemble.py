@@ -24,6 +24,7 @@ from treefem.geometry import write_stl
 from treefem.kernel import basis_table, face_reference_points, tensor_rule
 from treefem.mesh import KIND_GEOMETRY, build_mesh
 from treefem.problem import BCKind, TimeScheme, parse_problem
+from treefem.solve import pc_type_for
 from treefem import expr as ex
 
 from shapes import bumpy_sphere
@@ -1301,10 +1302,13 @@ def reference_run_problem(spec, base_dir=".", mesh=None, initial=None,
     options = spec.solver
 
     def solve_reduced(A, b, x0=None):
+        # the preconditioner is built afresh for every solve
+        pc_type = pc_type_for(options.pc_type, mesh.dimension)
         return bicgstab(A, b, x0=x0, abs_tol=options.abs_tol,
                         rel_tol=options.rel_tol,
                         max_iterations=options.max_iterations,
-                        pc_type=options.pc_type)
+                        pc_type=pc_type, nodes=mesh.free_node_record()
+                        if pc_type == "mg" else None)
 
     def bilinear_references_time(ir):
         return any("t" in ex.names_in(c.scalar)

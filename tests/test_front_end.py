@@ -48,8 +48,9 @@ def solver(line):
 
 
 # Weak forms the compiler rejects that parse_problem once passed: three it
-# cannot expand, and three whose constants fold past the float range, two in
-# the fold of two numbers and one in a product's merged constant.
+# cannot expand, and four whose constants fold past the float range, two in
+# the fold of two numbers, one in a product's merged constant and one in a
+# sum of numbers, which folds before it distributes over the product.
 WEAK_FORM_ERRORS = {
     "nonlinear": (HEAT, ((HEAT_FORM, HEAT_FORM + " + u*u*v"),),
                   "a term is nonlinear in the unknown 'u'"),
@@ -64,6 +65,8 @@ WEAK_FORM_ERRORS = {
                                 "constant '-1 * 1e+300 * alpha * 1e+300' overflows to -inf"),
     "constant_quotient_overflows": (HEAT, ((HEAT_FORM, HEAT_FORM + " - 1e300/1e-300*v"),),
                                     "constant '-1 * 1e+300 * (1 / 1e-300)' overflows to -inf"),
+    "constant_sum_overflows": (HEAT, ((HEAT_FORM, HEAT_FORM + " - (1e308 + 1e308)*v"),),
+                               "constant '1e+308 + 1e+308' overflows to inf"),
 }
 
 C, H = CIRCLE_SCRIPT, HEAT3D_SCRIPT

@@ -1,7 +1,8 @@
 """NaN and infinite numbers at every public entry point that takes numbers
 outside a script fail with a ``treefem.errors`` exception, never a
 silent answer or a numpy error. Script literals are checked by the
-parser (``test_problem.py``, ``test_expr.py``)."""
+parser (``test_problem.py``, ``test_expr.py``); a value a script computes
+fails where it is evaluated (``COMPUTED``)."""
 
 import tempfile
 from functools import lru_cache
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from treefem import expr as ex
 from treefem.assemble import l2_error, nodal_values, run_problem
+from treefem.cli import main
 from treefem.errors import Error
 from treefem.geometry import (
     Ball, Polyline, TriSurface, read_gmsh_lines, read_stl, write_stl,
@@ -21,6 +23,7 @@ from treefem.mesh import build_mesh
 from treefem.problem import parse_problem
 
 from shapes import cube_tris, gmsh_polygon_text
+from test_acceptance import DISK_POISSON
 from test_assemble import DECAY
 
 SQUARE = [(0.2, 0.2), (0.8, 0.2), (0.8, 0.8), (0.2, 0.8)]
@@ -139,3 +142,31 @@ def test_non_finite_input_fails_with_a_treefem_error(entry, bad, data):
         call = ENTRIES[entry](data.draw, bad, Path(tmp))
         with pytest.raises(Error, match="NaN or infinite"):
             call()
+
+
+# Values a script computes that are not finite: (edit of the acceptance
+# disk, the expression the error names). Each fails where it is evaluated,
+# so no solve and no multigrid set-up sees it.
+COMPUTED = {
+    "coefficient": (("alpha = 400", "alpha = 1e300*1e300"),
+                    "coefficient 'alpha' = 1e+300 * 1e+300"),
+    "boundary_value": (("dirichlet, 0.01", "dirichlet, 1e300*1e300"),
+                       "boundary value '1e+300 * 1e+300' of u @ 1"),
+    "sqrt_of_negative": (("dirichlet, 0.01", "dirichlet, sqrt(x - 2)"),
+                         "boundary value 'sqrt(x - 2)' of u @ 1"),
+}
+
+
+@pytest.mark.parametrize("edit, named", COMPUTED.values(), ids=COMPUTED)
+def test_computed_non_finite_value_fails_where_it_is_evaluated(
+        edit, named, tmp_path, capsys, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("the solver was reached")
+    monkeypatch.setattr("treefem.assemble.bicgstab", solve)
+    script = tmp_path / "disk.prob"
+    script.write_text(DISK_POISSON.format(base=4, glevel=5).replace(*edit))
+    with np.errstate(invalid="ignore"):
+        code = main(["run", str(script), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: {named} holds a NaN or infinite value" in (
+        capsys.readouterr().err)

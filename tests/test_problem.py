@@ -13,6 +13,7 @@ from treefem.errors import FormError, ParseError, ValidationError
 from treefem.problem import (
     BCKind, GeometrySpec, TimeScheme, parse_problem, with_levels,
 )
+from treefem.solve import pc_type_for
 
 from test_acceptance import sphere_script
 
@@ -142,7 +143,11 @@ class TestParse:
         assert spec.solver.max_iterations == 1000
         assert spec.solver.abs_tol == 1e-8
         assert spec.solver.rel_tol == 1e-8
-        assert spec.solver.pc_type == "jacobi"
+        # unset, so run_problem picks by dimension: multigrid in 2-D
+        assert spec.solver.pc_type is None
+        assert pc_type_for(spec.solver.pc_type, spec.dimension) == "mg"
+        assert pc_type_for(None, 3) == "jacobi"
+        assert pc_type_for("jacobi", 2) == "jacobi"
 
     def test_solver_overrides(self):
         script = CIRCLE_SCRIPT + "\n[solver]\nmax_iterations = 50\nrel_tol = 1e-10\n"

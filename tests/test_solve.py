@@ -4,9 +4,11 @@ import inspect
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from treefem.assemble import Assembler, run_problem
 from treefem.errors import SolverError, ValidationError
+from treefem.forms import compile_kernel
 from treefem.problem import parse_problem
 from treefem.solve import (
     KSP_TYPES, PRECONDITIONERS, SolverOptions, bicgstab, reduce_system,
@@ -89,6 +91,33 @@ def test_bicgstab_rejects_an_unknown_preconditioner():
     # a script's pc_type is checked at parse; a direct call meets this check
     with pytest.raises(SolverError, match="^unsupported preconditioner 'ilu'$"):
         bicgstab(np.eye(2), np.ones(2), pc_type="ilu")
+
+
+def test_multigrid_needs_the_node_record():
+    with pytest.raises(SolverError, match="needs the node record"):
+        bicgstab(sp.eye(2, format="csr"), np.ones(2), pc_type="mg")
+
+
+def test_multigrid_rejects_a_coarsest_operator_it_cannot_invert():
+    # two nodes of one level; the operator is singular, and so is the
+    # coarsest, which is the operator itself below _COARSEST unknowns
+    A = sp.csr_matrix(np.ones((2, 2)))
+    nodes = (np.array([1, 1]), np.array([[0, 0], [1, 0]]))
+    with pytest.raises(SolverError, match="coarsest operator .2 unknowns. "
+                       "cannot be inverted"):
+        bicgstab(A, np.array([1.0, 0.0]), pc_type="mg", nodes=nodes)
+
+
+def test_a_built_preconditioner_is_used_again():
+    spec = parse_problem(disk_script())
+    mesh = run_problem(spec).mesh
+    A, b = Assembler(mesh, spec).assemble(compile_kernel(spec))
+    reduced, rhs = reduce_system(A, b, mesh.constraint)
+    x, info = bicgstab(reduced, rhs, pc_type="mg",
+                       nodes=mesh.free_node_record())
+    again, repeat = bicgstab(reduced, rhs, precondition=info.precondition)
+    assert repeat.precondition is info.precondition
+    assert np.array_equal(again, x) and repeat.history == info.history
 
 
 # Non-finite input: (b, x0, message); a solve never returns an answer for it.
