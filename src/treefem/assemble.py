@@ -63,7 +63,9 @@ from .forms import (BOUNDARY_KINDS, SURFACE_DATA, VALUE, Contribution,
 from .kernel import basis_table, face_reference_points, tensor_rule
 from .mesh import KIND_GEOMETRY, build_mesh
 # run_problem calls these by this module's names, which benchmark probes swap
-from .solve import SolveInfo, bicgstab, pc_type_for, reduce_system
+from .solve import (
+    SolveInfo, bicgstab, pc_type_for, reduce_system, rel_tol_for,
+)
 
 __all__ = ["Assembler", "SolveInfo", "StepRecord", "RunResult",
            "bicgstab", "reduce_system", "run_problem", "nodal_values",
@@ -597,6 +599,7 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None, on_step=None):
     kept = {}
     options = spec.solver
     pc_type = pc_type_for(options.pc_type, mesh.dimension)
+    rel_tol = rel_tol_for(options.rel_tol, pc_type)
     nodes = None
     timings["assemble"] = time.perf_counter() - tick
 
@@ -621,7 +624,7 @@ def run_problem(spec, base_dir=".", mesh=None, initial=None, on_step=None):
             nodes = mesh.free_node_record()
         solution, info = bicgstab(reduced, rhs, x0=solution,
                                   abs_tol=options.abs_tol,
-                                  rel_tol=options.rel_tol,
+                                  rel_tol=rel_tol,
                                   max_iterations=options.max_iterations,
                                   pc_type=pc_type, nodes=nodes,
                                   precondition=precondition)

@@ -601,13 +601,19 @@ class IncompleteMesh:
         return _lattice_coords(self.node_lattice, self)
 
     def free_node_record(self):
-        """``(levels, points)`` of the free nodes: each one's level, that of
-        the finest element it is a corner of, and its point on that level's
-        lattice. The tree multigrid coarsens this record."""
+        """``(levels, points, faced)`` of the free nodes: each one's level,
+        that of the finest element it is a corner of, its point on that
+        level's lattice, and whether it is a corner of an element that owns
+        a surrogate face. The tree multigrid coarsens this record, and in
+        2-D smooths the faced nodes' band by blocks."""
         level = np.zeros(self.n_nodes, np.int64)
         np.maximum.at(level, self.elem_nodes, self.levels[:, None])
+        faced = np.zeros(self.n_nodes, bool)
+        faced[self.elem_nodes[self.faces.element]] = True
         level = level[self.free_nodes]
-        return level, self.node_lattice[self.free_nodes] >> (_NL - level)[:, None]
+        return (level,
+                self.node_lattice[self.free_nodes] >> (_NL - level)[:, None],
+                faced[self.free_nodes])
 
     def cell_sizes(self, levels=None):
         """(n, dim) physical edge lengths per element."""

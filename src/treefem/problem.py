@@ -585,7 +585,7 @@ def _validate(spec):
         raise ValidationError(f"unsupported pc_type '{sol.pc_type}'")
     if sol.max_iterations < 1:
         raise ValidationError("max_iterations must be at least 1")
-    if sol.abs_tol <= 0 or sol.rel_tol <= 0:
+    if sol.abs_tol <= 0 or (sol.rel_tol is not None and sol.rel_tol <= 0):
         raise ValidationError("solver tolerances must be positive")
 
     used = ex.names_in(spec.weak_form)

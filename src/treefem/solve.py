@@ -5,25 +5,46 @@ The system is reduced with the mesh's hanging-node expansion ``C``
 ``CᵀAC`` is ``A`` less its explicit zeros. Each solver decision is
 declared once, here: the ``[solver]`` defaults (``SolverOptions``), the
 ``ksp_type`` names (``KSP_TYPES``), the ``pc_type`` names
-(``PRECONDITIONERS``, each with the builder of its ``precondition(v)``)
-and the ``pc_type`` of a script that leaves it unset (``pc_type_for``):
-the tree multigrid ``mg`` on 2-D meshes, Jacobi on 3-D ones.
+(``PRECONDITIONERS``, each with the builder of its ``precondition(v)``),
+and for a script that leaves them unset the ``pc_type`` (``pc_type_for``:
+the tree multigrid ``mg`` on 2-D meshes, Jacobi on 3-D ones) and the
+``rel_tol`` (``rel_tol_for``: 1e-10 under ``mg``, 1e-8 otherwise).
 
-``mg`` is plain aggregation over the tree lattice. It reads the node
-record ``(levels, points)`` of the unknowns (``IncompleteMesh.
-free_node_record``): each node's level and its point on that level's
-lattice. A coarsening step merges the nodes of one key ``(level - 1,
-points >> 1)``, a 2×2 (2×2×2) block of the next coarser lattice, packed
-into int64 keys by ``mesh.TreeIndex``; the coarse node takes that key as
-its level and point. Restriction sums a vector over each aggregate
-(``np.bincount``) and prolongation copies the coarse value to its nodes,
-so no transfer matrix is kept; the coarse operator is the Galerkin
-``PᵀAP`` of the aggregation ``P``. At ``_COARSEST`` unknowns or fewer a
-dense inverse takes over, by Gauss-Jordan elimination in numpy, so that
-no result depends on the BLAS thread count. One V(0,2) cycle is the
-coarse correction, then two damped-Jacobi sweeps of weight
-``(4/3)/ρ(D⁻¹A)``, with ``ρ`` from power iterations from a seeded start,
-so repeated solves repeat their iteration counts.
+``mg`` is geometric multigrid on the tree lattice. It reads the node
+record ``(levels, points, faced)`` of the unknowns (``IncompleteMesh.
+free_node_record``): each node's level, its point on that level's
+lattice, and whether it is a corner of an element that owns a surrogate
+face. A node's coarse parents are the corners of the lattice cell of the
+next coarser level that it lies in, ``(level - 1, (point >> 1) +
+offset)`` with an offset of 0 or 1 along each axis where ``point`` is
+odd; the prolongation ``P`` gives each the bilinear (trilinear) weight,
+renormalized over the parents that are coarse nodes. The coarse nodes
+are each node's own key ``(level - 1, point >> 1)`` and all corners of
+each coarse cell that holds a complete fine cell (all its corners are
+nodes of one level), so that ``P`` has full rank, and a node on the
+carved boundary keeps the parent outside it that linear interpolation
+needs; keys are packed into int64 by ``mesh.TreeIndex``. The coarse
+operator is the Galerkin ``PᵀAP``. At ``_COARSEST`` unknowns or fewer a
+dense inverse takes over, by Gauss-Jordan elimination in numpy.
+
+One V(1,1) cycle is a damped-Jacobi sweep, the coarse correction, and a
+sweep again. On 2-D meshes each level also smooths the surrogate-boundary
+band, where the shifted-boundary penalty makes Jacobi stall, by a
+restricted additive Schwarz step before and after the coarse correction;
+the Jacobi sweeps skip the band, and their weight is ``(4/3)/ρ(D⁻¹A)``
+over the other nodes, ``ρ`` from power iterations from a seeded start. The
+band is the faced nodes and their matrix neighbours, and on each coarser
+level the parents of the band's nodes. It is cut into boxes of
+``2**_BOX_SHIFT`` cells of the level's finest lattice; each box grows by
+``_BOX_RINGS`` rings of in-band neighbours while it holds at most
+``_BOX_LIMIT`` nodes, its block of ``A`` is inverted once, and only the
+rows of the box's own nodes are kept, in one CSR matrix per level. 3-D
+levels have no band step: there the band holds most unknowns.
+
+No result depends on the BLAS thread count: the set-up's norms are
+numpy's pairwise sums, not BLAS, the box blocks stay below the size
+from which LAPACK threads its inverse, and the coarsest inverse is
+numpy's own; repeated solves repeat their iteration counts.
 """
 
 import math
@@ -33,10 +54,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SolverError
-from .mesh import TreeIndex
+from .mesh import TreeIndex, corner_bits
 
 __all__ = ["KSP_TYPES", "PRECONDITIONERS", "SolveInfo", "SolverOptions",
-           "bicgstab", "pc_type_for", "reduce_system"]
+           "bicgstab", "pc_type_for", "reduce_system", "rel_tol_for"]
 
 
 @dataclass(frozen=True)
@@ -44,7 +65,7 @@ class SolverOptions:
     ksp_type: str = "bicgstab"
     max_iterations: int = 1000
     abs_tol: float = 1e-8
-    rel_tol: float = 1e-8
+    rel_tol: float | None = None    # unset: rel_tol_for picks it
     pc_type: str | None = None      # unset: pc_type_for picks it
 
 
@@ -67,6 +88,15 @@ def pc_type_for(pc_type, dimension):
     return "mg" if dimension == 2 else "jacobi"
 
 
+def rel_tol_for(rel_tol, pc_type):
+    """``rel_tol``, or when it is None the default under the preconditioner
+    ``pc_type``: 1e-10 under ``mg``, whose error at 1e-8 can pass the
+    discretization error from disk level 9 on, and 1e-8 otherwise."""
+    if rel_tol is not None:
+        return rel_tol
+    return 1e-10 if pc_type == "mg" else 1e-8
+
+
 def _inverse_diagonal(A):
     diag = A.diagonal()
     return 1.0 / np.where(np.abs(diag) > 0.0, diag, 1.0)
@@ -78,15 +108,23 @@ def _jacobi(A, nodes):
 
 
 # multigrid: the largest operator inverted densely (its Gauss-Jordan
-# elimination costs a few milliseconds at 100), and the power iterations
-# and start seed of each level's smoothing weight
+# elimination costs a few milliseconds at 100); the power iterations and
+# start seed of each level's smoothing weight; and the band's boxes: their
+# side, 2**_BOX_SHIFT cells, the rings of in-band neighbours each grows by,
+# the most nodes a grown box holds (LAPACK threads its inverse, and changes
+# its bits, from 100), and the width multiple their blocks are padded to,
+# to be inverted in a few stacks
 _COARSEST = 100
 _POWER_ITERATIONS = 15
 _POWER_SEED = 0
+_BOX_SHIFT = 3
+_BOX_RINGS = 2
+_BOX_LIMIT = 64
+_BOX_PAD = 8
 
 
 def _multigrid(A, nodes):
-    """V(0,2) cycles of the tree aggregation of ``A`` (module docstring)."""
+    """V(1,1) cycles of the tree hierarchy of ``A`` (module docstring)."""
     grids, inverse = _hierarchy(A, nodes)
     # no closure refers to itself, so the hierarchy goes with its last
     # reference rather than at the next garbage collection
@@ -94,36 +132,58 @@ def _multigrid(A, nodes):
 
 
 def _cycle(grids, inverse, v, level):
-    """``v`` preconditioned by one V(0,2) cycle from ``grids[level]`` down."""
+    """``v`` preconditioned by one V(1,1) cycle from ``grids[level]`` down."""
     if level == len(grids):
         return inverse @ v
-    A, AP, weighted, aggregate, size = grids[level]
-    e = _cycle(grids, inverse, np.bincount(aggregate, v, minlength=size),
-               level + 1)
-    x = e[aggregate]
-    x += weighted * (v - AP @ e)
+    A, P, weighted, band = grids[level]
+    x = weighted * v
+    if band is not None:
+        _band_step(band, v, x)
+    x += P @ _cycle(grids, inverse, P.T @ (v - A @ x), level + 1)
+    if band is not None:
+        _band_step(band, v, x)
     x += weighted * (v - A @ x)
     return x
 
 
+def _band_step(band, v, x):
+    """One restricted additive Schwarz step over the band, in place:
+    ``x[nodes] += B (v - A x)[nodes]``, where ``rows`` are the band's rows
+    of ``A`` and ``B`` holds each box's rows of its block inverse."""
+    nodes, rows, B = band
+    x[nodes] += B @ (v[nodes] - rows @ x)
+
+
 def _hierarchy(A, nodes):
-    """Per level above the coarsest ``(A, A·P, weight·D⁻¹, aggregate,
-    size)``, and the coarsest operator's dense inverse. The first sweep
-    after the coarse correction reads ``A·P`` (``A x`` of a prolonged
-    ``x = P e`` is ``A·P e``), which has about half of ``A``'s entries."""
+    """Per level above the coarsest ``(A, P, weight·D⁻¹, band)``, with
+    ``band`` the level's ``_band_smoother`` (None in 3-D), and the
+    coarsest operator's dense inverse."""
     if nodes is None:
         raise SolverError("pc_type 'mg' needs the node record of the "
                           "unknowns (IncompleteMesh.free_node_record)")
     A = sp.csr_matrix(A)
-    levels, points = nodes
+    levels, points, faced = nodes
+    band = None
+    if points.shape[1] == 2:
+        # the faced nodes and their matrix neighbours
+        band = faced.copy()
+        band[A[np.flatnonzero(faced)].indices] = True
     grids = []
     while A.shape[0] > _COARSEST:
-        aggregate, size, levels, points = _aggregate(levels, points)
         inv_diag = _inverse_diagonal(A)
+        smoother = None
+        if band is not None:
+            smoother = _band_smoother(A, band, levels, points)
+            inv_diag[band] = 0.0        # the band step smooths the band
         weighted = _smoothing_weight(A, inv_diag) * inv_diag
-        AP, coarse = _galerkin(A, aggregate, size)
-        grids.append((A, AP, weighted, aggregate, size))
-        A = coarse
+        P, levels, points = _prolongation(levels, points)
+        grids.append((A, P, weighted, smoother))
+        if band is not None:
+            # the coarse band: the parents of the band's nodes
+            parents = P[np.flatnonzero(band)].indices
+            band = np.zeros(P.shape[1], bool)
+            band[parents] = True
+        A = P.T.tocsr() @ (A @ P)
     inverse = _inverse(A.toarray())
     if inverse is None or not np.isfinite(inverse).all():
         raise SolverError(f"multigrid set-up: the coarsest operator "
@@ -150,34 +210,139 @@ def _inverse(A):
     return M[:, n:]
 
 
-def _aggregate(levels, points):
-    """``(aggregate, size, levels, points)``: each node's aggregate, the
-    nodes of one key ``(level - 1, point >> 1)``, numbered in key order,
-    the aggregates' count, and their own levels and points."""
-    points = points >> 1
-    index = TreeIndex([levels - 1, *points.T])
-    return (index.inverse, len(index.keys), levels[index.first] - 1,
-            points[index.first])
+def _prolongation(levels, points):
+    """``(P, levels, points)``: the bilinear (trilinear) prolongation onto
+    the coarse nodes, and their levels and points (module docstring)."""
+    n, dim = points.shape
+    corners = corner_bits(dim)
+    fine = TreeIndex([levels, *points.T])
+    # complete[i]: the cell of node i's level with i as its lowest corner
+    # has all its corners among the nodes of that level
+    complete = np.ones(n, bool)
+    for corner in corners[1:]:
+        complete &= fine.find_columns([levels, *(points + corner).T]) >= 0
+    del fine
+    # the coarse nodes: each node's own key, and all corners of each coarse
+    # cell that holds a complete cell
+    own = TreeIndex([levels - 1, *(points >> 1).T])
+    cell = own.first[np.unique(own.inverse[complete])]
+    coarse_levels = np.concatenate(
+        [levels[own.first], np.repeat(levels[cell], 2 ** dim)]) - 1
+    coarse = np.concatenate(
+        [points[own.first] >> 1,
+         ((points[cell] >> 1)[:, None] + corners).reshape(-1, dim)])
+    index = TreeIndex([coarse_levels, *coarse.T])
+    rows, parents = [], []
+    odd = points & 1
+    for corner in corners:
+        row = np.flatnonzero((corner <= odd).all(axis=1))
+        parent = index.find_columns([levels[row] - 1,
+                                     *((points[row] >> 1) + corner).T])
+        rows.append(row[parent >= 0])
+        parents.append(parent[parent >= 0])
+    rows = np.concatenate(rows)
+    P = sp.csr_matrix((1.0 / np.bincount(rows)[rows],
+                       (rows, np.concatenate(parents))),
+                      shape=(n, len(index.keys)))
+    return P, coarse_levels[index.first], coarse[index.first]
 
 
-def _galerkin(A, aggregate, size):
-    """``(A·P, PᵀAP)`` for the aggregation ``P`` (``P[i, aggregate[i]]
-    = 1``), which lives only here."""
-    n = len(aggregate)
-    P = sp.csr_matrix((np.ones(n), aggregate, np.arange(n + 1)),
-                      shape=(n, size))
-    AP = A @ P
-    return AP, (P.T @ AP).tocsr()
+def _band_smoother(A, band, levels, points):
+    """``(nodes, rows, B)`` of the restricted additive Schwarz step over the
+    ``band`` nodes, or None if there are none (module docstring). ``rows``
+    are the band's rows of ``A``, and ``B`` holds each box's rows of its
+    block inverse, one row per band node, in band numbering."""
+    nodes = np.flatnonzero(band)
+    if len(nodes) == 0:
+        return None
+    rows = A[nodes]
+    local = rows[:, nodes].tocsr()
+    m = len(nodes)
+    top = int(levels[nodes].max())
+    lattice = points[nodes] << (top - levels[nodes])[:, None]
+    boxes = TreeIndex(list((lattice >> _BOX_SHIFT).T))
+    box, n_box = boxes.inverse, len(boxes.keys)
+    grown = sp.csr_matrix((np.ones(m), (box, np.arange(m))), shape=(n_box, m))
+    pattern = sp.csr_matrix((np.ones(local.nnz), local.indices, local.indptr),
+                            shape=(m, m))
+    for _ in range(_BOX_RINGS):
+        wider = grown @ pattern
+        fits = np.diff(wider.indptr) <= _BOX_LIMIT
+        grown = (sp.diags(fits.astype(float)) @ wider
+                 + sp.diags((~fits).astype(float)) @ grown)
+    grown.sort_indices()
+    # one entry per (box, member): its box, member and slot in the box
+    size = np.diff(grown.indptr)
+    owner = np.repeat(np.arange(n_box), size)
+    member = grown.indices
+    slot = np.arange(grown.nnz) - grown.indptr[owner]
+    own = box[member] == owner
+    # the entries of local's rows, each at its column's slot in the box
+    start = local.indptr[member]
+    count = local.indptr[member + 1] - start
+    entry = np.repeat(np.arange(grown.nnz), count)
+    at = _ranges(start, count)
+    key = owner * m + member            # ascending
+    query = owner[entry] * m + local.indices[at]
+    where = np.minimum(np.searchsorted(key, query), len(key) - 1)
+    hit = key[where] == query
+    entry, at, where = entry[hit], at[hit], where[hit]
+    # B's row of band node i is the row of i's slot in the inverse of its
+    # own box's block, over that box's members
+    mine = np.empty(m, np.int64)
+    mine[member[own]] = np.flatnonzero(own)
+    indptr = np.concatenate([[0], np.cumsum(size[owner[mine]])])
+    indices = member[_ranges(grown.indptr[owner[mine]], size[owner[mine]])]
+    data = np.empty(len(indices))
+    # the blocks are inverted in classes of equal padded width
+    width = -(-size // _BOX_PAD) * _BOX_PAD
+    for w in np.unique(width):
+        chosen = np.flatnonzero(width == w)
+        position = np.zeros(n_box, np.int64)
+        position[chosen] = np.arange(len(chosen))
+        blocks = np.zeros((len(chosen), w, w))
+        blocks[:, np.arange(w), np.arange(w)] = 1.0     # the padding's
+        take = width[owner[entry]] == w
+        e, c = entry[take], where[take]
+        blocks[position[owner[e]], slot[e], slot[c]] = local.data[at[take]]
+        try:
+            inverse = np.linalg.inv(blocks)
+        except np.linalg.LinAlgError:
+            raise SolverError("multigrid set-up: a band block cannot be "
+                              "inverted") from None
+        del blocks
+        i = np.flatnonzero(width[owner[mine]] == w)
+        keep = np.arange(w) < size[owner[mine[i]], None]
+        data[(indptr[i, None] + np.arange(w))[keep]] = inverse[
+            position[owner[mine[i]]], slot[mine[i]]][keep]
+    B = sp.csr_matrix((data, indices, indptr), shape=(m, m))
+    return nodes, rows, B
+
+
+def _ranges(start, count):
+    """The concatenated ranges ``start[k], ..., start[k] + count[k] - 1``."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count,
+                                              count)
 
 
 def _smoothing_weight(A, inv_diag):
-    """``(4/3)/ρ(D⁻¹A)``, ``ρ`` from power iterations from a seeded start."""
+    """``(4/3)/ρ(D⁻¹A)`` for the diagonal ``D⁻¹`` given, which is zero on
+    the band, so ``ρ`` is over the rest; ``ρ`` from power iterations from a
+    seeded start, and the weight zero where that rest is empty."""
     x = np.random.default_rng(_POWER_SEED).random(A.shape[0])
-    rho = float(np.linalg.norm(x))
+    rho = _norm(x)
     for _ in range(_POWER_ITERATIONS):
         x = inv_diag * (A @ (x / rho))
-        rho = float(np.linalg.norm(x))
+        rho = _norm(x)
+        if rho == 0.0:
+            return 0.0
     return (4.0 / 3.0) / rho
+
+
+def _norm(x):
+    """The 2-norm of ``x`` by numpy's pairwise sum: BLAS, which
+    ``np.linalg.norm`` calls, changes its bits with its thread count."""
+    return math.sqrt(float(np.add.reduce(x * x)))
 
 
 PRECONDITIONERS = {"jacobi": _jacobi, "none": lambda A, nodes: lambda v: v,
@@ -220,9 +385,11 @@ def bicgstab(A, b, x0=None, abs_tol=_DEFAULT.abs_tol, rel_tol=_DEFAULT.rel_tol,
     """Preconditioned BiCGStab on the reduced system ``A x = b``.
 
     ``pc_type`` names the preconditioner (None: ``pc_type_for`` the node
-    record's dimension); ``mg`` needs ``nodes``, the node record of the
-    unknowns. ``precondition``, the ``SolveInfo.precondition`` of an
-    earlier solve with ``A``, is used instead of building one again.
+    record's dimension) and ``rel_tol`` None is ``rel_tol_for`` it; ``mg``
+    needs ``nodes``, the node record of the unknowns. ``precondition``,
+    the ``SolveInfo.precondition`` of an earlier solve with ``A``, is used
+    instead of building one again, and so is the ``pc_type`` it was built
+    as.
     A NaN or infinite value in ``b`` or ``x0``, or a residual norm that
     is not finite, raises ``SolverError``: no answer is returned for it.
     """
@@ -235,15 +402,17 @@ def bicgstab(A, b, x0=None, abs_tol=_DEFAULT.abs_tol, rel_tol=_DEFAULT.rel_tol,
     norm0 = float(np.linalg.norm(r))
     history = [norm0]
     _check_finite(norm0, history)
-    target = max(abs_tol, rel_tol * norm0)
+    # a kept preconditioner brings the pc_type it was built as
+    pc_type = getattr(precondition, "pc_type", None) or pc_type_for(
+        pc_type, None if nodes is None else nodes[1].shape[1])
+    target = max(abs_tol, rel_tol_for(rel_tol, pc_type) * norm0)
     if norm0 <= target:
         return x, SolveInfo(0, norm0, history, precondition)
     if precondition is None:
-        pc_type = pc_type_for(pc_type, None if nodes is None
-                              else nodes[1].shape[1])
         if pc_type not in PRECONDITIONERS:
             raise SolverError(f"unsupported preconditioner '{pc_type}'")
         precondition = PRECONDITIONERS[pc_type](A, nodes)
+        precondition.pc_type = pc_type
 
     r0 = r.copy()
     rho_prev = 1.0

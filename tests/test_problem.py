@@ -13,7 +13,7 @@ from treefem.errors import FormError, ParseError, ValidationError
 from treefem.problem import (
     BCKind, GeometrySpec, TimeScheme, parse_problem, with_levels,
 )
-from treefem.solve import pc_type_for
+from treefem.solve import pc_type_for, rel_tol_for
 
 from test_acceptance import sphere_script
 
@@ -142,12 +142,16 @@ class TestParse:
         assert spec.solver.ksp_type == "bicgstab"
         assert spec.solver.max_iterations == 1000
         assert spec.solver.abs_tol == 1e-8
-        assert spec.solver.rel_tol == 1e-8
-        # unset, so run_problem picks by dimension: multigrid in 2-D
-        assert spec.solver.pc_type is None
+        # unset, so run_problem picks by dimension: multigrid in 2-D, and
+        # the tolerance by preconditioner: 1e-10 under multigrid
+        assert spec.solver.pc_type is None and spec.solver.rel_tol is None
         assert pc_type_for(spec.solver.pc_type, spec.dimension) == "mg"
         assert pc_type_for(None, 3) == "jacobi"
         assert pc_type_for("jacobi", 2) == "jacobi"
+        assert rel_tol_for(None, "mg") == 1e-10
+        assert rel_tol_for(None, "jacobi") == 1e-8
+        assert rel_tol_for(None, "none") == 1e-8
+        assert rel_tol_for(1e-6, "mg") == 1e-6
 
     def test_solver_overrides(self):
         script = CIRCLE_SCRIPT + "\n[solver]\nmax_iterations = 50\nrel_tol = 1e-10\n"

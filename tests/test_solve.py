@@ -102,10 +102,21 @@ def test_multigrid_rejects_a_coarsest_operator_it_cannot_invert():
     # two nodes of one level; the operator is singular, and so is the
     # coarsest, which is the operator itself below _COARSEST unknowns
     A = sp.csr_matrix(np.ones((2, 2)))
-    nodes = (np.array([1, 1]), np.array([[0, 0], [1, 0]]))
+    nodes = (np.array([1, 1]), np.array([[0, 0], [1, 0]]),
+             np.zeros(2, bool))
     with pytest.raises(SolverError, match="coarsest operator .2 unknowns. "
                        "cannot be inverted"):
         bicgstab(A, np.array([1.0, 0.0]), pc_type="mg", nodes=nodes)
+
+
+def test_multigrid_rejects_a_band_block_it_cannot_invert():
+    # 121 nodes of one level, all faced, and an operator of rank one
+    n = 121
+    A = sp.csr_matrix(np.ones((n, n)))
+    points = np.indices((11, 11)).reshape(2, -1).T
+    nodes = (np.full(n, 4), points, np.ones(n, bool))
+    with pytest.raises(SolverError, match="a band block cannot be inverted"):
+        bicgstab(A, np.arange(n, dtype=float), pc_type="mg", nodes=nodes)
 
 
 def test_a_built_preconditioner_is_used_again():
