@@ -61,7 +61,7 @@ from .errors import AssemblyError, ValidationError
 from .forms import (BOUNDARY_KINDS, SURFACE_DATA, VALUE, Contribution,
                     Region, TimeScheme, compile_kernel, fold)
 from .kernel import basis_table, face_reference_points, tensor_rule
-from .mesh import KIND_GEOMETRY, build_mesh
+from .mesh import KIND_GEOMETRY, TreeIndex, build_mesh
 # run_problem calls these by this module's names, which benchmark probes swap
 from .solve import (
     SolveInfo, bicgstab, pc_type_for, reduce_system, rel_tol_for,
@@ -159,18 +159,6 @@ def _cell_batches(mesh, rule):
             for level in np.unique(mesh.levels)]
 
 
-def _group_rows(keys):
-    """The distinct rows of ``keys`` in lexicographic order and, for each,
-    the ascending numbers of the rows equal to it: ``np.unique(keys,
-    axis=0)``'s groups, from one stable sort."""
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    new = np.ones(len(keys), bool)
-    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    start = np.flatnonzero(new)
-    return keys[start], np.split(order, start)[1:]
-
-
 def _face_batches(mesh):
     """One batch per (level, axis, orientation, kind, geometry, slice) of
     surrogate faces, with its true-boundary points and surface data."""
@@ -179,8 +167,12 @@ def _face_batches(mesh):
     rule = tensor_rule(_ASSEMBLY_QUAD, dim - 1)
     keys = np.column_stack([mesh.levels[f.element], f.axis, f.orient, f.kind,
                             f.geom, f.slices.astype(np.int64)])
+    # batches in the keys' lexicographic order, each with its faces ascending
+    index = TreeIndex(list(keys.T))
+    groups = np.split(np.argsort(index.inverse, kind="stable"),
+                      np.cumsum(np.bincount(index.inverse))[:-1])
     batches = []
-    for key, rows in zip(*_group_rows(keys)):
+    for key, rows in zip(keys[index.first], groups):
         _, axis, orient, kind, geom = (int(v) for v in key[:5])
         codes = tuple(int(v) for v in key[5:])
         points, fraction = face_reference_points(rule.points, axis, orient,

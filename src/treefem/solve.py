@@ -37,9 +37,11 @@ band is the faced nodes and their matrix neighbours, and on each coarser
 level the parents of the band's nodes. It is cut into boxes of
 ``2**_BOX_SHIFT`` cells of the level's finest lattice; each box grows by
 ``_BOX_RINGS`` rings of in-band neighbours while it holds at most
-``_BOX_LIMIT`` nodes, its block of ``A`` is inverted once, and only the
-rows of the box's own nodes are kept, in one CSR matrix per level. 3-D
-levels have no band step: there the band holds most unknowns.
+``_BOX_LIMIT`` nodes. Its block, its members' rows of ``A`` at its
+members' columns, is padded with the identity to a multiple of
+``_BOX_PAD`` and inverted in one stack per width; ``B``, one CSR matrix
+per level, keeps the rows of the box's own nodes, over its members. 3-D
+meshes have an empty band: there it would hold most unknowns.
 
 No result depends on the BLAS thread count: the set-up's norms are
 numpy's pairwise sums, not BLAS, the box blocks stay below the size
@@ -137,21 +139,20 @@ def _cycle(grids, inverse, v, level):
         return inverse @ v
     A, P, weighted, band = grids[level]
     x = weighted * v
-    if band is not None:
-        _band_step(band, v, x)
+    _band_step(band, v, x)
     x += P @ _cycle(grids, inverse, P.T @ (v - A @ x), level + 1)
-    if band is not None:
-        _band_step(band, v, x)
+    _band_step(band, v, x)
     x += weighted * (v - A @ x)
     return x
 
 
 def _band_step(band, v, x):
-    """One restricted additive Schwarz step over the band, in place:
-    ``x[nodes] += B (v - A x)[nodes]``, where ``rows`` are the band's rows
-    of ``A`` and ``B`` holds each box's rows of its block inverse."""
-    nodes, rows, B = band
-    x[nodes] += B @ (v[nodes] - rows @ x)
+    """One restricted additive Schwarz step over the band, if any, in
+    place: ``x[nodes] += B (v - A x)[nodes]``, with ``rows`` the band's
+    rows of ``A`` and ``B`` each box's rows of its block inverse."""
+    if band is not None:
+        nodes, rows, B = band
+        x[nodes] += B @ (v[nodes] - rows @ x)
 
 
 def _hierarchy(A, nodes):
@@ -163,26 +164,21 @@ def _hierarchy(A, nodes):
                           "unknowns (IncompleteMesh.free_node_record)")
     A = sp.csr_matrix(A)
     levels, points, faced = nodes
-    band = None
-    if points.shape[1] == 2:
-        # the faced nodes and their matrix neighbours
-        band = faced.copy()
-        band[A[np.flatnonzero(faced)].indices] = True
+    # the faced nodes and their matrix neighbours; none in 3-D
+    band = faced & (points.shape[1] == 2)
+    band[A[np.flatnonzero(band)].indices] = True
     grids = []
     while A.shape[0] > _COARSEST:
         inv_diag = _inverse_diagonal(A)
-        smoother = None
-        if band is not None:
-            smoother = _band_smoother(A, band, levels, points)
-            inv_diag[band] = 0.0        # the band step smooths the band
+        smoother = _band_smoother(A, band, levels, points)
+        inv_diag[band] = 0.0            # the band step smooths the band
         weighted = _smoothing_weight(A, inv_diag) * inv_diag
         P, levels, points = _prolongation(levels, points)
         grids.append((A, P, weighted, smoother))
-        if band is not None:
-            # the coarse band: the parents of the band's nodes
-            parents = P[np.flatnonzero(band)].indices
-            band = np.zeros(P.shape[1], bool)
-            band[parents] = True
+        # the coarse band: the parents of the band's nodes
+        parents = P[np.flatnonzero(band)].indices
+        band = np.zeros(P.shape[1], bool)
+        band[parents] = True
         A = P.T.tocsr() @ (A @ P)
     inverse = _inverse(A.toarray())
     if inverse is None or not np.isfinite(inverse).all():
@@ -271,58 +267,42 @@ def _band_smoother(A, band, levels, points):
         grown = (sp.diags(fits.astype(float)) @ wider
                  + sp.diags((~fits).astype(float)) @ grown)
     grown.sort_indices()
-    # one entry per (box, member): its box, member and slot in the box
+    # the (box, member) entries in order, with their slots in the box; each
+    # band node's own entry; and the entry of each member's columns in its box
     size = np.diff(grown.indptr)
     owner = np.repeat(np.arange(n_box), size)
-    member = grown.indices
     slot = np.arange(grown.nnz) - grown.indptr[owner]
-    own = box[member] == owner
-    # the entries of local's rows, each at its column's slot in the box
-    start = local.indptr[member]
-    count = local.indptr[member + 1] - start
-    entry = np.repeat(np.arange(grown.nnz), count)
-    at = _ranges(start, count)
-    key = owner * m + member            # ascending
-    query = owner[entry] * m + local.indices[at]
-    where = np.minimum(np.searchsorted(key, query), len(key) - 1)
-    hit = key[where] == query
-    entry, at, where = entry[hit], at[hit], where[hit]
-    # B's row of band node i is the row of i's slot in the inverse of its
-    # own box's block, over that box's members
-    mine = np.empty(m, np.int64)
-    mine[member[own]] = np.flatnonzero(own)
-    indptr = np.concatenate([[0], np.cumsum(size[owner[mine]])])
-    indices = member[_ranges(grown.indptr[owner[mine]], size[owner[mine]])]
-    data = np.empty(len(indices))
-    # the blocks are inverted in classes of equal padded width
+    entries = TreeIndex([owner, grown.indices.astype(np.int64)])
+    mine = entries.find_columns([box, np.arange(m)])
+    reach = local[grown.indices]
+    entry = np.repeat(np.arange(grown.nnz), np.diff(reach.indptr))
+    column = entries.find_columns([owner[entry],
+                                   reach.indices.astype(np.int64)])
+    hit = column >= 0
+    entry, column, value = entry[hit], column[hit], reach.data[hit]
+    # B's row of band node i is i's row of its box's block inverse, over the
+    # box's members; the blocks are inverted in classes of equal padded width
+    B = grown[box]
     width = -(-size // _BOX_PAD) * _BOX_PAD
+    entry_width = width[owner[entry]]
     for w in np.unique(width):
-        chosen = np.flatnonzero(width == w)
-        position = np.zeros(n_box, np.int64)
-        position[chosen] = np.arange(len(chosen))
-        blocks = np.zeros((len(chosen), w, w))
+        position = np.cumsum(width == w) - 1     # in the stack, if of width w
+        blocks = np.zeros((position[-1] + 1, w, w))
         blocks[:, np.arange(w), np.arange(w)] = 1.0     # the padding's
-        take = width[owner[entry]] == w
-        e, c = entry[take], where[take]
-        blocks[position[owner[e]], slot[e], slot[c]] = local.data[at[take]]
+        take = entry_width == w
+        e, c = entry[take], column[take]
+        blocks[position[owner[e]], slot[e], slot[c]] = value[take]
         try:
             inverse = np.linalg.inv(blocks)
         except np.linalg.LinAlgError:
             raise SolverError("multigrid set-up: a band block cannot be "
                               "inverted") from None
         del blocks
-        i = np.flatnonzero(width[owner[mine]] == w)
-        keep = np.arange(w) < size[owner[mine[i]], None]
-        data[(indptr[i, None] + np.arange(w))[keep]] = inverse[
-            position[owner[mine[i]]], slot[mine[i]]][keep]
-    B = sp.csr_matrix((data, indices, indptr), shape=(m, m))
+        i = np.flatnonzero(width[box] == w)
+        keep = np.arange(w) < size[box[i], None]
+        B.data[(B.indptr[i, None] + np.arange(w))[keep]] = inverse[
+            position[box[i]], slot[mine[i]]][keep]
     return nodes, rows, B
-
-
-def _ranges(start, count):
-    """The concatenated ranges ``start[k], ..., start[k] + count[k] - 1``."""
-    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count,
-                                              count)
 
 
 def _smoothing_weight(A, inv_diag):
@@ -390,10 +370,17 @@ def bicgstab(A, b, x0=None, abs_tol=_DEFAULT.abs_tol, rel_tol=_DEFAULT.rel_tol,
     the ``SolveInfo.precondition`` of an earlier solve with ``A``, is used
     instead of building one again, and so is the ``pc_type`` it was built
     as.
-    A NaN or infinite value in ``b`` or ``x0``, or a residual norm that
-    is not finite, raises ``SolverError``: no answer is returned for it.
+    A ``b``, ``x0`` or ``nodes`` not sized to ``A``'s rows, a NaN or
+    infinite value in ``b`` or ``x0``, or a residual norm that is not
+    finite, raises ``SolverError``: no answer is returned for it.
     """
-    n = len(b)
+    n = A.shape[0]
+    for name, fits in (("b", np.shape(b) == (n,)),
+                       ("x0", x0 is None or np.shape(x0) == (n,)),
+                       ("nodes", nodes is None
+                        or all(len(array) == n for array in nodes))):
+        if not fits:
+            raise SolverError(f"{name} is not sized to the matrix's {n} rows")
     x = np.zeros(n) if x0 is None else np.asarray(x0, float).copy()
     if not (np.isfinite(b).all() and np.isfinite(x).all()):
         raise SolverError("the right-hand side or the start vector holds "

@@ -1,5 +1,5 @@
 """SHA-256 digests of every file that ``treefem run`` and ``treefem converge``
-write for five small cases.
+write for six small cases.
 
 The golden file ``golden/run_digests.json`` pins those files byte for byte:
 each ``solution*.vtk`` and ``diagnostics.csv`` of a run, and the
@@ -50,11 +50,14 @@ def _file_digests(directory):
 
 
 def run_digests():
-    """{case: {file name: SHA-256}} for runs of the disk at L5, the sphere
-    at 2/4, the bumpy STL sphere at L3 and the BDF2 heat script at 2/3 with
-    30 steps, and for a convergence study of the disk at levels 4 and 5."""
+    """{case: {file name: SHA-256}} for runs of the disk at L5, the disk
+    refined to its boundary at 3/6 (hanging nodes, multigrid levels nearly
+    all band), the sphere at 2/4, the bumpy STL sphere at L3 and the BDF2
+    heat script at 2/3 with 30 steps, and for a convergence study of the
+    disk at levels 4 and 5."""
     runs = {
         "disk_l5": DISK_POISSON.format(base=5, glevel=5),
+        "disk_3_6": DISK_POISSON.format(base=3, glevel=6),
         "sphere_2_4": sphere_script(2, 4),
         "bumpy_stl_l3": sphere_script(base=3, glevel=3, shape="mesh",
                                       shape_lines="mesh_file = bumpy.stl"),

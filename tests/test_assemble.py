@@ -15,8 +15,8 @@ import dataclasses
 
 from treefem.assemble import (
     _SLAB_TRIPLETS, Assembler, RunResult, StepRecord, _face_batches,
-    _group_rows, _matrix_reads_time, _scatter, bicgstab, l2_error,
-    nodal_values, reduce_system, run_problem,
+    _matrix_reads_time, _scatter, bicgstab, l2_error, nodal_values,
+    reduce_system, run_problem,
 )
 from treefem.errors import AssemblyError, SolverError
 from treefem.forms import GROUPS, KernelIR, compile_kernel
@@ -29,6 +29,7 @@ from treefem import expr as ex
 
 from shapes import bumpy_sphere
 from test_acceptance import sphere_script
+from test_mesh import circle_script
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -584,33 +585,19 @@ ORACLE_CASES = {
 
 
 def unique_row_groups(keys):
-    """``_group_rows`` through ``np.unique(axis=0)`` and one scan per
-    distinct row."""
+    """The distinct rows of ``keys`` and each one's rows, through
+    ``np.unique(axis=0)`` and one scan per distinct row."""
     uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
     inverse = inverse.ravel()
     return uniq, [np.nonzero(inverse == b)[0] for b in range(len(uniq))]
 
 
-def assert_same_groups(keys):
-    got_keys, got_rows = _group_rows(keys)
-    want_keys, want_rows = unique_row_groups(keys)
-    assert np.array_equal(got_keys, want_keys)
-    assert len(got_rows) == len(want_rows)
-    for got, want in zip(got_rows, want_rows):
-        assert np.array_equal(got, want)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 40), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
-def test_group_rows_matches_unique_rows(n, width, seed):
-    keys = np.random.default_rng(seed).integers(-2, 3, (n, width))
-    assert_same_groups(keys)
-
-
 @pytest.mark.parametrize("script", [
     sphere_script(base=2, glevel=4),
     (GOLDEN / "heat_bdf2_script.prob").read_text(),
-], ids=["sphere", "heat"])
+    # a void circle: wall faces on the box, whose geometry column is -1
+    circle_script(4, 6, radius=0.2, gextra="outer_boundary = false"),
+], ids=["sphere", "heat", "void_circle"])
 def test_face_batches_group_like_unique_rows(script):
     """Face batches come in ``np.unique(keys, axis=0)`` order, each with
     its faces in ascending order."""
@@ -618,7 +605,6 @@ def test_face_batches_group_like_unique_rows(script):
     f = mesh.faces
     keys = np.column_stack([mesh.levels[f.element], f.axis, f.orient, f.kind,
                             f.geom, f.slices.astype(np.int64)])
-    assert_same_groups(keys)
     _, groups = unique_row_groups(keys)
     batches = _face_batches(mesh)
     assert len(batches) == len(groups) > 1

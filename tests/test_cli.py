@@ -369,7 +369,7 @@ def test_run_is_deterministic(tmp_path):
 
 
 def test_run_and_converge_files_match_golden_digests():
-    """Every file the five pinned runs write keeps its recorded bytes."""
+    """Every file the six pinned runs write keeps its recorded bytes."""
     golden = json.loads((GOLDEN / "run_digests.json").read_text())
     cases = run_digests()
     differ = sorted(

@@ -298,6 +298,10 @@ class TestEval:
         with pytest.raises(EvalError):
             ex.eval_scalar(ex.parse("(x < 1) + 1"), {"x": 0.0})
 
+    def test_boolean_negation_rejected(self):
+        with pytest.raises(EvalError, match="cannot negate a boolean value"):
+            ex.eval_scalar(ex.parse("-(x < 1)"), {"x": 0.0})
+
     def test_boolean_operator_rejects_a_numeric_right_operand(self):
         with pytest.raises(EvalError, match="'&&' requires boolean operands"):
             ex.eval_scalar(ex.parse("x < 1 && 2"), {"x": 0.0})

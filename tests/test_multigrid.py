@@ -23,6 +23,7 @@ from treefem.solve import (
     _smoothing_weight, bicgstab, reduce_system,
 )
 
+from solve_oracles import band_smoother
 from test_acceptance import (
     DISK_EXACT, DISK_POISSON, SPHERE_EXACT, sphere_script,
 )
@@ -127,6 +128,32 @@ def test_band_rows_are_the_solves_of_their_boxes():
         assert (rows != fine[nodes]).nnz == 0
         want = band_oracle(fine, nodes, levels, points)
         assert np.abs(B.toarray() - want).max() <= 1e-9 * np.abs(want).max()
+        _, levels, points = _prolongation(levels, points)
+
+
+ORACLE_SPECS = {
+    "disk_l6": SPECS["disk_l6"],
+    "adaptive_disk": SPECS["adaptive_disk"],
+    "disk_5_9": lambda: parse_problem(DISK_POISSON.format(base=5, glevel=9)),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_SPECS)
+def test_band_step_matches_the_former_one_bit_for_bit(case):
+    mesh, A, _ = reduced_system(ORACLE_SPECS[case]())
+    record = mesh.free_node_record()
+    grids, _ = _hierarchy(A, record)
+    levels, points, _ = record
+    for fine, _, _, (nodes, rows, B) in grids:
+        band = np.zeros(fine.shape[0], bool)
+        band[nodes] = True
+        want_nodes, want_rows, want = band_smoother(fine, band, levels,
+                                                    points)
+        assert np.array_equal(nodes, want_nodes)
+        assert (rows != want_rows).nnz == 0
+        for got, ref in ((B.indptr, want.indptr), (B.indices, want.indices)):
+            assert np.array_equal(got.astype(np.int64), ref.astype(np.int64))
+        assert B.data.tobytes() == want.data.tobytes()
         _, levels, points = _prolongation(levels, points)
 
 

@@ -131,6 +131,35 @@ def test_a_built_preconditioner_is_used_again():
     assert np.array_equal(again, x) and repeat.history == info.history
 
 
+class NoProducts:
+    """A 5 x 5 matrix that fails any product taken with it."""
+    shape = (5, 5)
+
+    def __matmul__(self, other):
+        raise AssertionError("a product before the argument check")
+
+
+# Arguments of the wrong size for a 5 x 5 matrix: (b, x0, nodes, the
+# argument named)
+WRONG_SIZES = {
+    "short_rhs": (np.ones(4), None, None, "b"),
+    "column_rhs": (np.ones((5, 1)), None, None, "b"),
+    "short_start": (np.ones(5), np.zeros(4), None, "x0"),
+    "column_start": (np.ones(5), np.zeros((5, 1)), None, "x0"),
+    "long_record": (np.ones(5), None, (np.full(6, 3), np.zeros((6, 2)),
+                                       np.zeros(6, bool)), "nodes"),
+    "short_points": (np.ones(5), None, (np.full(5, 3), np.zeros((4, 2)),
+                                        np.zeros(5, bool)), "nodes"),
+}
+
+
+@pytest.mark.parametrize("b, x0, nodes, name", WRONG_SIZES.values(),
+                         ids=WRONG_SIZES)
+def test_bicgstab_checks_its_argument_sizes(b, x0, nodes, name):
+    with pytest.raises(SolverError, match=f"^{name} "):
+        bicgstab(NoProducts(), b, x0=x0, pc_type="mg", nodes=nodes)
+
+
 # Non-finite input: (b, x0, message); a solve never returns an answer for it.
 NON_FINITE = {
     "infinite_rhs": ([1.0, np.inf], None, "right-hand side"),
